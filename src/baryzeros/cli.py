@@ -34,6 +34,7 @@ from .complexes import (
     shared_sieve,
 )
 from .dynamics import DEFAULT_TRAJECTORY_PRECISION, alpha, alpha_scan, trajectory
+from .rootfinding import RootFindingError
 from .subdivision import (
     descent_matrix,
     eigen_rationals,
@@ -205,8 +206,8 @@ def _alpha_row(rec) -> list:
     ]
 
 
-def _skipped_alpha_row(n: int, chi: int) -> list:
-    return [n, dim_of(n), chi, None, None, None, None, "skipped"]
+def _skipped_alpha_row(n: int, sieve) -> list:
+    return [n, dim_of(n), -mertens(n, sieve), None, None, None, None, "skipped"]
 
 
 def _cmd_alpha(args) -> int:
@@ -217,7 +218,7 @@ def _cmd_alpha(args) -> int:
             raise CliError(f"--n must be between 1 and the sieve limit {limit}")
         sieve = shared_sieve(args.n)
         if dim_of(args.n) < 1:
-            rows = [_skipped_alpha_row(args.n, -mertens(args.n, sieve))]
+            rows = [_skipped_alpha_row(args.n, sieve)]
         else:
             rows = [_alpha_row(alpha(args.n, sieve))]
         metadata["n"] = args.n
@@ -225,8 +226,7 @@ def _cmd_alpha(args) -> int:
         if not (1 <= args.stop <= limit):
             raise CliError(f"--to must be between 1 and the sieve limit {limit}")
         sieve = shared_sieve(args.stop)
-        chi, _ = chi_profile(args.stop, sieve)
-        rows = [_skipped_alpha_row(n, chi[n]) for n in range(1, min(args.stop, 5) + 1)]
+        rows = [_skipped_alpha_row(n, sieve) for n in range(1, min(args.stop, 5) + 1)]
         if args.stop >= 6:
             rows.extend(_alpha_row(rec) for rec in alpha_scan(args.stop, sieve))
         metadata["to"] = args.stop
@@ -238,6 +238,8 @@ def _cmd_zeros(args) -> int:
     limit = _sieve_limit()
     if not (1 <= args.n <= limit):
         raise CliError(f"--n must be between 1 and the sieve limit {limit}")
+    if args.precision_bits < 16:
+        raise CliError("--precision-bits must be at least 16")
     run = trajectory(args.n, args.k, precision_bits=args.precision_bits)
     header = [
         "k",
@@ -382,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (CliError, ValueError, ResourceLimitError) as exc:
+    except (CliError, ValueError, ResourceLimitError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

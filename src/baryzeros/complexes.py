@@ -61,17 +61,6 @@ class SieveTable:
         w = self.weight
         return sum(1 for k in range(1, x + 1) if w[k] == d)
 
-    def prime_factors(self, k: int) -> tuple[int, ...]:
-        if not (1 <= k <= self.limit):
-            raise ValueError(f"k={k} outside sieve range 1..{self.limit}")
-        out = []
-        while k > 1:
-            p = self.spf[k]
-            out.append(p)
-            while k % p == 0:
-                k //= p
-        return tuple(out)
-
 
 def build_sieve(
     limit: int = DEFAULT_SIEVE_LIMIT, memory_budget: int = SIEVE_MEMORY_BUDGET
@@ -268,7 +257,12 @@ def summary(n: int, sieve: SieveTable | None = None) -> ComplexSummary:
         raise ValueError("n must be at least 1")
     table = sieve if sieve is not None else shared_sieve(n)
     d = dim_of(n)
-    counts = [1] + [table.weight_count(w, n) for w in range(1, d + 2)]
+    counts = [0] * (d + 2)
+    weight = table.weight
+    for k in range(1, n + 1):
+        w = weight[k]
+        if w >= 0:
+            counts[w] += 1
     fv = FVector(tuple(counts))
     return ComplexSummary(n, d, fv, fv.euler_char(), table.mertens(n))
 
@@ -280,28 +274,23 @@ def chi_profile(
 
     Returns (chi, mertens_values), both indexed by n with slot 0 unused.
     chi is accumulated from squarefree weight classes (each squarefree n
-    of weight w contributes (-1)^(w-1)), mertens_values from Moebius
-    values directly; the two routes are compared by callers.
+    of weight w contributes (-1)^(w-1)), mertens_values is the sieve's
+    running Moebius sum; the two routes are compared by callers.
     """
     table = sieve if sieve is not None else shared_sieve(limit)
     if table.limit < limit:
         raise ValueError(f"sieve only reaches {table.limit}, need {limit}")
     chi = [0] * (limit + 1)
-    mm = [0] * (limit + 1)
     chi_run = 0
-    m_run = 0
     w = table.weight
-    mu = table.mu
     for k in range(1, limit + 1):
         wk = w[k]
         if wk == 0:
             chi_run -= 1  # the empty simplex enters at k = 1
         elif wk > 0:
             chi_run += -1 if (wk - 1) % 2 else 1
-        m_run += mu[k]
         chi[k] = chi_run
-        mm[k] = m_run
-    return chi, mm
+    return chi, table.mertens_prefix[: limit + 1]
 
 
 def first_negative_euler(
@@ -329,12 +318,6 @@ class SimplicialComplex:
     """
 
     simplices: frozenset
-
-    @classmethod
-    def from_simplices(cls, simplices: Iterable) -> "SimplicialComplex":
-        normalized = frozenset(frozenset(s) for s in simplices)
-        normalized |= {frozenset()}
-        return cls(normalized)
 
     @classmethod
     def from_facets(cls, facets: Iterable) -> "SimplicialComplex":

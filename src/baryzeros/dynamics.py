@@ -17,7 +17,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .complexes import FVector, SieveTable, dim_of, h_poly, shared_sieve, summary
+from .complexes import FVector, SieveTable, chi_profile, dim_of, h_poly, shared_sieve, summary
 from .polynomials import RationalPoly
 from .rootfinding import find_roots
 from .subdivision import eigen_rationals, transfer_matrix
@@ -79,42 +79,26 @@ class GrowthExpansion:
         return self.coefficients[0][i + 1]
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Gaussian elimination over the rationals; rhs holds whole rows."""
-    n = len(matrix)
-    aug = [list(matrix[r]) + list(rhs[r]) for r in range(n)]
-    width = len(aug[0])
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:width] for row in aug]
-
-
 def growth_expansion(fv: FVector) -> GrowthExpansion:
     """Eigendecomposition of the subdivision dynamics started at fv.
 
-    Solves the exact Vandermonde system built from the first d+1 exact
-    iterates, then the result reproduces every iterate (the bases
-    1!, ..., (d+1)! are distinct, so the system is nonsingular).
+    Back-substitution in the triangular eigenbasis: the (m+1)!-eigenvector
+    is eigen_rationals(m) padded with zeros, so for m = d down to 1 it is
+    peeled off the counts, scaled by what is left at index m.  The rest is
+    the base-1 row (the eigenvalues 0! = 1! share it).
     """
     d = fv.dim
     if d < 0:
         raise ValueError("growth expansion needs dimension at least 0")
     bases = tuple(math.factorial(d + 1 - j) for j in range(d + 1))
-    samples = [subdivided_f(fv, k).counts for k in range(d + 1)]
-    vander = [
-        [Fraction(base) ** k for base in bases] for k in range(d + 1)
-    ]
-    rhs = [[Fraction(c) for c in sample] for sample in samples]
-    solved = _solve_exact(vander, rhs)
-    coefficients = tuple(tuple(row) for row in solved)
-    return GrowthExpansion(d, bases, coefficients)
+    rest = [Fraction(c) for c in fv.counts]
+    rows = []
+    for m in range(d, 0, -1):
+        row = [rest[m + 1] * w for w in eigen_rationals(m)] + [Fraction(0)] * (d - m)
+        rest = [r - x for r, x in zip(rest, row)]
+        rows.append(tuple(row))
+    rows.append(tuple(rest))
+    return GrowthExpansion(d, bases, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +271,7 @@ def _alpha_exponent(alpha: Fraction, dim: int) -> float | None:
     ) / math.log(math.factorial(dim + 1))
 
 
-def _make_alpha_record(n, d, chi, f_top, h1_cache) -> AlphaRecord:
-    if d not in h1_cache:
-        h1_cache[d] = eigen_rationals(d)[1]
-    h1 = h1_cache[d]
+def _make_alpha_record(n, d, chi, f_top, h1) -> AlphaRecord:
     alpha = Fraction(chi) / (h1 * f_top)
     return AlphaRecord(n, d, chi, f_top, h1, alpha, _alpha_exponent(alpha, d))
 
@@ -304,33 +285,32 @@ def alpha(n: int, sieve: SieveTable | None = None) -> AlphaRecord:
     if n < 6 or dim_of(n) < 1:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
     info = summary(n, sieve)
-    cache: dict = {}
+    d = info.dim
     return _make_alpha_record(
-        n, info.dim, info.euler_char, info.f_vector.count(info.dim), cache
+        n, d, info.euler_char, info.f_vector.count(d), eigen_rationals(d)[1]
     )
 
 
 def alpha_scan(n_max: int, sieve: SieveTable | None = None) -> list[AlphaRecord]:
-    """AlphaRecord for every n from 6 to n_max in one incremental pass."""
+    """AlphaRecord for every n from 6 to n_max: chi from :func:`chi_profile`,
+    f_top from a running count of squarefree n per weight."""
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
     table = sieve if sieve is not None else shared_sieve(n_max)
-    if table.limit < n_max:
-        raise ValueError(f"sieve only reaches {table.limit}, need {n_max}")
+    chi, _ = chi_profile(n_max, table)  # raises if the sieve is too short
+    top = dim_of(n_max)
+    h1 = [eigen_rationals(d)[1] for d in range(top + 1)]
+    weight_totals = [0] * (top + 2)
     records = []
-    weight_totals: dict[int, int] = {}
-    chi_run = -1  # the empty simplex, counted at n = 1
-    h1_cache: dict = {}
     for n in range(2, n_max + 1):
         w = table.weight[n]
         if w > 0:
-            weight_totals[w] = weight_totals.get(w, 0) + 1
-            chi_run += -1 if (w - 1) % 2 else 1
+            weight_totals[w] += 1
         if n < 6:
             continue
         d = dim_of(n)
         records.append(
-            _make_alpha_record(n, d, chi_run, weight_totals[d + 1], h1_cache)
+            _make_alpha_record(n, d, chi[n], weight_totals[d + 1], h1[d])
         )
     return records
 

@@ -76,17 +76,6 @@ def subdivision_count_recurrence(i: int, d: int) -> int:
     )
 
 
-def _count_or_zero(i: int, j: int) -> int:
-    """Subdivision count extended by zero where no simplices exist."""
-    if i > j:
-        return 0
-    if i == -1:
-        return 1 if j == -1 else 0
-    if j == -1:
-        return 0
-    return subdivision_count(i, j)
-
-
 @cache
 def eigen_rationals(d: int) -> tuple[Fraction, ...]:
     """The rational weights (indexed -1..d) attached to dimension d.
@@ -193,7 +182,6 @@ class SimplexMatrix:
     def __matmul__(self, other: "SimplexMatrix") -> "SimplexMatrix":
         if self.d != other.d:
             raise ValueError("dimension mismatch")
-        n = self.size
         cols = list(zip(*other.rows))
         prod = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
@@ -206,11 +194,6 @@ class SimplexMatrix:
         if len(vector) != self.size:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.rows)
-
-    def scale(self, factor) -> "SimplexMatrix":
-        return SimplexMatrix(
-            self.d, tuple(tuple(factor * x for x in row) for row in self.rows)
-        )
 
 
 def identity_matrix(d: int) -> SimplexMatrix:
@@ -231,7 +214,7 @@ def transfer_matrix(d: int) -> SimplexMatrix:
     return SimplexMatrix(
         d,
         tuple(
-            tuple(_count_or_zero(i, j) for j in range(-1, d + 1))
+            tuple(subdivision_count(i, j) if i <= j else 0 for j in range(-1, d + 1))
             for i in range(-1, d + 1)
         ),
     )

@@ -1,6 +1,7 @@
 """Command line interface: formats, golden files, and exit codes."""
 
 import csv
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from baryzeros import __version__
+from baryzeros import RootFindingError, __version__
+from baryzeros.checks import SUITES
 from baryzeros.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 
 
 def run_cli(capsys, *argv) -> str:
@@ -148,12 +151,21 @@ def test_verify_all_suites_green(capsys):
     capsys.readouterr()
 
 
-def test_range_errors_exit_2(capsys):
+def test_range_errors_exit_2(capsys, monkeypatch):
     err = run_cli_error(capsys, "chi", "--from", "0", "--to", "10")
     assert err.startswith("error:")
     run_cli_error(capsys, "chi", "--from", "9", "--to", "3")
     run_cli_error(capsys, "tables", "--kind", "f", "--max-d", "20")
     run_cli_error(capsys, "zeros", "--n", "5", "--k", "2")
+    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2", "--precision-bits", "15")
+    assert err == "error: --precision-bits must be at least 16\n"
+
+    def fail(*args, **kwargs):
+        raise RootFindingError("residual missed target")
+
+    monkeypatch.setattr("baryzeros.cli.trajectory", fail)
+    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "39")
+    assert err == "error: residual missed target\n"
 
 
 def test_bad_flag_exits_2(capsys):
@@ -179,3 +191,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,chi,mertens,dim"
+
+
+def test_tracer_sites_resolve():
+    "Every name the benchmark tracer wraps exists where its callers look it up."
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, modules in tracer.SITES.items():
+        home, attr = name.rsplit(".", 1)
+        for module_name in (home, *modules):
+            module = importlib.import_module(f"baryzeros.{module_name}")
+            assert callable(getattr(module, attr, None)), (name, module_name)
+    spans = {f"checks.{suite.__name__}" for suite in SUITES.values()}
+    assert spans == set(tracer.SUITE_SPANS)

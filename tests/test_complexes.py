@@ -76,6 +76,15 @@ def test_weight_counts_at_30():
     assert weight_count(4, 30) == 0
 
 
+def test_summary_counts_match_weight_rescans():
+    "The one-pass f-vector in summary against one weight_count rescan per weight."
+    table = shared_sieve(2000)
+    for n in range(1, 2001):
+        d = dim_of(n)
+        expected = (1, *(weight_count(w, n, table) for w in range(1, d + 2)))
+        assert summary(n, table).f_vector.counts == expected, n
+
+
 def test_dim_of_primorial_steps():
     assert dim_of(1) == -1
     assert dim_of(2) == 0

@@ -10,6 +10,7 @@ from baryzeros import (
     FVector,
     alpha,
     alpha_scan,
+    build_sieve,
     conjecture_report,
     eigen_rationals,
     growth_expansion,
@@ -63,7 +64,14 @@ def test_growth_expansion_leading_coefficients():
 
 
 def test_growth_expansion_reproduces_exact_counts():
-    for counts in ((1, 3, 1), (1, 10, 7, 1), (1, 4, 2)):
+    for counts in (
+        (1, 2),
+        (1, 3, 1),
+        (1, 10, 7, 1),
+        (1, 4, 2),
+        (1, 343, 643, 359, 58, 1),
+        (1, 3248, 7429, 5723, 1708, 152, 1),
+    ):
         fv = FVector(counts)
         g = growth_expansion(fv)
         for k in range(0, 13):
@@ -147,6 +155,8 @@ def test_alpha_guards():
             alpha(n)
     with pytest.raises(ValueError):
         alpha_scan(5)
+    with pytest.raises(ValueError, match="sieve only reaches 50"):
+        alpha_scan(100, build_sieve(50))
 
 
 def test_alpha_scan_agrees_with_single_lookups():
