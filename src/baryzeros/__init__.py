@@ -49,7 +49,7 @@ from .dynamics import (
     trajectory,
     trajectory_precision,
 )
-from .polynomials import RationalPoly, poly_shift, shift_coefficients
+from .polynomials import RationalPoly, shift_coefficients
 from .rootfinding import RootFindingError, RootSet, find_roots
 from .subdivision import (
     SimplexMatrix,
@@ -114,7 +114,6 @@ __all__ = [
     "limit_f_poly",
     "limit_h_coefficients",
     "mertens",
-    "poly_shift",
     "run_suite",
     "shared_sieve",
     "shift_coefficients",

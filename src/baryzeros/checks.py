@@ -23,6 +23,7 @@ from .complexes import (
     chi_profile,
     explicit_complex,
     first_negative_euler,
+    mertens,
     shared_sieve,
     summary,
 )
@@ -415,10 +416,10 @@ def _check_random_subdivision_invariance() -> CheckResult:
     )
 
 
-def complex_suite(mertens_limit: int = MERTENS_LIMIT) -> list[CheckResult]:
+def complex_suite() -> list[CheckResult]:
     """Sieve identities and explicit subdivision geometry."""
     return [
-        _check_euler_vs_mertens(mertens_limit),
+        _check_euler_vs_mertens(MERTENS_LIMIT),
         _check_first_negative(),
         _check_explicit_f_vectors(),
         _check_explicit_subdivision(),
@@ -538,7 +539,7 @@ def _check_alpha_identity() -> CheckResult:
     for rec in records:
         if rec.alpha * rec.h1 * rec.f_top != rec.chi:
             bad.append(f"n={rec.n}: defining identity broken")
-        elif rec.chi != -sieve.mertens(rec.n):
+        elif rec.chi != -mertens(rec.n, sieve):
             bad.append(f"n={rec.n}: Euler characteristic disagrees with sieve")
     spot = {6: Fraction(1), 30: Fraction(6)}
     by_n = {rec.n: rec.alpha for rec in records}

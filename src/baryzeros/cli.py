@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -62,10 +61,6 @@ def _sieve_limit() -> int:
     if value < 1:
         raise CliError(f"{SIEVE_LIMIT_ENV} must be positive, got {value}")
     return value
-
-
-def _rat(x: Fraction) -> str:
-    return str(x)
 
 
 def _digits(bits: int) -> int:
@@ -139,7 +134,7 @@ def _tables_payload(kind: str, max_d: int) -> tuple[list[str], list[list]]:
         for i in range(-1, max_d + 1):
             row: list = [i]
             for d in range(-1, max_d + 1):
-                row.append(_rat(columns[d][i + 1]) if i <= d else None)
+                row.append(str(columns[d][i + 1]) if i <= d else None)
             rows.append(row)
     elif kind == "H":
         header = ["i"] + [f"d={d}" for d in range(0, max_d + 1)]
@@ -148,7 +143,7 @@ def _tables_payload(kind: str, max_d: int) -> tuple[list[str], list[list]]:
         for i in range(0, max_d + 2):
             row = [i]
             for d in range(0, max_d + 1):
-                row.append(_rat(columns[d][i]) if i <= d + 1 else None)
+                row.append(str(columns[d][i]) if i <= d + 1 else None)
             rows.append(row)
     else:
         header = ["d", "i", "j", "value"]
@@ -199,8 +194,8 @@ def _alpha_row(rec) -> list:
         rec.dim,
         rec.chi,
         rec.f_top,
-        _rat(rec.h1),
-        _rat(rec.alpha),
+        str(rec.h1),
+        str(rec.alpha),
         exponent,
         "ok",
     ]
@@ -282,7 +277,7 @@ def _cmd_zeros(args) -> int:
         "dim": run.dim,
         "k_max": args.k,
         "requested_precision_bits": args.precision_bits,
-        "h1": _rat(run.h1),
+        "h1": str(run.h1),
         "f_top": run.f_top,
         "chi": run.chi,
     }
@@ -384,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (CliError, ValueError, ResourceLimitError, RootFindingError) as exc:
+    except (CliError, ValueError, OSError, ResourceLimitError, RootFindingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

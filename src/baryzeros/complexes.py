@@ -34,91 +34,58 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass
 class SieveTable:
-    """Smallest-prime-factor sieve with Moebius and weight side tables.
+    """Squarefree weights and Mertens running sums up to ``limit``.
 
     weight[k] is the number of distinct prime factors for squarefree k
     and -1 otherwise; weight[1] = 0.  mertens_prefix[x] is the running
-    Moebius sum up to x.
+    Moebius sum up to x, the Moebius value of k being (-1)^weight[k] for
+    weight[k] >= 0 and 0 otherwise.  Slot 0 of both lists is 0.
     """
 
     limit: int
-    spf: list[int]
-    mu: list[int]
     weight: list[int]
     mertens_prefix: list[int]
 
-    def mertens(self, x: int) -> int:
-        if not (1 <= x <= self.limit):
-            raise ValueError(f"x={x} outside sieve range 1..{self.limit}")
-        return self.mertens_prefix[x]
 
-    def weight_count(self, d: int, x: int) -> int:
-        """Number of squarefree integers <= x with exactly d prime factors."""
-        if d < 0:
-            raise ValueError("weight must be nonnegative")
-        if not (1 <= x <= self.limit):
-            raise ValueError(f"x={x} outside sieve range 1..{self.limit}")
-        w = self.weight
-        return sum(1 for k in range(1, x + 1) if w[k] == d)
+def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SieveTable:
+    """Linear (Euler) sieve writing squarefree weights in one pass.
 
-
-def build_sieve(
-    limit: int = DEFAULT_SIEVE_LIMIT, memory_budget: int = SIEVE_MEMORY_BUDGET
-) -> SieveTable:
-    """Linear smallest-prime-factor sieve up to ``limit`` inclusive.
-
-    Moebius values and squarefree weights are then derived from the spf
-    table by factorisation, and the Mertens running sums accumulated.
+    An i >= 2 not yet reached is prime and gets weight 1.  Every composite
+    i*p is reached exactly once, from its smallest prime p: it gets -1 when
+    p divides i or i is not squarefree, and weight[i] + 1 otherwise.  The
+    Mertens running sums are then accumulated from the weights.
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
-    if limit > memory_budget:
+    if limit > SIEVE_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"sieve limit {limit} exceeds the configured budget {memory_budget}"
+            f"sieve limit {limit} exceeds the configured budget {SIEVE_MEMORY_BUDGET}"
         )
-    spf = list(range(limit + 1))
+    weight = [0] * (limit + 1)
     primes: list[int] = []
     for i in range(2, limit + 1):
-        if spf[i] == i:
+        wi = weight[i]
+        if wi == 0:
+            wi = weight[i] = 1
             primes.append(i)
-        si = spf[i]
+        next_weight = -1 if wi < 0 else wi + 1
         for p in primes:
-            if p > si:
-                break
             ip = i * p
             if ip > limit:
                 break
-            spf[ip] = p
-
-    mu = [0] * (limit + 1)
-    weight = [0] * (limit + 1)
-    if limit >= 1:
-        mu[1] = 1
-        weight[1] = 0
-    for k in range(2, limit + 1):
-        m = k
-        w = 0
-        squarefree = True
-        while m > 1:
-            p = spf[m]
-            m //= p
-            w += 1
-            if m % p == 0:
-                squarefree = False
+            if i % p == 0:
+                weight[ip] = -1
                 break
-        if squarefree:
-            mu[k] = -1 if w % 2 else 1
-            weight[k] = w
-        else:
-            mu[k] = 0
-            weight[k] = -1
+            weight[ip] = next_weight
 
     prefix = [0] * (limit + 1)
     run = 0
     for k in range(1, limit + 1):
-        run += mu[k]
+        w = weight[k]
+        if w >= 0:
+            run += -1 if w & 1 else 1
         prefix[k] = run
-    return SieveTable(limit, spf, mu, weight, prefix)
+    return SieveTable(limit, weight, prefix)
 
 
 _shared_sieve: SieveTable | None = None
@@ -135,13 +102,20 @@ def shared_sieve(need: int) -> SieveTable:
 def mertens(x: int, sieve: SieveTable | None = None) -> int:
     """Moebius summatory function at x."""
     table = sieve if sieve is not None else shared_sieve(x)
-    return table.mertens(x)
+    if not (1 <= x <= table.limit):
+        raise ValueError(f"x={x} outside sieve range 1..{table.limit}")
+    return table.mertens_prefix[x]
 
 
 def weight_count(d: int, x: int, sieve: SieveTable | None = None) -> int:
     """Count of squarefree integers <= x with exactly d prime factors."""
+    if d < 0:
+        raise ValueError("weight must be nonnegative")
     table = sieve if sieve is not None else shared_sieve(x)
-    return table.weight_count(d, x)
+    if not (1 <= x <= table.limit):
+        raise ValueError(f"x={x} outside sieve range 1..{table.limit}")
+    w = table.weight
+    return sum(1 for k in range(1, x + 1) if w[k] == d)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +238,7 @@ def summary(n: int, sieve: SieveTable | None = None) -> ComplexSummary:
         if w >= 0:
             counts[w] += 1
     fv = FVector(tuple(counts))
-    return ComplexSummary(n, d, fv, fv.euler_char(), table.mertens(n))
+    return ComplexSummary(n, d, fv, fv.euler_char(), mertens(n, table))
 
 
 def chi_profile(

@@ -26,7 +26,7 @@ DEFAULT_TRAJECTORY_PRECISION = 192
 MAX_SUBDIVISION_DEPTH = 64
 
 
-def subdivided_f(fv: FVector, k: int, max_depth: int = MAX_SUBDIVISION_DEPTH) -> FVector:
+def subdivided_f(fv: FVector, k: int) -> FVector:
     """Face counts after k rounds of barycentric subdivision, exactly.
 
     One round multiplies the count vector by the integer transfer matrix
@@ -34,8 +34,10 @@ def subdivided_f(fv: FVector, k: int, max_depth: int = MAX_SUBDIVISION_DEPTH) ->
     """
     if k < 0:
         raise ValueError("subdivision depth must be nonnegative")
-    if k > max_depth:
-        raise ValueError(f"subdivision depth {k} exceeds the cap {max_depth}")
+    if k > MAX_SUBDIVISION_DEPTH:
+        raise ValueError(
+            f"subdivision depth {k} exceeds the cap {MAX_SUBDIVISION_DEPTH}"
+        )
     if k == 0:
         return fv
     matrix = transfer_matrix(fv.dim)

@@ -64,10 +64,6 @@ class RationalPoly:
         return self.coeffs == (Fraction(0),)
 
     @property
-    def is_monic(self) -> bool:
-        return self.coeffs[0] == 1
-
-    @property
     def constant_term(self) -> Fraction:
         return self.coeffs[-1]
 
@@ -88,14 +84,6 @@ class RationalPoly:
             shift_coefficients(list(self.coeffs), _to_fraction(delta))
         )
 
-    def derivative(self) -> "RationalPoly":
-        n = self.degree
-        if n == 0:
-            return RationalPoly((Fraction(0),))
-        return RationalPoly.from_coefficients(
-            c * (n - k) for k, c in enumerate(self.coeffs[:-1])
-        )
-
     def __str__(self) -> str:
         parts = []
         n = self.degree
@@ -110,12 +98,3 @@ class RationalPoly:
             else:
                 parts.append(f"{c}*z^{power}")
         return " + ".join(parts) if parts else "0"
-
-
-def poly_shift(poly: RationalPoly) -> RationalPoly:
-    """Return the polynomial z -> poly(z - 1).
-
-    This is the substitution taking an f-polynomial to the matching
-    h-polynomial.
-    """
-    return poly.shift(Fraction(-1))

@@ -92,7 +92,6 @@ def _certify_real_root(poly: RationalPoly, approx, precision_bits: int) -> bool:
 def find_roots(
     poly: RationalPoly,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> RootSet:
     """All complex roots of a rational polynomial, with certification.
 
@@ -125,11 +124,11 @@ def find_roots(
         abs_coeffs = [abs(a) for a in coeffs]
         try:
             raw = mp.polyroots(
-                coeffs, maxsteps=max_iterations, extraprec=precision_bits // 2
+                coeffs, maxsteps=MAX_ITERATIONS, extraprec=precision_bits // 2
             )
         except mp.libmp.libhyper.NoConvergence as exc:
             raise RootFindingError(
-                f"no convergence after {max_iterations} steps at "
+                f"no convergence after {MAX_ITERATIONS} steps at "
                 f"{precision_bits} bits; retry with higher precision"
             ) from exc
 

@@ -281,20 +281,18 @@ def descent_matrix(d: int) -> SimplexMatrix:
     return SimplexMatrix(d, tuple(rows))
 
 
-def descent_matrix_bruteforce(
-    d: int, dimension_cap: int = BRUTE_FORCE_DIMENSION_CAP
-) -> SimplexMatrix:
+def descent_matrix_bruteforce(d: int) -> SimplexMatrix:
     """Descent matrix by enumerating all (d+2)! permutations.
 
     Exponentially slow; only meant to validate :func:`descent_matrix`.
-    Raises for d above ``dimension_cap`` to keep runtimes sane.
+    Raises for d above ``BRUTE_FORCE_DIMENSION_CAP`` to keep runtimes sane.
     """
     if d < 0:
         raise ValueError("d must be at least 0")
-    if d > dimension_cap:
+    if d > BRUTE_FORCE_DIMENSION_CAP:
         raise ValueError(
-            f"brute force enumeration capped at d={dimension_cap} "
-            f"({factorial(dimension_cap + 2)} permutations); got d={d}"
+            f"brute force enumeration capped at d={BRUTE_FORCE_DIMENSION_CAP} "
+            f"({factorial(BRUTE_FORCE_DIMENSION_CAP + 2)} permutations); got d={d}"
         )
     n = d + 2
     size = d + 2

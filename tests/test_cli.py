@@ -151,7 +151,7 @@ def test_verify_all_suites_green(capsys):
     capsys.readouterr()
 
 
-def test_range_errors_exit_2(capsys, monkeypatch):
+def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     err = run_cli_error(capsys, "chi", "--from", "0", "--to", "10")
     assert err.startswith("error:")
     run_cli_error(capsys, "chi", "--from", "9", "--to", "3")
@@ -166,6 +166,12 @@ def test_range_errors_exit_2(capsys, monkeypatch):
     monkeypatch.setattr("baryzeros.cli.trajectory", fail)
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "39")
     assert err == "error: residual missed target\n"
+
+    missing = str(tmp_path / "missing" / "x.csv")
+    for argv in (("chi", "--to", "10"), ("verify", "--suite", "core")):
+        err = run_cli_error(capsys, *argv, "--out", missing)
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert missing in err, argv
 
 
 def test_bad_flag_exits_2(capsys):

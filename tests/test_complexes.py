@@ -44,10 +44,45 @@ def brute_mobius(k: int) -> int:
     return value
 
 
+def brute_weight(k: int) -> int:
+    "Number of prime factors by trial division, -1 if k is not squarefree."
+    count = 0
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return -1
+            count += 1
+        p += 1
+    return count + (k > 1)
+
+
 def test_sieve_mobius_against_trial_division():
     table = build_sieve(2000)
+    prefix = table.mertens_prefix
     for k in range(1, 2001):
-        assert table.mu[k] == brute_mobius(k), k
+        assert prefix[k] - prefix[k - 1] == brute_mobius(k), k
+        assert table.weight[k] == brute_weight(k), k
+
+
+def test_sieve_small_limits_are_prefixes():
+    "Every i*p > limit cut-off leaves the entries below it unchanged."
+    big = build_sieve(2000)
+    for limit in range(1, 13):
+        table = build_sieve(limit)
+        assert table.limit == limit
+        assert table.weight == big.weight[: limit + 1], limit
+        assert table.mertens_prefix == big.mertens_prefix[: limit + 1], limit
+
+
+def test_sieve_guards(monkeypatch):
+    monkeypatch.setattr("baryzeros.complexes.SIEVE_MEMORY_BUDGET", 100)
+    assert build_sieve(100).limit == 100
+    with pytest.raises(ResourceLimitError, match="exceeds the configured budget 100"):
+        build_sieve(101)
+    with pytest.raises(ValueError):
+        build_sieve(0)
 
 
 def test_mertens_prefix_sums():
@@ -55,7 +90,7 @@ def test_mertens_prefix_sums():
     running = 0
     for x in range(1, 301):
         running += brute_mobius(x)
-        assert table.mertens(x) == running, x
+        assert mertens(x, table) == running, x
     assert mertens(300) == running
 
 
@@ -137,7 +172,7 @@ def test_h_poly_constant_term_tracks_euler_char():
     for counts in ((1, 3, 1), (1, 10, 7, 1), (1, 18, 20, 6), (1, 5, 4)):
         fv = FVector(counts)
         h = h_poly(fv)
-        assert h.is_monic
+        assert h.coeffs[0] == 1
         sign = -1 if fv.dim % 2 else 1
         assert h.constant_term == sign * fv.euler_char()
 
