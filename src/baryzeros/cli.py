@@ -14,11 +14,14 @@ to the working precision, which is itself recorded in the row.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import os
 import sys
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import mpmath as mp
 
@@ -29,6 +32,7 @@ from .complexes import (
     ResourceLimitError,
     chi_profile,
     dim_of,
+    dimension_runs,
     mertens,
     shared_sieve,
 )
@@ -68,51 +72,81 @@ def _digits(bits: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# output
+#
+# Rows stream to the open handle one at a time; every check a command
+# makes runs before its first byte goes out, so a rejected command writes
+# nothing and creates no --out file.
 
 
-def _render_csv(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        rendered = []
-        for value in row:
-            if value is None:
-                rendered.append("")
-            elif isinstance(value, bool):
-                rendered.append("true" if value else "false")
-            else:
-                rendered.append(value)
-        writer.writerow(rendered)
-    return buffer.getvalue()
-
-
-def _render_json(command: str, metadata: dict, header: list[str], rows: list[list]) -> str:
-    payload = {
-        "command": command,
-        "format": "json",
-        "metadata": metadata,
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _emit_table(args, command: str, metadata: dict, header: list[str], rows: list[list]) -> None:
-    metadata = {"version": __version__, **metadata}
-    if args.format == "json":
-        text = _render_json(command, metadata, header, rows)
-    else:
-        text = _render_csv(header, rows)
-    _emit(text, args.out)
+def _spell_flags(row: Sequence) -> list:
+    return [("true" if v else "false") if type(v) is bool else v for v in row]
+
+
+def _write_csv(handle: TextIO, header: list[str], rows: Iterable) -> None:
+    """csv.writer rows: None is an empty cell, a boolean reads true/false.
+
+    Each column holds one type in every row, so the first row tells
+    whether any cell is a boolean; only such a table is spelled cell by
+    cell, and the long scans go to csv.writer as they are.
+    """
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    rows = chain([first], rows)
+    writer.writerows(map(_spell_flags, rows) if bool in map(type, first) else rows)
+
+
+_JSON_VALUE = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _write_json(
+    handle: TextIO, command: str, metadata: dict, header: list[str], rows: Iterable
+) -> None:
+    """The bytes of json.dumps(payload, indent=2) + "\n", written row by row.
+
+    The envelope comes from json.dumps with an empty row list; each row is
+    its pre-encoded keys joined to its values, encoded as json.dumps does
+    with ensure_ascii (str, int, bool and None are the types rows hold).
+    """
+    payload = {"command": command, "format": "json", "metadata": metadata, "rows": []}
+    head = json.dumps(payload, indent=2)
+    handle.write(head[: -len("[]\n}")] + "[")
+    keys = [f',\n      {encode_basestring_ascii(key)}: ' for key in header]
+    keys[0] = keys[0][1:]
+    separator = "\n    {"
+    for row in rows:
+        fields = "".join([k + _JSON_VALUE[type(v)](v) for k, v in zip(keys, row)])
+        handle.write(separator + fields + "\n    }")
+        separator = ",\n    {"
+    # json.dumps closes an empty list at once and a full one on its own line
+    handle.write("]\n}\n" if separator == "\n    {" else "\n  ]\n}\n")
+
+
+def _emit_table(args, command: str, metadata: dict, header: list[str], rows: Iterable) -> None:
+    with _output(args.out) as handle:
+        if args.format == "json":
+            metadata = {"version": __version__, **metadata}
+            _write_json(handle, command, metadata, header, rows)
+        else:
+            _write_csv(handle, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +207,11 @@ def _cmd_chi(args) -> int:
     sieve = shared_sieve(args.stop)
     chi, mm = chi_profile(args.stop, sieve)
     header = ["n", "chi", "mertens", "dim"]
-    rows = [[n, chi[n], mm[n], dim_of(n)] for n in range(args.start, args.stop + 1)]
+    dims = chain.from_iterable(
+        repeat(d, hi - lo) for d, lo, hi in dimension_runs(args.start, args.stop + 1)
+    )
+    ns = range(args.start, args.stop + 1)
+    rows = zip(ns, chi[args.start :], mm[args.start :], dims)
     _emit_table(
         args,
         "chi",
@@ -221,9 +259,11 @@ def _cmd_alpha(args) -> int:
         if not (1 <= args.stop <= limit):
             raise CliError(f"--to must be between 1 and the sieve limit {limit}")
         sieve = shared_sieve(args.stop)
-        rows = [_skipped_alpha_row(n, sieve) for n in range(1, min(args.stop, 5) + 1)]
-        if args.stop >= 6:
-            rows.extend(_alpha_row(rec) for rec in alpha_scan(args.stop, sieve))
+        records = alpha_scan(args.stop, sieve) if args.stop >= 6 else []
+        skipped = range(1, min(args.stop, 5) + 1)
+        rows = chain(
+            (_skipped_alpha_row(n, sieve) for n in skipped), map(_alpha_row, records)
+        )
         metadata["to"] = args.stop
     _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows)
     return 0
@@ -296,7 +336,8 @@ def _cmd_verify(args) -> int:
         suffix = f": {result.detail}" if result.detail else ""
         lines.append(f"{status} {result.name}{suffix}")
     lines.append(f"{len(results) - failed} passed, {failed} failed")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as handle:
+        handle.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -378,8 +419,15 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()
+        return code
     except (CliError, ValueError, OSError, ResourceLimitError, RootFindingError) as exc:
+        if isinstance(exc, BrokenPipeError) and not args.out:
+            # The reader of stdout has gone (``| head``): stop quietly, and
+            # point stdout at devnull so the flush at exit cannot fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .polynomials import RationalPoly
 
@@ -146,6 +146,18 @@ def dim_of(n: int) -> int:
     while _primorials[d + 2] <= n:
         d += 1
     return d
+
+
+def dimension_runs(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
+    """(d, lo, hi) for each maximal run lo <= n < hi of constant
+    dim_of(n) = d, covering start <= n < stop in order.  A run of
+    dimension d ends at the product of the first d+2 primes."""
+    n = start
+    while n < stop:
+        d = dim_of(n)
+        hi = min(stop, _primorials[d + 2])
+        yield d, n, hi
+        n = hi
 
 
 # ---------------------------------------------------------------------------

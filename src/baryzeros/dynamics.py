@@ -13,11 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 
-from .complexes import FVector, SieveTable, chi_profile, dim_of, h_poly, shared_sieve, summary
+from .complexes import (
+    FVector,
+    SieveTable,
+    chi_profile,
+    dim_of,
+    dimension_runs,
+    h_poly,
+    shared_sieve,
+    summary,
+)
 from .polynomials import RationalPoly
 from .rootfinding import find_roots
 from .subdivision import eigen_rationals, transfer_matrix
@@ -246,13 +255,13 @@ def trajectory(
 # scaling limits of the smallest zero
 
 
-@dataclass(frozen=True)
-class AlphaRecord:
+class AlphaRecord(NamedTuple):
     """Exact scaling limit of the smallest h-polynomial zero at one n.
 
     alpha = chi / (H1 * f_d) where H1 is the linear limit coefficient of
     the ambient dimension and f_d the top face count; exponent is
-    log |alpha| / log (d+1)! (None when alpha = 0).
+    log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple, so
+    that a scan's hundreds of thousands of records are cheap to build.
     """
 
     n: int
@@ -264,18 +273,16 @@ class AlphaRecord:
     exponent: float | None
 
 
-def _alpha_exponent(alpha: Fraction, dim: int) -> float | None:
-    if alpha == 0:
-        return None
-    mag = abs(alpha)
-    return (
-        math.log(mag.numerator) - math.log(mag.denominator)
-    ) / math.log(math.factorial(dim + 1))
-
-
-def _make_alpha_record(n, d, chi, f_top, h1) -> AlphaRecord:
-    alpha = Fraction(chi) / (h1 * f_top)
-    return AlphaRecord(n, d, chi, f_top, h1, alpha, _alpha_exponent(alpha, d))
+def _alpha_record(n, d, chi, f_top, h1, log_fac) -> AlphaRecord:
+    """alpha = chi / (H1 * f_top) as Fraction(chi * q, p * f_top) for
+    H1 = p/q; log_fac is log (d+1)!."""
+    value = Fraction(chi * h1.denominator, h1.numerator * f_top)
+    exponent = None
+    if chi:
+        exponent = (
+            math.log(abs(value.numerator)) - math.log(value.denominator)
+        ) / log_fac
+    return AlphaRecord(n, d, chi, f_top, h1, value, exponent)
 
 
 def alpha(n: int, sieve: SieveTable | None = None) -> AlphaRecord:
@@ -288,32 +295,37 @@ def alpha(n: int, sieve: SieveTable | None = None) -> AlphaRecord:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
     info = summary(n, sieve)
     d = info.dim
-    return _make_alpha_record(
-        n, d, info.euler_char, info.f_vector.count(d), eigen_rationals(d)[1]
+    return _alpha_record(
+        n,
+        d,
+        info.euler_char,
+        info.f_vector.count(d),
+        eigen_rationals(d)[1],
+        math.log(math.factorial(d + 1)),
     )
 
 
 def alpha_scan(n_max: int, sieve: SieveTable | None = None) -> list[AlphaRecord]:
-    """AlphaRecord for every n from 6 to n_max: chi from :func:`chi_profile`,
-    f_top from a running count of squarefree n per weight."""
+    """AlphaRecord for every n from 6 to n_max, chi from :func:`chi_profile`.
+
+    n is walked in runs of constant dimension d, which start at the
+    product of the first d+1 primes, the least squarefree number with d+1
+    prime factors; so f_top is a count of weight d+1 within the run.
+    """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
     table = sieve if sieve is not None else shared_sieve(n_max)
     chi, _ = chi_profile(n_max, table)  # raises if the sieve is too short
-    top = dim_of(n_max)
-    h1 = [eigen_rationals(d)[1] for d in range(top + 1)]
-    weight_totals = [0] * (top + 2)
+    weight = table.weight
     records = []
-    for n in range(2, n_max + 1):
-        w = table.weight[n]
-        if w > 0:
-            weight_totals[w] += 1
-        if n < 6:
-            continue
-        d = dim_of(n)
-        records.append(
-            _make_alpha_record(n, d, chi[n], weight_totals[d + 1], h1[d])
-        )
+    for d, lo, hi in dimension_runs(6, n_max + 1):
+        h1 = eigen_rationals(d)[1]
+        log_fac = math.log(math.factorial(d + 1))
+        f_top = 0
+        for n in range(lo, hi):
+            if weight[n] == d + 1:
+                f_top += 1
+            records.append(_alpha_record(n, d, chi[n], f_top, h1, log_fac))
     return records
 
 

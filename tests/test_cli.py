@@ -2,16 +2,19 @@
 
 import csv
 import importlib.util
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from baryzeros import RootFindingError, __version__
+from baryzeros import RootFindingError, __version__, build_sieve
 from baryzeros.checks import SUITES
-from baryzeros.cli import main
+from baryzeros.cli import _write_csv, _write_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -26,9 +29,13 @@ def run_cli(capsys, *argv) -> str:
 
 
 def run_cli_error(capsys, *argv) -> str:
+    "A rejected command exits 2 with a one-line error and writes no stdout."
     code = main(list(argv))
     assert code == 2, argv
-    return capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1, argv
+    return captured.err
 
 
 @pytest.mark.parametrize(
@@ -61,12 +68,83 @@ def test_reruns_are_byte_identical(capsys):
 
 
 def test_out_file_matches_stdout(capsys, tmp_path):
-    target = tmp_path / "chi.csv"
-    out = run_cli(capsys, "chi", "--from", "1", "--to", "20")
-    code = main(["chi", "--from", "1", "--to", "20", "--out", str(target)])
-    assert code == 0
-    capsys.readouterr()
-    assert target.read_text() == out
+    target = tmp_path / "out"
+    for argv in (
+        ("chi", "--from", "1", "--to", "20"),
+        ("alpha", "--to", "40", "--format", "json"),
+    ):
+        out = run_cli(capsys, *argv)
+        code = main([*argv, "--out", str(target)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == out.encode(), argv
+
+
+_CELLS = st.one_of(
+    st.integers(), st.integers(max_value=-1), st.text(), st.none(), st.booleans()
+)
+
+
+# CSV columns hold one type in every row (None may stand in for a str),
+# as the CLI's tables do; JSON rows mix types freely.
+_COLUMNS = st.sampled_from(
+    [
+        st.integers(),
+        st.integers(max_value=-1),
+        st.text(),
+        st.none() | st.text(),
+        st.booleans(),
+    ]
+)
+
+
+@st.composite
+def _tables(draw, typed_columns=False):
+    header = draw(st.lists(st.text(), min_size=1, max_size=5, unique=True))
+    if typed_columns:
+        row = st.tuples(*(draw(_COLUMNS) for _ in header))
+    else:
+        row = st.lists(_CELLS, min_size=len(header), max_size=len(header))
+    return header, draw(st.lists(row, max_size=6))
+
+
+@given(
+    table=_tables(),
+    command=st.text(),
+    metadata=st.dictionaries(st.text(), st.one_of(st.integers(), st.text(), st.none())),
+)
+def test_streamed_json_equals_json_dumps(table, command, metadata):
+    header, rows = table
+    payload = {
+        "command": command,
+        "format": "json",
+        "metadata": metadata,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    handle = io.StringIO()
+    _write_json(handle, command, metadata, header, iter(rows))
+    assert handle.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@given(table=_tables(typed_columns=True))
+def test_streamed_csv_equals_buffered_writer(table):
+    header, rows = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for value in row:
+            if value is None:
+                cells.append("")
+            elif isinstance(value, bool):
+                cells.append("true" if value else "false")
+            else:
+                cells.append(value)
+        writer.writerow(cells)
+    handle = io.StringIO()
+    _write_csv(handle, header, iter(rows))
+    assert handle.getvalue() == expected.getvalue()
 
 
 def test_json_payload_shape(capsys):
@@ -170,8 +248,29 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     missing = str(tmp_path / "missing" / "x.csv")
     for argv in (("chi", "--to", "10"), ("verify", "--suite", "core")):
         err = run_cli_error(capsys, *argv, "--out", missing)
-        assert err.startswith("error:") and err.count("\n") == 1, argv
         assert missing in err, argv
+
+    # Every check runs before the first byte: no --out file, no stdout.
+    target = tmp_path / "x.csv"
+    err = run_cli_error(capsys, "chi", "--to", "0", "--out", str(target))
+    assert err == "error: need 1 <= --from <= --to\n"
+    assert not target.exists()
+    monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", "50")
+    err = run_cli_error(capsys, "alpha", "--to", "51")
+    assert err == "error: --to must be between 1 and the sieve limit 50\n"
+    monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT")
+
+    monkeypatch.setattr("baryzeros.complexes._shared_sieve", None)
+    monkeypatch.setattr("baryzeros.complexes.SIEVE_MEMORY_BUDGET", 100)
+    err = run_cli_error(capsys, "chi", "--to", "1000", "--out", str(target))
+    assert err == "error: sieve limit 4096 exceeds the configured budget 100\n"
+    assert not target.exists()
+
+    monkeypatch.setattr("baryzeros.cli.shared_sieve", lambda need: build_sieve(10))
+    for command in ("alpha", "chi"):
+        for fmt in ("csv", "json"):
+            err = run_cli_error(capsys, command, "--to", "40", "--format", fmt)
+            assert err == "error: sieve only reaches 10, need 40\n", (command, fmt)
 
 
 def test_bad_flag_exits_2(capsys):
@@ -197,6 +296,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,chi,mertens,dim"
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    "A reader that stops early (| head -c 5) is a normal end: exit 0, no stderr."
+    for argv, head in (
+        (("chi", "--to", "50000", "--format", "json"), b'{\n  "'),
+        (("alpha", "--to", "30"), b""),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "baryzeros", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b""), argv
 
 
 def test_tracer_sites_resolve():

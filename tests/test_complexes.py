@@ -23,6 +23,7 @@ from baryzeros import (
     summary,
     weight_count,
 )
+from baryzeros.complexes import dimension_runs
 from reference_tables import CHI_REFERENCE
 
 
@@ -130,6 +131,15 @@ def test_dim_of_primorial_steps():
     assert dim_of(209) == 2
     assert dim_of(210) == 3
     assert dim_of(2310) == 4
+
+
+def test_dimension_runs_tile_the_range():
+    for start, stop in [(1, 2), (1, 2311), (5, 6), (6, 30), (7, 211), (29, 31), (9, 9)]:
+        runs = list(dimension_runs(start, stop))
+        dims = [d for d, lo, hi in runs for _ in range(lo, hi)]
+        assert dims == [dim_of(n) for n in range(start, stop)], (start, stop)
+        assert all(lo < hi for _, lo, hi in runs)
+        assert [d for d, _, _ in runs] == sorted({d for d, _, _ in runs})
 
 
 def test_fvector_validation():

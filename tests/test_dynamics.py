@@ -160,11 +160,16 @@ def test_alpha_guards():
 
 
 def test_alpha_scan_agrees_with_single_lookups():
-    sieve = shared_sieve(250)
-    records = {rec.n: rec for rec in alpha_scan(250, sieve)}
-    assert sorted(records) == list(range(6, 251))
-    for n in (6, 30, 94, 210, 219, 250):
-        assert records[n] == alpha(n, sieve), n
+    "Every n <= 2310, across the dimension changes at 6, 30, 210 and 2310."
+    sieve = shared_sieve(2310)
+    records = alpha_scan(2310, sieve)
+    assert [rec.n for rec in records] == list(range(6, 2311))
+    for rec in records:
+        single = alpha(rec.n, sieve)
+        assert rec == single, rec.n
+        assert rec.exponent == single.exponent, rec.n
+    for n_max in (6, 30, 210, 2310):
+        assert alpha_scan(n_max, sieve) == records[: n_max - 5], n_max
 
 
 def test_alpha_scan_against_reference_table():
