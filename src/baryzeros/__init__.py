@@ -33,7 +33,6 @@ from .complexes import (
     mertens,
     shared_sieve,
     summary,
-    weight_count,
 )
 from .dynamics import (
     AlphaRecord,
@@ -127,6 +126,5 @@ __all__ = [
     "trajectory",
     "trajectory_precision",
     "transfer_matrix",
-    "weight_count",
     "zeros_suite",
 ]

@@ -21,10 +21,10 @@ from .complexes import (
     SimplicialComplex,
     barycentric_subdivide,
     chi_profile,
+    dim_of,
     explicit_complex,
     first_negative_euler,
     mertens,
-    shared_sieve,
     summary,
 )
 from .dynamics import alpha_scan, growth_expansion, subdivided_f, trajectory
@@ -188,17 +188,24 @@ def _check_descent_two_powers() -> CheckResult:
     return _verdict("descent-first-row-two-powers", bad, f"d <= {CORE_MAX_DIM}")
 
 
+def _descent_snake(d: int) -> list[int]:
+    """Descent-matrix entries along the snake through the upper half: rows
+    0..(d-1)//2 read right to left, the last one halting mid-matrix."""
+    m = descent_matrix(d)
+    i_max = (d - 1) // 2
+    stop = -1 if d % 2 == 0 else (d - 1) // 2
+    seq = []
+    for i in range(0, i_max + 1):
+        last = stop if i == i_max else -1
+        for j in range(d, last - 1, -1):
+            seq.append(m.entry(i, j))
+    return seq
+
+
 def _check_descent_monotone_chain() -> CheckResult:
     bad = []
     for d in range(1, CORE_MAX_DIM + 1):
-        m = descent_matrix(d)
-        i_max = (d - 1) // 2
-        stop = -1 if d % 2 == 0 else (d - 1) // 2
-        seq = []
-        for i in range(0, i_max + 1):
-            last = stop if i == i_max else -1
-            for j in range(d, last - 1, -1):
-                seq.append(m.entry(i, j))
+        seq = _descent_snake(d)
         for pos, (a, b) in enumerate(zip(seq, seq[1:])):
             if a > b:
                 bad.append(f"d={d}, position {pos}: {a} > {b}")
@@ -320,15 +327,15 @@ def core_suite() -> list[CheckResult]:
 # complex: sieve versus explicit geometry
 
 
-def _check_euler_vs_mertens(limit: int) -> CheckResult:
-    chi, mm = chi_profile(limit)
+def _check_euler_vs_mertens() -> CheckResult:
+    chi, mm = chi_profile(MERTENS_LIMIT)
     bad = [
         f"n={n}: chi {chi[n]} != -M {mm[n]}"
-        for n in range(1, limit + 1)
+        for n in range(1, MERTENS_LIMIT + 1)
         if chi[n] != -mm[n]
     ]
     return _verdict(
-        "euler-equals-minus-mertens", bad, f"two routes agree for n <= {limit}"
+        "euler-equals-minus-mertens", bad, f"two routes agree for n <= {MERTENS_LIMIT}"
     )
 
 
@@ -419,7 +426,7 @@ def _check_random_subdivision_invariance() -> CheckResult:
 def complex_suite() -> list[CheckResult]:
     """Sieve identities and explicit subdivision geometry."""
     return [
-        _check_euler_vs_mertens(MERTENS_LIMIT),
+        _check_euler_vs_mertens(),
         _check_first_negative(),
         _check_explicit_f_vectors(),
         _check_explicit_subdivision(),
@@ -462,7 +469,7 @@ def _check_trajectory_dim1() -> CheckResult:
     run = trajectory(6, 16)
     for entry in run.entries:
         k = entry.k
-        if entry.sum_rel_err > 1e-9 or entry.prod_rel_err > 1e-9:
+        if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
             bad.append(f"k={k}: coefficient identity error above 1e-9")
         if k < 4:
             continue
@@ -507,7 +514,7 @@ def _check_trajectory_dim2() -> CheckResult:
         bad.append("largest root not certified real")
     if not mp.re(entry.rho_inf) < 0:
         bad.append("largest root not negative")
-    if entry.sum_rel_err > 1e-9 or entry.prod_rel_err > 1e-9:
+    if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
         bad.append("coefficient identity error above 1e-9")
     if entry.ambiguous:
         bad.append("extreme roots flagged ambiguous")
@@ -533,14 +540,15 @@ def _check_trajectory_dim2_deeper() -> CheckResult:
 
 
 def _check_alpha_identity() -> CheckResult:
-    sieve = shared_sieve(ALPHA_IDENTITY_LIMIT)
-    records = alpha_scan(ALPHA_IDENTITY_LIMIT, sieve)
+    records = alpha_scan(ALPHA_IDENTITY_LIMIT)
     bad = []
     for rec in records:
         if rec.alpha * rec.h1 * rec.f_top != rec.chi:
             bad.append(f"n={rec.n}: defining identity broken")
-        elif rec.chi != -mertens(rec.n, sieve):
+        elif rec.chi != -mertens(rec.n):
             bad.append(f"n={rec.n}: Euler characteristic disagrees with sieve")
+        elif rec.dim != dim_of(rec.n) or rec.dim < 1:
+            bad.append(f"n={rec.n}: dimension {rec.dim} wrong or below 1")
     spot = {6: Fraction(1), 30: Fraction(6)}
     by_n = {rec.n: rec.alpha for rec in records}
     for n, expected in spot.items():
@@ -574,10 +582,7 @@ SUITES = {
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite, or all of them in order."""
     if name == "all":
-        results: list[CheckResult] = []
-        for key in ("core", "complex", "zeros"):
-            results.extend(SUITES[key]())
-        return results
+        return [result for suite in SUITES.values() for result in suite()]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick all, core, complex or zeros")
     return SUITES[name]()

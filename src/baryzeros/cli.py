@@ -204,8 +204,7 @@ def _cmd_chi(args) -> int:
         raise CliError("need 1 <= --from <= --to")
     if args.stop > limit:
         raise CliError(f"--to {args.stop} exceeds the sieve limit {limit}")
-    sieve = shared_sieve(args.stop)
-    chi, mm = chi_profile(args.stop, sieve)
+    chi, mm = chi_profile(args.stop)
     header = ["n", "chi", "mertens", "dim"]
     dims = chain.from_iterable(
         repeat(d, hi - lo) for d, lo, hi in dimension_runs(args.start, args.stop + 1)
@@ -239,8 +238,8 @@ def _alpha_row(rec) -> list:
     ]
 
 
-def _skipped_alpha_row(n: int, sieve) -> list:
-    return [n, dim_of(n), -mertens(n, sieve), None, None, None, None, "skipped"]
+def _skipped_alpha_row(n: int) -> list:
+    return [n, dim_of(n), -mertens(n), None, None, None, None, "skipped"]
 
 
 def _cmd_alpha(args) -> int:
@@ -249,21 +248,20 @@ def _cmd_alpha(args) -> int:
     if args.n is not None:
         if not (1 <= args.n <= limit):
             raise CliError(f"--n must be between 1 and the sieve limit {limit}")
-        sieve = shared_sieve(args.n)
         if dim_of(args.n) < 1:
-            rows = [_skipped_alpha_row(args.n, sieve)]
+            rows = [_skipped_alpha_row(args.n)]
         else:
-            rows = [_alpha_row(alpha(args.n, sieve))]
+            rows = [_alpha_row(alpha(args.n))]
         metadata["n"] = args.n
     else:
         if not (1 <= args.stop <= limit):
             raise CliError(f"--to must be between 1 and the sieve limit {limit}")
-        sieve = shared_sieve(args.stop)
-        records = alpha_scan(args.stop, sieve) if args.stop >= 6 else []
+        # The skipped rows read the sieve lazily; build it (or fail its
+        # budget) before the first byte.
+        shared_sieve(args.stop)
+        records = alpha_scan(args.stop) if args.stop >= 6 else []
         skipped = range(1, min(args.stop, 5) + 1)
-        rows = chain(
-            (_skipped_alpha_row(n, sieve) for n in skipped), map(_alpha_row, records)
-        )
+        rows = chain(map(_skipped_alpha_row, skipped), map(_alpha_row, records))
         metadata["to"] = args.stop
     _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows)
     return 0

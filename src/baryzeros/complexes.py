@@ -92,30 +92,19 @@ _shared_sieve: SieveTable | None = None
 
 
 def shared_sieve(need: int) -> SieveTable:
-    """Module-level sieve, grown on demand (never shrunk)."""
+    """The module-level sieve every library function reads, grown on demand
+    (never shrunk)."""
     global _shared_sieve
     if _shared_sieve is None or _shared_sieve.limit < need:
         _shared_sieve = build_sieve(max(need, 4096))
     return _shared_sieve
 
 
-def mertens(x: int, sieve: SieveTable | None = None) -> int:
+def mertens(x: int) -> int:
     """Moebius summatory function at x."""
-    table = sieve if sieve is not None else shared_sieve(x)
-    if not (1 <= x <= table.limit):
-        raise ValueError(f"x={x} outside sieve range 1..{table.limit}")
-    return table.mertens_prefix[x]
-
-
-def weight_count(d: int, x: int, sieve: SieveTable | None = None) -> int:
-    """Count of squarefree integers <= x with exactly d prime factors."""
-    if d < 0:
-        raise ValueError("weight must be nonnegative")
-    table = sieve if sieve is not None else shared_sieve(x)
-    if not (1 <= x <= table.limit):
-        raise ValueError(f"x={x} outside sieve range 1..{table.limit}")
-    w = table.weight
-    return sum(1 for k in range(1, x + 1) if w[k] == d)
+    if x < 1:
+        raise ValueError(f"x={x} must be at least 1")
+    return shared_sieve(x).mertens_prefix[x]
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +226,11 @@ class ComplexSummary:
             )
 
 
-def summary(n: int, sieve: SieveTable | None = None) -> ComplexSummary:
+def summary(n: int) -> ComplexSummary:
     """f-vector, Euler characteristic and Mertens cross-check for one n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    table = sieve if sieve is not None else shared_sieve(n)
+    table = shared_sieve(n)
     d = dim_of(n)
     counts = [0] * (d + 2)
     weight = table.weight
@@ -250,12 +239,10 @@ def summary(n: int, sieve: SieveTable | None = None) -> ComplexSummary:
         if w >= 0:
             counts[w] += 1
     fv = FVector(tuple(counts))
-    return ComplexSummary(n, d, fv, fv.euler_char(), mertens(n, table))
+    return ComplexSummary(n, d, fv, fv.euler_char(), table.mertens_prefix[n])
 
 
-def chi_profile(
-    limit: int, sieve: SieveTable | None = None
-) -> tuple[list[int], list[int]]:
+def chi_profile(limit: int) -> tuple[list[int], list[int]]:
     """Euler characteristics and Mertens values for all n <= limit.
 
     Returns (chi, mertens_values), both indexed by n with slot 0 unused.
@@ -263,9 +250,7 @@ def chi_profile(
     of weight w contributes (-1)^(w-1)), mertens_values is the sieve's
     running Moebius sum; the two routes are compared by callers.
     """
-    table = sieve if sieve is not None else shared_sieve(limit)
-    if table.limit < limit:
-        raise ValueError(f"sieve only reaches {table.limit}, need {limit}")
+    table = shared_sieve(limit)
     chi = [0] * (limit + 1)
     chi_run = 0
     w = table.weight
@@ -279,11 +264,9 @@ def chi_profile(
     return chi, table.mertens_prefix[: limit + 1]
 
 
-def first_negative_euler(
-    limit: int = 200, sieve: SieveTable | None = None
-) -> int | None:
+def first_negative_euler(limit: int = 200) -> int | None:
     """Smallest n >= 2 with negative Euler characteristic, if any <= limit."""
-    chi, _ = chi_profile(limit, sieve)
+    chi, _ = chi_profile(limit)
     for n in range(2, limit + 1):
         if chi[n] < 0:
             return n

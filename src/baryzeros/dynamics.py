@@ -19,7 +19,6 @@ import mpmath as mp
 
 from .complexes import (
     FVector,
-    SieveTable,
     chi_profile,
     dim_of,
     dimension_runs,
@@ -185,7 +184,6 @@ def trajectory(
     n: int,
     k_max: int,
     precision_bits: int = DEFAULT_TRAJECTORY_PRECISION,
-    sieve: SieveTable | None = None,
     k_values: Sequence[int] | None = None,
 ) -> ZeroTrajectory:
     """Root trajectories of the h-polynomial of the complex at n.
@@ -193,13 +191,14 @@ def trajectory(
     Produces one entry per depth k = 0..k_max, or exactly the depths in
     k_values when that is given.  Needs dimension at least 1 so that the
     smallest and largest roots are distinct objects.  Precision is raised
-    automatically with k.
+    automatically with k.  Every depth's exact face counts are computed
+    before the first root search, so a depth above the cap fails at once.
     """
     if k_values is None:
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
         k_values = range(k_max + 1)
-    info = summary(n, sieve)
+    info = summary(n)
     d = info.dim
     if d < 1:
         raise ValueError(f"n={n} has dimension {d}; trajectories need dim >= 1")
@@ -208,10 +207,10 @@ def trajectory(
     chi = info.euler_char
     fac = math.factorial(d + 1)
 
+    f_vectors = [subdivided_f(info.f_vector, k) for k in k_values]
     entries = []
-    for k in k_values:
+    for k, fv_k in zip(k_values, f_vectors):
         bits = trajectory_precision(d, k, precision_bits)
-        fv_k = subdivided_f(info.f_vector, k)
         h = h_poly(fv_k)
         rootset = find_roots(h, precision_bits=bits)
         with mp.workprec(bits):
@@ -285,7 +284,7 @@ def _alpha_record(n, d, chi, f_top, h1, log_fac) -> AlphaRecord:
     return AlphaRecord(n, d, chi, f_top, h1, value, exponent)
 
 
-def alpha(n: int, sieve: SieveTable | None = None) -> AlphaRecord:
+def alpha(n: int) -> AlphaRecord:
     """Scaling limit of the smallest zero for the complex at n.
 
     The limit needs a root of largest modulus that separates from the
@@ -293,7 +292,7 @@ def alpha(n: int, sieve: SieveTable | None = None) -> AlphaRecord:
     """
     if n < 6 or dim_of(n) < 1:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
-    info = summary(n, sieve)
+    info = summary(n)
     d = info.dim
     return _alpha_record(
         n,
@@ -305,7 +304,7 @@ def alpha(n: int, sieve: SieveTable | None = None) -> AlphaRecord:
     )
 
 
-def alpha_scan(n_max: int, sieve: SieveTable | None = None) -> list[AlphaRecord]:
+def alpha_scan(n_max: int) -> list[AlphaRecord]:
     """AlphaRecord for every n from 6 to n_max, chi from :func:`chi_profile`.
 
     n is walked in runs of constant dimension d, which start at the
@@ -314,9 +313,8 @@ def alpha_scan(n_max: int, sieve: SieveTable | None = None) -> list[AlphaRecord]
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
-    table = sieve if sieve is not None else shared_sieve(n_max)
-    chi, _ = chi_profile(n_max, table)  # raises if the sieve is too short
-    weight = table.weight
+    chi, _ = chi_profile(n_max)
+    weight = shared_sieve(n_max).weight
     records = []
     for d, lo, hi in dimension_runs(6, n_max + 1):
         h1 = eigen_rationals(d)[1]
@@ -347,8 +345,8 @@ class ConjectureReport:
     argmax_n: int
 
 
-def conjecture_report(n_max: int, sieve: SieveTable | None = None) -> ConjectureReport:
-    records = alpha_scan(n_max, sieve)
+def conjecture_report(n_max: int) -> ConjectureReport:
+    records = alpha_scan(n_max)
     strong = []
     weak = []
     zero_count = 0

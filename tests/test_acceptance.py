@@ -1,6 +1,9 @@
 """End-to-end acceptance checks, one test per advertised guarantee.
 
-Each test prints a single [acceptance] PASS/FAIL line.  Three checks assert
+Each test prints a single [acceptance] PASS/FAIL line.  The guarantees
+that `verify` implements (c3 to c8) are asserted through its checks, the
+only implementation of them: every suite runs once, and one test per check
+reports it under the guarantee it backs.  Three checks assert
 reference-table values or tolerances that the implementation demonstrably
 cannot meet (two tables contain misprinted cells, and one convergence
 tolerance is reached four rounds later than stated); those tests fail by
@@ -8,30 +11,22 @@ design and their messages carry the measured numbers.  The companion tests
 around them cover the same ground at the values the mathematics supports.
 """
 
-import random
 import time
 from fractions import Fraction
-from math import factorial
 
+import pytest
 from mpmath import mp
 
 from baryzeros import (
-    SimplicialComplex,
     alpha_scan,
-    barycentric_subdivide,
-    build_sieve,
+    checks,
     chi_profile,
-    core_suite,
+    complexes,
     descent_matrix,
-    dim_of,
     eigen_rationals,
-    explicit_complex,
     first_negative_euler,
-    growth_expansion,
     limit_h_coefficients,
-    shared_sieve,
-    subdivided_f,
-    summary,
+    run_suite,
     trajectory,
     transfer_matrix,
 )
@@ -58,10 +53,9 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def test_c1_euler_characteristics_and_first_negative():
     started = time.perf_counter()
-    sieve = build_sieve(200)
-    chi, mm = chi_profile(200, sieve)
+    chi, mm = chi_profile(200)
     exact = [chi[n] for n in range(1, 45)] == CHI_REFERENCE
-    first = first_negative_euler(200, sieve) == 94 and chi[94] == -1
+    first = first_negative_euler(200) == 94 and chi[94] == -1
     elapsed = time.perf_counter() - started
     report(
         "c1 euler characteristics n=1..44 and first negative at 94",
@@ -118,120 +112,9 @@ def test_c2_descent_matrix_displays():
     report("c2 descent matrices d=0..4 entrywise", ok)
 
 
-def test_c3_structural_lemma_suite():
-    results = core_suite()
-    failures = [r.name for r in results if not r.passed]
-    report(
-        "c3 structural lemma suite, all exact checks",
-        not failures,
-        f"{len(results)} checks, failures {failures}",
-    )
-
-
-def random_complex(rng: random.Random) -> SimplicialComplex:
-    vertices = rng.sample(range(2, 60), rng.randint(3, 9))
-    facets = []
-    for _ in range(rng.randint(1, 7)):
-        size = rng.randint(1, min(4, len(vertices)))
-        facets.append(tuple(rng.sample(vertices, size)))
-    return SimplicialComplex.from_facets(facets)
-
-
-def test_c4_explicit_subdivision_agrees_with_transfer():
-    started = time.perf_counter()
-    ok = True
-    for n in (6, 30):
-        current = explicit_complex(n)
-        fv = current.f_vector()
-        for k in (1, 2):
-            current = barycentric_subdivide(current)
-            ok = ok and current.f_vector() == subdivided_f(fv, k)
-            ok = ok and current.euler_char() == fv.euler_char()
-    rng = random.Random(94)
-    for _ in range(50):
-        c = random_complex(rng)
-        c.validate()
-        ok = ok and len(c.simplices) <= 1000
-        divided = barycentric_subdivide(c)
-        ok = ok and divided.f_vector() == subdivided_f(c.f_vector(), 1)
-        ok = ok and divided.euler_char() == c.euler_char()
-    elapsed = time.perf_counter() - started
-    report(
-        "c4 explicit subdivision vs transfer counts, pinned plus 50 random",
-        ok and elapsed < 10.0,
-        f"elapsed {elapsed:.3f}s",
-    )
-
-
-def test_c5_growth_expansion_closed_form():
-    sieve = shared_sieve(300)
-    ok = True
-    for n in (6, 30, 210):
-        info = summary(n, sieve)
-        d = info.dim
-        g = growth_expansion(info.f_vector)
-        weights = eigen_rationals(d)
-        f_top = info.f_vector.count(d)
-        for i in range(-1, d + 1):
-            ok = ok and g.leading(i) == f_top * weights[i + 1]
-        for k in range(0, 21):
-            fk = subdivided_f(info.f_vector, k)
-            for i in range(-1, d + 1):
-                ok = ok and g.evaluate(i, k) == fk.count(i)
-    report("c5 growth expansion: leading coefficients and exact k<=20", ok)
-
-
-def test_c6_dimension_one_trajectory():
-    started = time.perf_counter()
-    t = trajectory(6, 16)
-    ok = True
-    for e in t.entries:
-        ok = ok and e.sum_rel_err < mp.mpf(1e-9) and e.prod_rel_err < mp.mpf(1e-9)
-        if e.k < 4:
-            continue
-        bound = 8 * mp.mpf(2) ** -e.k
-        ok = ok and e.rho_inf_real and mp.re(e.rho_inf) < 0
-        ok = ok and abs(e.ratio_inf - 1) <= bound
-        ok = ok and abs(e.scaled_rho0 - 1) <= bound
-        ok = ok and not e.ambiguous
-    elapsed = time.perf_counter() - started
-    report(
-        "c6 segment-pair trajectory k=4..16 within 8*2^-k, identities 1e-9",
-        ok,
-        f"elapsed {elapsed:.3f}s",
-    )
-
-
 def snapshot_dim2(k: int):
     t = trajectory(30, 0, precision_bits=512, k_values=[k])
     return t.entries[0]
-
-
-def test_c6_dimension_two_snapshot():
-    e = snapshot_dim2(12)
-    with mp.workprec(e.precision_bits):
-        ok = abs(e.ratio_inf - 1) <= mp.mpf(1e-3)
-        ok = ok and abs(e.scaled_rho0 - 6) <= mp.mpf(1e-2)
-        ok = ok and e.rho_inf_real and mp.re(e.rho_inf) < 0
-        ok = ok and e.sum_rel_err < mp.mpf(1e-9)
-        ok = ok and e.prod_rel_err < mp.mpf(1e-9)
-        ok = ok and not e.ambiguous
-    report(
-        "c6 ten-vertex complex at k=12, 512 bits: edge roots and identities",
-        bool(ok),
-    )
-
-
-def test_c6_interior_root_convergence():
-    "The interior root approaches -1 at rate 3^-k; 1e-6 is first met at k=16."
-    e12 = snapshot_dim2(12)
-    e16 = snapshot_dim2(16)
-    with mp.workprec(512):
-        gap12 = abs(e12.interior[0] + 1)
-        gap16 = abs(e16.interior[0] + 1)
-        ok = gap12 <= mp.mpf(1e-4) and gap16 <= mp.mpf(1e-6)
-        detail = f"gap(k=12) {mp.nstr(gap12, 8)}, gap(k=16) {mp.nstr(gap16, 8)}"
-    report("c6 interior root near -1: 1e-4 at k=12 and 1e-6 at k=16", bool(ok), detail)
 
 
 def test_c6_interior_root_tolerance_as_stated():
@@ -258,19 +141,8 @@ def test_c6_interior_root_tolerance_as_stated():
     )
 
 
-def test_c6_total_runtime():
-    started = time.perf_counter()
-    trajectory(6, 16)
-    snapshot_dim2(12)
-    snapshot_dim2(16)
-    elapsed = time.perf_counter() - started
-    report("c6 trajectory computations complete in under 60s", elapsed < 60.0,
-           f"elapsed {elapsed:.3f}s")
-
-
 def test_c7_alpha_printed_entries_minus_misprints():
-    sieve = shared_sieve(250)
-    records = {r.n: r for r in alpha_scan(250, sieve)}
+    records = {r.n: r for r in alpha_scan(250)}
     ok = all(
         records[n].alpha == printed
         for n, printed in ALPHA_REFERENCE.items()
@@ -289,8 +161,7 @@ def test_c7_alpha_printed_entries_minus_misprints():
 
 def test_c7_alpha_table_as_printed():
     "Red by design: nine printed dimension-one cells contradict the definition."
-    sieve = shared_sieve(250)
-    records = {r.n: r for r in alpha_scan(250, sieve)}
+    records = {r.n: r for r in alpha_scan(250)}
     mismatches = {
         n: (str(printed), str(records[n].alpha))
         for n, printed in ALPHA_REFERENCE.items()
@@ -305,25 +176,81 @@ def test_c7_alpha_table_as_printed():
     )
 
 
-def test_c7_alpha_identity_to_ten_thousand():
-    sieve = build_sieve(10**4)
-    chi, mm = chi_profile(10**4, sieve)
-    ok = True
-    for rec in alpha_scan(10**4, sieve):
-        ok = ok and rec.alpha * rec.h1 * rec.f_top == rec.chi
-        ok = ok and rec.chi == -mm[rec.n]
-        ok = ok and rec.dim == dim_of(rec.n) and rec.dim >= 1
-    report("c7 identity alpha*H1*f_top = chi for every n <= 10^4", ok)
+# Every `verify` check, in run order, with the guarantee it backs; `verify`
+# marks the checks no numbered guarantee names.
+CHECKS = {
+    "count-closed-form-vs-recurrence": "c3",
+    "transfer-upper-triangular-factorial-diagonal": "c3",
+    "transfer-eigenvector": "c3",
+    "eigen-chain-sum-formula": "c3",
+    "shift-matrix-inverse": "c3",
+    "transfer-descent-similarity": "c3",
+    "descent-recurrence-vs-enumeration": "c3",
+    "descent-rotational-symmetry": "c3",
+    "descent-first-row-two-powers": "c3",
+    "descent-monotone-chain": "c3",
+    "limit-h-structure": "c3",
+    "descent-eigenvector": "c3",
+    "limit-h-linear-coefficient-bounds": "c3",
+    "determinant-sign-random": "c3",
+    "euler-equals-minus-mertens": "c8",
+    "first-negative-euler": "verify",
+    "explicit-complex-face-counts": "verify",
+    "explicit-subdivision-vs-transfer": "c4",
+    "random-subdivision-invariance": "c4",
+    "growth-expansion-exact": "c5",
+    "trajectory-dim1-convergence": "c6",
+    "trajectory-dim2-snapshot": "c6",
+    "trajectory-dim2-interior-deep": "c6",
+    "alpha-defining-identity": "c7",
+}
+
+# guarantee -> (suite, wall-time bound in seconds) on the whole suite's run
+TIME_LIMITS = {"c4": ("complex", 10.0), "c6": ("zeros", 60.0), "c8": ("complex", 10.0)}
 
 
-def test_c8_two_route_euler_characteristics():
-    started = time.perf_counter()
-    sieve = build_sieve(10**5)
-    chi, mm = chi_profile(10**5, sieve)
-    ok = all(chi[n] == -mm[n] for n in range(1, 10**5 + 1))
-    elapsed = time.perf_counter() - started
+@pytest.fixture(scope="module")
+def verify_run():
+    """run_suite("all") once, from an empty shared sieve so that the 10^5
+    sieve build is timed, recording each suite's wall time."""
+    elapsed = {}
+
+    def timed(key, suite):
+        def run():
+            started = time.perf_counter()
+            results = suite()
+            elapsed[key] = time.perf_counter() - started
+            return results
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_shared_sieve", None)
+        for key, suite in list(checks.SUITES.items()):
+            patch.setitem(checks.SUITES, key, timed(key, suite))
+        results = run_suite("all")
+    return {result.name: result for result in results}, elapsed
+
+
+def test_verify_runs_exactly_the_listed_checks(verify_run):
+    results, _ = verify_run
+    names = list(results)
     report(
-        "c8 weight-class route equals Moebius route for n <= 10^5",
-        ok and elapsed < 10.0,
-        f"elapsed {elapsed:.3f}s",
+        "verify runs exactly the listed checks, in order",
+        names == list(CHECKS),
+        f"{len(names)} checks run, {len(CHECKS)} listed",
     )
+
+
+@pytest.mark.parametrize("name", list(CHECKS), ids=list(CHECKS))
+def test_verify_check(verify_run, name):
+    results, elapsed = verify_run
+    guarantee = CHECKS[name]
+    result = results.get(name)
+    ok = result is not None and result.passed
+    detail = result.detail if result is not None else "not run"
+    if guarantee in TIME_LIMITS:
+        suite, limit = TIME_LIMITS[guarantee]
+        ok = ok and elapsed[suite] < limit
+        detail += f"; {suite} suite {elapsed[suite]:.3f}s, bound {limit:.0f}s"
+    report(f"{guarantee} {name}", ok, detail)

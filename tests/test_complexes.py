@@ -19,9 +19,7 @@ from baryzeros import (
     h_poly,
     mertens,
     shared_sieve,
-    subdivided_f,
     summary,
-    weight_count,
 )
 from baryzeros.complexes import dimension_runs
 from reference_tables import CHI_REFERENCE
@@ -87,12 +85,10 @@ def test_sieve_guards(monkeypatch):
 
 
 def test_mertens_prefix_sums():
-    table = build_sieve(300)
     running = 0
     for x in range(1, 301):
         running += brute_mobius(x)
-        assert mertens(x, table) == running, x
-    assert mertens(300) == running
+        assert mertens(x) == running, x
 
 
 def test_mertens_known_values():
@@ -101,6 +97,12 @@ def test_mertens_known_values():
     assert mertens(6) == -1
     assert mertens(94) == 1
     assert mertens(10**4) == -23
+
+
+def weight_count(d: int, x: int) -> int:
+    "Count of squarefree k <= x with exactly d prime factors."
+    weight = shared_sieve(x).weight
+    return sum(1 for k in range(1, x + 1) if weight[k] == d)
 
 
 def test_weight_counts_at_30():
@@ -114,11 +116,10 @@ def test_weight_counts_at_30():
 
 def test_summary_counts_match_weight_rescans():
     "The one-pass f-vector in summary against one weight_count rescan per weight."
-    table = shared_sieve(2000)
     for n in range(1, 2001):
         d = dim_of(n)
-        expected = (1, *(weight_count(w, n, table) for w in range(1, d + 2)))
-        assert summary(n, table).f_vector.counts == expected, n
+        expected = (1, *(weight_count(w, n) for w in range(1, d + 2)))
+        assert summary(n).f_vector.counts == expected, n
 
 
 def test_dim_of_primorial_steps():
@@ -251,11 +252,10 @@ def test_explicit_complex_small():
 
 
 def test_explicit_complex_matches_summary():
-    sieve = shared_sieve(300)
     for n in (2, 6, 30, 94, 210):
         c = explicit_complex(n)
         c.validate()
-        s = summary(n, sieve)
+        s = summary(n)
         assert c.f_vector() == s.f_vector, n
         assert c.euler_char() == s.euler_char, n
 
@@ -279,17 +279,6 @@ def test_subdivide_trivial_complexes():
     assert again.f_vector().counts == (1, 1)
     empty = explicit_complex(1)
     assert barycentric_subdivide(empty).f_vector().counts == (1,)
-
-
-def test_subdivide_preserves_euler_char_and_matches_transfer():
-    for n in (6, 30):
-        current = explicit_complex(n)
-        fv = current.f_vector()
-        for k in (1, 2):
-            current = barycentric_subdivide(current)
-            current.validate()
-            assert current.f_vector() == subdivided_f(fv, k), (n, k)
-            assert current.euler_char() == fv.euler_char(), (n, k)
 
 
 def test_subdivide_budget():

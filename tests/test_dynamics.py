@@ -10,13 +10,9 @@ from baryzeros import (
     FVector,
     alpha,
     alpha_scan,
-    build_sieve,
     conjecture_report,
-    eigen_rationals,
     growth_expansion,
-    shared_sieve,
     subdivided_f,
-    summary,
     trajectory,
     trajectory_precision,
 )
@@ -48,19 +44,6 @@ def test_growth_expansion_line_complex():
         assert g.evaluate(0, k) == 2**k + 2
         assert g.evaluate(1, k) == 2**k
         assert g.evaluate(-1, k) == 1
-
-
-def test_growth_expansion_leading_coefficients():
-    "The top-eigenvalue coefficient is f_top times the eigen weight."
-    sieve = shared_sieve(300)
-    for n in (6, 30, 210):
-        info = summary(n, sieve)
-        d = info.dim
-        g = growth_expansion(info.f_vector)
-        weights = eigen_rationals(d)
-        f_top = info.f_vector.count(d)
-        for i in range(-1, d + 1):
-            assert g.leading(i) == f_top * weights[i + 1], (n, i)
 
 
 def test_growth_expansion_reproduces_exact_counts():
@@ -105,21 +88,6 @@ def test_trajectory_structure():
     assert not first.ambiguous
 
 
-def test_trajectory_vieta_errors_tiny():
-    t = trajectory(6, 6)
-    for e in t.entries:
-        assert e.sum_rel_err < mp.mpf(1e-9), e.k
-        assert e.prod_rel_err < mp.mpf(1e-9), e.k
-
-
-def test_trajectory_convergence_direction():
-    "scaled_rho0 approaches |alpha| = 1 and ratio_inf approaches 1."
-    t = trajectory(6, 10)
-    last = t.entries[-1]
-    assert abs(float(last.scaled_rho0) - 1.0) < 1e-2
-    assert abs(float(last.ratio_inf) - 1.0) < 1e-2
-
-
 def test_trajectory_selected_depths():
     t = trajectory(6, 0, k_values=[2, 5])
     assert [e.k for e in t.entries] == [2, 5]
@@ -155,27 +123,23 @@ def test_alpha_guards():
             alpha(n)
     with pytest.raises(ValueError):
         alpha_scan(5)
-    with pytest.raises(ValueError, match="sieve only reaches 50"):
-        alpha_scan(100, build_sieve(50))
 
 
 def test_alpha_scan_agrees_with_single_lookups():
     "Every n <= 2310, across the dimension changes at 6, 30, 210 and 2310."
-    sieve = shared_sieve(2310)
-    records = alpha_scan(2310, sieve)
+    records = alpha_scan(2310)
     assert [rec.n for rec in records] == list(range(6, 2311))
     for rec in records:
-        single = alpha(rec.n, sieve)
+        single = alpha(rec.n)
         assert rec == single, rec.n
         assert rec.exponent == single.exponent, rec.n
     for n_max in (6, 30, 210, 2310):
-        assert alpha_scan(n_max, sieve) == records[: n_max - 5], n_max
+        assert alpha_scan(n_max) == records[: n_max - 5], n_max
 
 
 def test_alpha_scan_against_reference_table():
     "Printed table entries, minus the nine known misprints, match exactly."
-    sieve = shared_sieve(250)
-    records = {rec.n: rec for rec in alpha_scan(250, sieve)}
+    records = {rec.n: rec for rec in alpha_scan(250)}
     for n, printed in ALPHA_REFERENCE.items():
         if n in ALPHA_DISCREPANCIES:
             continue
@@ -184,10 +148,9 @@ def test_alpha_scan_against_reference_table():
 
 def test_alpha_reference_misprints_catalogued():
     "Each disputed cell: table shows one value, the definition another."
-    sieve = shared_sieve(50)
     for n, (printed, computed) in ALPHA_DISCREPANCIES.items():
         assert ALPHA_REFERENCE[n] == printed
-        assert alpha(n, sieve).alpha == computed, n
+        assert alpha(n).alpha == computed, n
         assert printed != computed
 
 
