@@ -11,8 +11,10 @@ from baryzeros import (
     alpha,
     alpha_scan,
     conjecture_report,
+    eigen_rationals,
     growth_expansion,
     subdivided_f,
+    summary,
     trajectory,
     trajectory_precision,
 )
@@ -44,6 +46,18 @@ def test_growth_expansion_line_complex():
         assert g.evaluate(0, k) == 2**k + 2
         assert g.evaluate(1, k) == 2**k
         assert g.evaluate(-1, k) == 1
+
+
+def test_growth_expansion_leading_coefficients():
+    "The top-eigenvalue coefficient is f_top times the eigen weight."
+    for n in (6, 30, 210):
+        info = summary(n)
+        d = info.dim
+        g = growth_expansion(info.f_vector)
+        weights = eigen_rationals(d)
+        f_top = info.f_vector.count(d)
+        for i in range(-1, d + 1):
+            assert g.leading(i) == f_top * weights[i + 1], (n, i)
 
 
 def test_growth_expansion_reproduces_exact_counts():
@@ -86,6 +100,21 @@ def test_trajectory_structure():
         assert abs(first.scaled_rho0 - abs(first.rho_0)) == 0
     assert first.rho_inf_real
     assert not first.ambiguous
+
+
+def test_trajectory_vieta_errors_tiny():
+    t = trajectory(6, 6)
+    for e in t.entries:
+        assert e.sum_rel_err < mp.mpf(1e-9), e.k
+        assert e.prod_rel_err < mp.mpf(1e-9), e.k
+
+
+def test_trajectory_convergence_direction():
+    "scaled_rho0 approaches |alpha| = 1 and ratio_inf approaches 1."
+    t = trajectory(6, 10)
+    last = t.entries[-1]
+    assert abs(float(last.scaled_rho0) - 1.0) < 1e-2
+    assert abs(float(last.ratio_inf) - 1.0) < 1e-2
 
 
 def test_trajectory_selected_depths():
