@@ -250,6 +250,8 @@ def chi_profile(limit: int) -> tuple[list[int], list[int]]:
     of weight w contributes (-1)^(w-1)), mertens_values is the sieve's
     running Moebius sum; the two routes are compared by callers.
     """
+    if limit < 0:
+        raise ValueError(f"limit={limit} must be nonnegative")
     table = shared_sieve(limit)
     chi = [0] * (limit + 1)
     chi_run = 0

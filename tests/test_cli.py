@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import baryzeros
 from baryzeros import RootFindingError, __version__
 from baryzeros.checks import SUITES
 from baryzeros.cli import _write_csv, _write_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+# Child interpreters import the package this process imported, whether it
+# is installed or found through pytest's pythonpath setting.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(
+            None,
+            [str(Path(baryzeros.__file__).parents[1]), os.environ.get("PYTHONPATH")],
+        )
+    ),
+}
 
 
 def run_cli(capsys, *argv) -> str:
@@ -287,6 +300,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "baryzeros", "chi", "--from", "1", "--to", "5"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,chi,mertens,dim"
@@ -302,6 +316,7 @@ def test_closed_stdout_pipe_ends_quietly():
             [sys.executable, "-m", "baryzeros", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=CHILD_ENV,
         )
         assert proc.stdout.read(len(head)) == head
         proc.stdout.close()

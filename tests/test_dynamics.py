@@ -10,9 +10,13 @@ from baryzeros import (
     FVector,
     alpha,
     alpha_scan,
+    chi_profile,
     conjecture_report,
     eigen_rationals,
+    find_roots,
+    first_negative_euler,
     growth_expansion,
+    h_poly,
     subdivided_f,
     summary,
     trajectory,
@@ -117,6 +121,49 @@ def test_trajectory_convergence_direction():
     assert abs(float(last.ratio_inf) - 1.0) < 1e-2
 
 
+def sturm_count(poly) -> int:
+    "Distinct real roots of a rational polynomial by Sturm's theorem."
+
+    def remainder(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        while a and a[0] == 0:
+            a.pop(0)
+        return a
+
+    n = poly.degree
+    seq = [list(poly.coeffs), [(n - i) * c for i, c in enumerate(poly.coeffs[:-1])]]
+    while len(seq[-1]) > 1:
+        rem = remainder(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def changes(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    at_pos = [q[0] > 0 for q in seq]
+    at_neg = [(q[0] > 0) == (len(q) % 2 == 1) for q in seq]
+    return changes(at_neg) - changes(at_pos)
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(30, 39), (210, 22), (2310, 15), (30030, 11), (510510, 9), (30, 64), (210, 64)],
+)
+def test_trajectory_certified_at_deep_depths(n, k):
+    "Depths where polyroots gave up at the 192-bit floor are certified now."
+    t = trajectory(n, 0, k_values=[k])
+    (e,) = t.entries
+    assert e.rho_inf_real
+    assert max(e.residuals) <= mp.mpf(2) ** -(e.precision_bits // 2)
+    assert len(e.roots) == t.dim + 1
+    h = h_poly(subdivided_f(t.base, k))
+    assert len(find_roots(h, e.precision_bits).real_roots()) == sturm_count(h)
+
+
 def test_trajectory_selected_depths():
     t = trajectory(6, 0, k_values=[2, 5])
     assert [e.k for e in t.entries] == [2, 5]
@@ -152,6 +199,10 @@ def test_alpha_guards():
             alpha(n)
     with pytest.raises(ValueError):
         alpha_scan(5)
+    with pytest.raises(ValueError):
+        chi_profile(-5)
+    with pytest.raises(ValueError):
+        first_negative_euler(-5)
 
 
 def test_alpha_scan_agrees_with_single_lookups():

@@ -3,13 +3,35 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_rational
 
 from baryzeros import RationalPoly, RootFindingError, RootSet, find_roots
 
 
 def poly(*coeffs) -> RationalPoly:
     return RationalPoly.from_coefficients(coeffs)
+
+
+def product(*roots) -> RationalPoly:
+    "Monic polynomial with exactly the given rational roots."
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return poly(*coeffs)
+
+
+def assert_roots_match(rs, exact, bits):
+    "Roots equal the exact rationals, sorted by modulus, to 2^-bits relative."
+    expected = sorted(exact, key=lambda r: (abs(r), r))
+    assert len(rs.roots) == len(expected)
+    with mp.workprec(2 * bits):
+        for z, r in zip(rs.roots, expected):
+            target = mp.mpf(r.numerator) / r.denominator
+            assert mp.im(z) == 0
+            assert abs(z - target) <= abs(target) * mp.mpf(2) ** -bits, (z, r)
 
 
 def test_golden_ratio_roots():
@@ -44,6 +66,7 @@ def test_residual_bound_holds():
 def test_zero_roots_deflated_exactly():
     "z^3 + z^2 = z^2 (z + 1): two exact zeros, then -1."
     rs = find_roots(poly(1, 1, 0, 0))
+    assert rs.method == "isolated"
     assert rs.roots[0] == 0 and rs.roots[1] == 0
     assert rs.residuals[0] == 0 and rs.residuals[1] == 0
     assert rs.real_certified[0] and rs.real_certified[1]
@@ -52,13 +75,16 @@ def test_zero_roots_deflated_exactly():
 
 def test_pure_monomial():
     rs = find_roots(poly(1, 0))
+    assert rs.method == "isolated"
     assert rs.roots == (0,)
     assert rs.residuals == (0,)
     assert rs.real_certified == (True,)
 
 
 def test_complex_pair_not_certified_real():
+    "z^2 + 1 has no real root, so the Sturm count sends it to polyroots."
     rs = find_roots(poly(1, 0, 1))
+    assert rs.method == "polyroots"
     assert len(rs.roots) == 2
     assert not any(rs.real_certified)
     assert rs.real_roots() == ()
@@ -69,9 +95,104 @@ def test_complex_pair_not_certified_real():
 def test_distinct_integer_roots_certified():
     "(z - 1)(z - 2)(z - 3)(z - 4), all real and separated."
     rs = find_roots(poly(1, -10, 35, -50, 24))
+    assert rs.method == "isolated"
     assert len(rs.real_roots()) == 4
     seen = sorted(float(z.real) for z in rs.roots)
     assert all(abs(a - b) < 1e-25 for a, b in zip(seen, (1.0, 2.0, 3.0, 4.0)))
+
+
+def test_exact_dyadic_roots():
+    "(2z - 1)(z + 3): bisection lands on both roots exactly."
+    rs = find_roots(poly(2, 5, -3), precision_bits=192)
+    assert rs.method == "isolated"
+    assert rs.roots == (mp.mpf(0.5), mp.mpf(-3))
+    assert rs.residuals == (0, 0)
+    assert all(rs.real_certified)
+
+
+def test_one_positive_root_among_negative_ones():
+    roots = (Fraction(1, 3), Fraction(-2), Fraction(-7, 5), Fraction(-11))
+    rs = find_roots(product(*roots), precision_bits=256)
+    assert rs.method == "isolated"
+    assert all(rs.real_certified)
+    assert sum(1 for z in rs.roots if z.real > 0) == 1
+    assert_roots_match(rs, roots, 256)
+
+
+def test_roots_far_apart():
+    "Roots near 2^-200, 1 and 2^200, as in deep subdivision h-polynomials."
+    roots = (Fraction(3, 2**200), Fraction(-5, 7), Fraction(2**200 + 1))
+    rs = find_roots(product(*roots), precision_bits=128)
+    assert rs.method == "isolated"
+    assert_roots_match(rs, roots, 128)
+    target = mp.mpf(2) ** -64
+    assert all(r <= target for r in rs.residuals)
+
+
+def test_clustered_roots_certified_by_bisection():
+    "Roots 2^-100 apart: Newton cannot certify, sign bisection still does."
+    roots = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**100), Fraction(-2))
+    rs = find_roots(product(*roots), precision_bits=256)
+    assert rs.method == "isolated"
+    assert_roots_match(rs, roots, 256)
+
+
+def test_repeated_root_falls_back():
+    "(z + 1)^2 (z - 2) is not squarefree: polyroots, still the right roots."
+    rs = find_roots(product(-1, -1, 2))
+    assert rs.method == "polyroots"
+    with mp.workprec(rs.precision_bits):
+        assert all(abs(z + 1) < mp.mpf(2) ** -40 for z in rs.roots[:2])
+        assert abs(rs.roots[2] - 2) < mp.mpf(2) ** -100
+    assert rs.real_certified[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+        min_size=1,
+        max_size=7,
+        unique=True,
+    ),
+    st.sampled_from([16, 64, 192, 512]),
+)
+def test_isolation_agrees_with_polyroots(roots, bits):
+    """Distinct rational roots: the exact path matches polyroots at 2x
+    precision (at least 128 bits: at 32 bits polyroots itself misses 76/3
+    by 9e-6 relative in (z - 8)(z - 25)(z - 176/7)(z - 76/3))."""
+    roots = [r for r in roots if r != 0] or [Fraction(1)]
+    p = product(*roots)
+    rs = find_roots(p, precision_bits=bits)
+    assert rs.method == "isolated"
+    assert all(rs.real_certified)
+    with mp.workprec(max(2 * bits, 128)):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        ref = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * bits)
+        # by value: +-r tie in modulus, and the reference's error can break the tie
+        ref = sorted(mp.re(w) for w in ref)
+        for z, w in zip(sorted(mp.re(z) for z in rs.roots), ref):
+            assert abs(z - w) <= abs(w) * mp.mpf(2) ** -bits, (z, w)
+    for z, r in zip(rs.roots, sorted(roots, key=lambda r: (abs(r), r))):
+        nearest = from_rational(r.numerator, r.denominator, bits, "n")
+        assert z.real._mpf_ == nearest and z.imag == 0, (z, r)
+
+
+def test_near_tie_rounds_correctly():
+    "Roots within 2^-31 ulp of a rounding tie still round to nearest."
+    # z^2 + 2^57 z - 1 at 1024 bits: the small root is 2e-31 ulp past a tie
+    rs = find_roots(poly(1, 2**57, -1), precision_bits=1024)
+    assert rs.method == "isolated"
+    with mp.workprec(4096):
+        b = mp.mpf(2) ** 57
+        exact = 2 / (b + mp.sqrt(b * b + 4))
+    with mp.workprec(1024):
+        assert rs.roots[0] == +exact
+    # a hair below the tie between 1 - 2^-64 and 1, where the spacing doubles
+    r = 1 - Fraction(1, 2**65) - Fraction(1, 2**164)
+    rs = find_roots(product(r, -3), precision_bits=64)
+    with mp.workprec(64):
+        assert rs.roots[0] == 1 - mp.mpf(2) ** -64 != 1
 
 
 def test_modulus_sort_order():
