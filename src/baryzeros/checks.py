@@ -540,20 +540,27 @@ def _check_trajectory_dim2_deeper() -> CheckResult:
 
 
 def _check_alpha_identity() -> CheckResult:
+    """alpha * H1 * f_top == chi, as a * p * f_top == chi * b * q for
+    alpha = a/b and H1 = p/q."""
     records = alpha_scan(ALPHA_IDENTITY_LIMIT)
     bad = []
     for rec in records:
-        if rec.alpha * rec.h1 * rec.f_top != rec.chi:
+        h1 = rec.h1
+        if (
+            rec.alpha_num * h1.numerator * rec.f_top
+            != rec.chi * rec.alpha_den * h1.denominator
+        ):
             bad.append(f"n={rec.n}: defining identity broken")
         elif rec.chi != -mertens(rec.n):
             bad.append(f"n={rec.n}: Euler characteristic disagrees with sieve")
         elif rec.dim != dim_of(rec.n) or rec.dim < 1:
             bad.append(f"n={rec.n}: dimension {rec.dim} wrong or below 1")
     spot = {6: Fraction(1), 30: Fraction(6)}
-    by_n = {rec.n: rec.alpha for rec in records}
+    by_n = {rec.n: rec for rec in records}
     for n, expected in spot.items():
-        if by_n.get(n) != expected:
-            bad.append(f"n={n}: alpha {by_n.get(n)} != {expected}")
+        got = by_n[n].alpha if n in by_n else None
+        if got != expected:
+            bad.append(f"n={n}: alpha {got} != {expected}")
     return _verdict(
         "alpha-defining-identity",
         bad,

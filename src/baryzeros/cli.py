@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -47,6 +48,7 @@ from .subdivision import (
 
 SIEVE_LIMIT_ENV = "BARYZEROS_SIEVE_LIMIT"
 MAX_TABLE_DIM = 16
+MAX_PRECISION_BITS = 8192
 SUMMARY_DIGITS = 20
 
 
@@ -224,16 +226,22 @@ def _cmd_chi(args) -> int:
 _ALPHA_HEADER = ["n", "dim", "chi", "f_top", "h1", "alpha", "exponent", "status"]
 
 
+@functools.cache
+def _h1_text(d: int) -> str:
+    return str(eigen_rationals(d)[1])
+
+
 def _alpha_row(rec) -> list:
-    exponent = None if rec.exponent is None else repr(rec.exponent)
+    """A record's row from its integers: alpha renders as Fraction does."""
+    n, d, chi, f_top, num, den, exponent = rec
     return [
-        rec.n,
-        rec.dim,
-        rec.chi,
-        rec.f_top,
-        str(rec.h1),
-        str(rec.alpha),
-        exponent,
+        n,
+        d,
+        chi,
+        f_top,
+        _h1_text(d),
+        f"{num}/{den}" if den != 1 else str(num),
+        None if exponent is None else repr(exponent),
         "ok",
     ]
 
@@ -273,6 +281,8 @@ def _cmd_zeros(args) -> int:
         raise CliError(f"--n must be between 1 and the sieve limit {limit}")
     if args.precision_bits < 16:
         raise CliError("--precision-bits must be at least 16")
+    if args.precision_bits > MAX_PRECISION_BITS:
+        raise CliError(f"--precision-bits must be at most {MAX_PRECISION_BITS}")
     run = trajectory(args.n, args.k, precision_bits=args.precision_bits)
     header = [
         "k",
@@ -390,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="precision_bits",
         type=int,
         default=DEFAULT_TRAJECTORY_PRECISION,
-        help="working precision floor in bits",
+        help=f"working precision floor in bits, 16 to {MAX_PRECISION_BITS}",
     )
     _add_output_options(zeros)
 

@@ -258,30 +258,49 @@ class AlphaRecord(NamedTuple):
     """Exact scaling limit of the smallest h-polynomial zero at one n.
 
     alpha = chi / (H1 * f_d) where H1 is the linear limit coefficient of
-    the ambient dimension and f_d the top face count; exponent is
-    log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple, so
-    that a scan's hundreds of thousands of records are cheap to build.
+    the ambient dimension and f_d the top face count; alpha_num/alpha_den
+    is alpha in lowest terms with alpha_den > 0, and exponent is
+    log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple of
+    plain ints and a float, so that a scan's hundreds of thousands of
+    records are cheap to build and reference no object the garbage
+    collector tracks; h1 and alpha are derived as Fractions on demand.
     """
 
     n: int
     dim: int
     chi: int
     f_top: int
-    h1: Fraction
-    alpha: Fraction
+    alpha_num: int
+    alpha_den: int
     exponent: float | None
 
+    @property
+    def h1(self) -> Fraction:
+        return eigen_rationals(self.dim)[1]
 
-def _alpha_record(n, d, chi, f_top, h1, log_fac) -> AlphaRecord:
-    """alpha = chi / (H1 * f_top) as Fraction(chi * q, p * f_top) for
-    H1 = p/q; log_fac is log (d+1)!."""
-    value = Fraction(chi * h1.denominator, h1.numerator * f_top)
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(self.alpha_num, self.alpha_den)
+
+
+def _alpha_record(n, d, chi, f_top, p, q, log_fac) -> AlphaRecord:
+    """alpha = chi / (H1 * f_top) = chi*q / (p*f_top) for H1 = p/q > 0,
+    reduced by one gcd; log_fac is log (d+1)!."""
+    num = chi * q
+    den = p * f_top
+    g = math.gcd(num, den)
+    num //= g
+    den //= g
     exponent = None
-    if chi:
-        exponent = (
-            math.log(abs(value.numerator)) - math.log(value.denominator)
-        ) / log_fac
-    return AlphaRecord(n, d, chi, f_top, h1, value, exponent)
+    if num:
+        exponent = (math.log(abs(num)) - math.log(den)) / log_fac
+    return AlphaRecord(n, d, chi, f_top, num, den, exponent)
+
+
+def _h1_log_fac(d: int) -> tuple:
+    """(p, q, log (d+1)!) for H1 = p/q of dimension d."""
+    h1 = eigen_rationals(d)[1]
+    return h1.numerator, h1.denominator, math.log(math.factorial(d + 1))
 
 
 def alpha(n: int) -> AlphaRecord:
@@ -294,14 +313,7 @@ def alpha(n: int) -> AlphaRecord:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
     info = summary(n)
     d = info.dim
-    return _alpha_record(
-        n,
-        d,
-        info.euler_char,
-        info.f_vector.count(d),
-        eigen_rationals(d)[1],
-        math.log(math.factorial(d + 1)),
-    )
+    return _alpha_record(n, d, info.euler_char, info.f_vector.count(d), *_h1_log_fac(d))
 
 
 def alpha_scan(n_max: int) -> list[AlphaRecord]:
@@ -317,13 +329,12 @@ def alpha_scan(n_max: int) -> list[AlphaRecord]:
     weight = shared_sieve(n_max).weight
     records = []
     for d, lo, hi in dimension_runs(6, n_max + 1):
-        h1 = eigen_rationals(d)[1]
-        log_fac = math.log(math.factorial(d + 1))
+        p, q, log_fac = _h1_log_fac(d)
         f_top = 0
         for n in range(lo, hi):
             if weight[n] == d + 1:
                 f_top += 1
-            records.append(_alpha_record(n, d, chi[n], f_top, h1, log_fac))
+            records.append(_alpha_record(n, d, chi[n], f_top, p, q, log_fac))
     return records
 
 
@@ -333,7 +344,8 @@ class ConjectureReport:
 
     strong_violations lists n where alpha^2 > ((d+1)!)^3 (exponent above
     3/2), weak_violations where |alpha| > ((d+1)!)^2 (exponent above 2);
-    both comparisons are exact rational arithmetic.
+    both comparisons are exact, in the integers of alpha = a/b:
+    a^2 > F^3 b^2 and |a| > F^2 b with F = (d+1)!.
     """
 
     n_max: int
@@ -352,13 +364,14 @@ def conjecture_report(n_max: int) -> ConjectureReport:
     zero_count = 0
     best = None
     for rec in records:
-        if rec.alpha == 0:
+        a, b = rec.alpha_num, rec.alpha_den
+        if a == 0:
             zero_count += 1
             continue
-        fac = Fraction(math.factorial(rec.dim + 1))
-        if rec.alpha * rec.alpha > fac**3:
+        fac = math.factorial(rec.dim + 1)
+        if a * a > fac**3 * b * b:
             strong.append(rec.n)
-        if abs(rec.alpha) > fac**2:
+        if abs(a) > fac**2 * b:
             weak.append(rec.n)
         if best is None or rec.exponent > best.exponent:
             best = rec

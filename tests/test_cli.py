@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial, log
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import baryzeros
-from baryzeros import RootFindingError, __version__
+from baryzeros import RootFindingError, __version__, eigen_rationals, summary
 from baryzeros.checks import SUITES
 from baryzeros.cli import _write_csv, _write_json, main
+from baryzeros.complexes import DEFAULT_SIEVE_LIMIT
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -209,6 +212,54 @@ def test_alpha_zero_has_empty_exponent(capsys):
     assert record["exponent"] == ""
 
 
+def _alpha_oracle_rows(n_max: int) -> list[list]:
+    "alpha --to rows from Fraction(chi, h1*f_top), str(h1) and the exponent formula."
+    rows = []
+    for n in range(1, n_max + 1):
+        info = summary(n)
+        d, chi = info.dim, info.euler_char
+        if d < 1:
+            rows.append([n, d, chi, None, None, None, None, "skipped"])
+            continue
+        h1 = eigen_rationals(d)[1]
+        f_top = info.f_vector.count(d)
+        value = Fraction(chi, h1 * f_top)
+        exponent = None
+        if value:
+            exponent = repr(
+                (log(abs(value.numerator)) - log(value.denominator))
+                / log(factorial(d + 1))
+            )
+        rows.append([n, d, chi, f_top, str(h1), str(value), exponent, "ok"])
+    return rows
+
+
+def test_alpha_scan_bytes_match_fraction_oracle(capsys, monkeypatch):
+    """alpha --to 2310, beyond the goldens' 219: dimensions 1-4, negative,
+    zero and integer alpha, in CSV and JSON."""
+    monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
+    header = ["n", "dim", "chi", "f_top", "h1", "alpha", "exponent", "status"]
+    rows = _alpha_oracle_rows(2310)
+    alphas = [row[5] for row in rows if row[7] == "ok"]
+    assert {row[1] for row in rows if row[7] == "ok"} == {1, 2, 3, 4}
+    assert "0" in alphas
+    assert any(a.startswith("-") and "/" in a for a in alphas)
+    assert any(a.lstrip("-").isdigit() and a != "0" for a in alphas)
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    assert run_cli(capsys, "alpha", "--to", "2310") == buffer.getvalue()
+
+    payload = {
+        "command": "alpha",
+        "format": "json",
+        "metadata": {"version": __version__, "sieve_limit": DEFAULT_SIEVE_LIMIT, "to": 2310},
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    out = run_cli(capsys, "alpha", "--to", "2310", "--format", "json")
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_zeros_rows(capsys):
     out = run_cli(capsys, "zeros", "--n", "6", "--k", "4")
     rows = list(csv.reader(out.splitlines()))
@@ -248,6 +299,9 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     run_cli_error(capsys, "zeros", "--n", "5", "--k", "2")
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2", "--precision-bits", "15")
     assert err == "error: --precision-bits must be at least 16\n"
+    for bits in ("8193", "14300", "1000000000"):
+        err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2", "--precision-bits", bits)
+        assert err == "error: --precision-bits must be at most 8192\n", bits
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "65")
     assert err == "error: subdivision depth 65 exceeds the cap 64\n"
 

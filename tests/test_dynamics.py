@@ -1,12 +1,13 @@
 """Growth expansions, zero trajectories, and scaling limits."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, log
 
 import pytest
 from mpmath import mp
 
 from baryzeros import (
+    AlphaRecord,
     FVector,
     alpha,
     alpha_scan,
@@ -217,6 +218,16 @@ def test_alpha_scan_agrees_with_single_lookups():
         assert alpha_scan(n_max) == records[: n_max - 5], n_max
 
 
+def test_alpha_record_invariants():
+    "alpha_num/alpha_den is alpha in lowest terms; h1 and alpha derive from it."
+    records = alpha_scan(2310)
+    for rec in records + [alpha(rec.n) for rec in records]:
+        assert rec.alpha_den > 0, rec.n
+        assert gcd(rec.alpha_num, rec.alpha_den) == 1, rec.n
+        assert rec.alpha * rec.h1 * rec.f_top == rec.chi, rec.n
+        assert rec.h1 == eigen_rationals(rec.dim)[1], rec.n
+
+
 def test_alpha_scan_against_reference_table():
     "Printed table entries, minus the nine known misprints, match exactly."
     records = {rec.n: rec for rec in alpha_scan(250)}
@@ -244,3 +255,64 @@ def test_conjecture_report_smoke():
     assert report.weak_violations == ()
     assert report.max_exponent >= 1.0
     assert 6 <= report.argmax_n <= 500
+
+
+def test_conjecture_report_matches_fraction_reference():
+    "The integer comparisons give the report of exact Fraction arithmetic."
+    n_max = 2000
+    strong, weak, zeros, exponents = [], [], 0, {}
+    for n in range(6, n_max + 1):
+        info = summary(n)
+        d = info.dim
+        value = Fraction(info.euler_char) / (
+            eigen_rationals(d)[1] * info.f_vector.count(d)
+        )
+        if value == 0:
+            zeros += 1
+            continue
+        fac = Fraction(factorial(d + 1))
+        if value * value > fac**3:
+            strong.append(n)
+        if abs(value) > fac**2:
+            weak.append(n)
+        exponents[n] = (
+            log(abs(value.numerator)) - log(value.denominator)
+        ) / log(factorial(d + 1))
+    argmax_n = max(exponents, key=exponents.get)
+    report = conjecture_report(n_max)
+    assert report.n_max == n_max
+    assert report.checked == n_max - 5
+    assert report.zero_count == zeros
+    assert report.strong_violations == tuple(strong)
+    assert report.weak_violations == tuple(weak)
+    assert report.max_exponent == exponents[argmax_n]
+    assert report.argmax_n == argmax_n
+
+
+def test_conjecture_report_thresholds_exact(monkeypatch):
+    "At d = 1, F = 2: strong is alpha^2 > 8, weak |alpha| > 4, at the edges."
+    values = {
+        6: Fraction(17, 6),  # 2.833..., just above sqrt(8): strong only
+        7: Fraction(-14, 5),  # 2.8, just below sqrt(8): neither
+        8: Fraction(-4),  # strong; weak is strict, so not weak
+        9: Fraction(9, 2),  # both
+        10: Fraction(0),
+    }
+    records = [
+        AlphaRecord(
+            n,
+            1,
+            0,
+            1,
+            v.numerator,
+            v.denominator,
+            (log(abs(v.numerator)) - log(v.denominator)) / log(2) if v else None,
+        )
+        for n, v in values.items()
+    ]
+    monkeypatch.setattr("baryzeros.dynamics.alpha_scan", lambda n_max: records)
+    report = conjecture_report(10)
+    assert report.strong_violations == (6, 8, 9)
+    assert report.weak_violations == (9,)
+    assert report.zero_count == 1
+    assert report.argmax_n == 9
