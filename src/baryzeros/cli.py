@@ -17,12 +17,14 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
 import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence, TextIO
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import mpmath as mp
 
@@ -76,9 +78,19 @@ def _digits(bits: int) -> int:
 # ---------------------------------------------------------------------------
 # output
 #
-# Rows stream to the open handle one at a time; every check a command
-# makes runs before its first byte goes out, so a rejected command writes
+# Rows stream to the open handle in batches; every check a command makes
+# runs before its first byte goes out, so a rejected command writes
 # nothing and creates no --out file.
+#
+# A row reaches a writer as (first cell, key), and tail(key) gives the
+# cells after the first.  A scan's rows repeat a few thousand tails over
+# hundreds of thousands of n, so each writer renders the text after the
+# first cell once per distinct key and joins it to each row's own first
+# cell.  Keys must not merge tails that render apart: scans key on the
+# fields the tail is derived from, whole rows on (type, value) pairs,
+# since True == 1 as a dict key.
+
+_BATCH_ROWS = 4096
 
 
 @contextlib.contextmanager
@@ -90,25 +102,61 @@ def _output(out: str | None) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _spell_flags(row: Sequence) -> list:
-    return [("true" if v else "false") if type(v) is bool else v for v in row]
+def _typed(rows: Iterable[Sequence]) -> list[tuple]:
+    """Whole rows as (first cell, key) pairs, the key each later cell
+    paired with its type; :func:`_untyped` is their tail."""
+    return [(row[0], tuple((type(v), v) for v in row[1:])) for row in rows]
 
 
-def _write_csv(handle: TextIO, header: list[str], rows: Iterable) -> None:
+def _untyped(key: tuple) -> list:
+    return [v for _, v in key]
+
+
+def _row_batches(
+    rows: Iterable[tuple], tail: Callable, first_text: Callable, tail_text: Callable
+) -> Iterator[str]:
+    """first_text(first) + tail_text(tail(key)) per row, tail_text called
+    once per distinct key, joined into one string per _BATCH_ROWS rows."""
+    texts: dict = {}
+    batch = []
+    for first, key in rows:
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = tail_text(tail(key))
+        batch.append(first_text(first) + text)
+        if len(batch) == _BATCH_ROWS:
+            yield "".join(batch)
+            batch.clear()
+    if batch:
+        yield "".join(batch)
+
+
+def _write_csv(handle: TextIO, header: list[str], rows: Iterable, tail: Callable) -> None:
     """csv.writer rows: None is an empty cell, a boolean reads true/false.
 
-    Each column holds one type in every row, so the first row tells
-    whether any cell is a boolean; only such a table is spelled cell by
-    cell, and the long scans go to csv.writer as they are.
+    A field's quoting depends on the row only when it is the row's one
+    field, so a tail renders beside a placeholder first cell and a first
+    cell beside a placeholder tail; a one-column row renders whole.
     """
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
-    rows = chain([first], rows)
-    writer.writerows(map(_spell_flags, rows) if bool in map(type, first) else rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def line(cells: Sequence) -> str:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([("true" if v else "false") if type(v) is bool else v for v in cells])
+        return buffer.getvalue()
+
+    def first_text(value) -> str:
+        if type(value) is int:
+            return str(value)
+        return line([value, 0])[: -len(",0\n")] if len(header) > 1 else line([value])[:-1]
+
+    def tail_text(cells: Sequence) -> str:
+        return line([0, *cells])[1:]
+
+    handle.write(line(header))
+    handle.writelines(_row_batches(rows, tail, first_text, tail_text))
 
 
 _JSON_VALUE = {
@@ -120,9 +168,14 @@ _JSON_VALUE = {
 
 
 def _write_json(
-    handle: TextIO, command: str, metadata: dict, header: list[str], rows: Iterable
+    handle: TextIO,
+    command: str,
+    metadata: dict,
+    header: list[str],
+    rows: Iterable,
+    tail: Callable,
 ) -> None:
-    """The bytes of json.dumps(payload, indent=2) + "\n", written row by row.
+    """The bytes of json.dumps(payload, indent=2) + "\n", written in batches.
 
     The envelope comes from json.dumps with an empty row list; each row is
     its pre-encoded keys joined to its values, encoded as json.dumps does
@@ -132,23 +185,34 @@ def _write_json(
     head = json.dumps(payload, indent=2)
     handle.write(head[: -len("[]\n}")] + "[")
     keys = [f',\n      {encode_basestring_ascii(key)}: ' for key in header]
-    keys[0] = keys[0][1:]
-    separator = "\n    {"
-    for row in rows:
-        fields = "".join([k + _JSON_VALUE[type(v)](v) for k, v in zip(keys, row)])
-        handle.write(separator + fields + "\n    }")
-        separator = ",\n    {"
-    # json.dumps closes an empty list at once and a full one on its own line
-    handle.write("]\n}\n" if separator == "\n    {" else "\n  ]\n}\n")
+    first_key = ",\n    {" + keys[0][1:]
+
+    def first_text(value) -> str:
+        return first_key + _JSON_VALUE[type(value)](value)
+
+    def tail_text(cells: Sequence) -> str:
+        return "".join([k + _JSON_VALUE[type(v)](v) for k, v in zip(keys[1:], cells)]) + "\n    }"
+
+    batches = _row_batches(rows, tail, first_text, tail_text)
+    first = next(batches, None)
+    if first is None:
+        # json.dumps closes an empty list at once and a full one on its own line
+        handle.write("]\n}\n")
+        return
+    handle.write(first[1:])  # the first row takes no comma
+    handle.writelines(batches)
+    handle.write("\n  ]\n}\n")
 
 
-def _emit_table(args, command: str, metadata: dict, header: list[str], rows: Iterable) -> None:
+def _emit_table(
+    args, command: str, metadata: dict, header: list[str], rows: Iterable, tail: Callable
+) -> None:
     with _output(args.out) as handle:
         if args.format == "json":
             metadata = {"version": __version__, **metadata}
-            _write_json(handle, command, metadata, header, rows)
+            _write_json(handle, command, metadata, header, rows, tail)
         else:
-            _write_csv(handle, header, rows)
+            _write_csv(handle, header, rows, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +260,8 @@ def _cmd_tables(args) -> int:
     if not (0 <= args.max_d <= MAX_TABLE_DIM):
         raise CliError(f"--max-d must be between 0 and {MAX_TABLE_DIM}")
     header, rows = _tables_payload(args.kind, args.max_d)
-    _emit_table(args, "tables", {"kind": args.kind, "max_d": args.max_d}, header, rows)
+    metadata = {"kind": args.kind, "max_d": args.max_d}
+    _emit_table(args, "tables", metadata, header, _typed(rows), _untyped)
     return 0
 
 
@@ -212,13 +277,15 @@ def _cmd_chi(args) -> int:
         repeat(d, hi - lo) for d, lo, hi in dimension_runs(args.start, args.stop + 1)
     )
     ns = range(args.start, args.stop + 1)
-    rows = zip(ns, chi[args.start :], mm[args.start :], dims)
+    # the key is the tail itself: three ints
+    rows = zip(ns, zip(chi[args.start :], mm[args.start :], dims))
     _emit_table(
         args,
         "chi",
         {"from": args.start, "to": args.stop, "sieve_limit": limit},
         header,
         rows,
+        tuple,
     )
     return 0
 
@@ -231,11 +298,13 @@ def _h1_text(d: int) -> str:
     return str(eigen_rationals(d)[1])
 
 
-def _alpha_row(rec) -> list:
-    """A record's row from its integers: alpha renders as Fraction does."""
-    n, d, chi, f_top, num, den, exponent = rec
+def _alpha_tail(key: tuple) -> list:
+    """The cells after n from a record's fields after n; alpha renders as
+    Fraction does, and f_top None marks a row below dimension 1."""
+    d, chi, f_top, num, den, exponent = key
+    if f_top is None:
+        return [d, chi, None, None, None, None, "skipped"]
     return [
-        n,
         d,
         chi,
         f_top,
@@ -246,8 +315,8 @@ def _alpha_row(rec) -> list:
     ]
 
 
-def _skipped_alpha_row(n: int) -> list:
-    return [n, dim_of(n), -mertens(n), None, None, None, None, "skipped"]
+def _skipped_alpha_row(n: int) -> tuple:
+    return n, (dim_of(n), -mertens(n), None, None, None, None)
 
 
 def _cmd_alpha(args) -> int:
@@ -259,7 +328,7 @@ def _cmd_alpha(args) -> int:
         if dim_of(args.n) < 1:
             rows = [_skipped_alpha_row(args.n)]
         else:
-            rows = [_alpha_row(alpha(args.n))]
+            rows = [(args.n, alpha(args.n)[1:])]
         metadata["n"] = args.n
     else:
         if not (1 <= args.stop <= limit):
@@ -269,9 +338,11 @@ def _cmd_alpha(args) -> int:
         shared_sieve(args.stop)
         records = alpha_scan(args.stop) if args.stop >= 6 else []
         skipped = range(1, min(args.stop, 5) + 1)
-        rows = chain(map(_skipped_alpha_row, skipped), map(_alpha_row, records))
+        ns = map(itemgetter(0), records)
+        tails = map(itemgetter(slice(1, None)), records)
+        rows = chain(map(_skipped_alpha_row, skipped), zip(ns, tails))
         metadata["to"] = args.stop
-    _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows)
+    _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows, _alpha_tail)
     return 0
 
 
@@ -329,7 +400,7 @@ def _cmd_zeros(args) -> int:
         "f_top": run.f_top,
         "chi": run.chi,
     }
-    _emit_table(args, "zeros", metadata, header, rows)
+    _emit_table(args, "zeros", metadata, header, _typed(rows), _untyped)
     return 0
 
 

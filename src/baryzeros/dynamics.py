@@ -283,9 +283,10 @@ class AlphaRecord(NamedTuple):
         return Fraction(self.alpha_num, self.alpha_den)
 
 
-def _alpha_record(n, d, chi, f_top, p, q, log_fac) -> AlphaRecord:
-    """alpha = chi / (H1 * f_top) = chi*q / (p*f_top) for H1 = p/q > 0,
-    reduced by one gcd; log_fac is log (d+1)!."""
+def _alpha_fields(chi, f_top, p, q, log_fac) -> tuple:
+    """(alpha_num, alpha_den, exponent) of alpha = chi / (H1 * f_top) =
+    chi*q / (p*f_top) for H1 = p/q > 0, reduced by one gcd; log_fac is
+    log (d+1)!."""
     num = chi * q
     den = p * f_top
     g = math.gcd(num, den)
@@ -294,7 +295,7 @@ def _alpha_record(n, d, chi, f_top, p, q, log_fac) -> AlphaRecord:
     exponent = None
     if num:
         exponent = (math.log(abs(num)) - math.log(den)) / log_fac
-    return AlphaRecord(n, d, chi, f_top, num, den, exponent)
+    return num, den, exponent
 
 
 def _h1_log_fac(d: int) -> tuple:
@@ -313,7 +314,8 @@ def alpha(n: int) -> AlphaRecord:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
     info = summary(n)
     d = info.dim
-    return _alpha_record(n, d, info.euler_char, info.f_vector.count(d), *_h1_log_fac(d))
+    chi, f_top = info.euler_char, info.f_vector.count(d)
+    return AlphaRecord(n, d, chi, f_top, *_alpha_fields(chi, f_top, *_h1_log_fac(d)))
 
 
 def alpha_scan(n_max: int) -> list[AlphaRecord]:
@@ -322,6 +324,8 @@ def alpha_scan(n_max: int) -> list[AlphaRecord]:
     n is walked in runs of constant dimension d, which start at the
     product of the first d+1 primes, the least squarefree number with d+1
     prime factors; so f_top is a count of weight d+1 within the run.
+    While d and f_top hold, alpha depends on chi alone, so its fields are
+    computed once per chi value and shared until the next weight-(d+1) n.
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
@@ -331,10 +335,17 @@ def alpha_scan(n_max: int) -> list[AlphaRecord]:
     for d, lo, hi in dimension_runs(6, n_max + 1):
         p, q, log_fac = _h1_log_fac(d)
         f_top = 0
+        fields: dict = {}
         for n in range(lo, hi):
             if weight[n] == d + 1:
                 f_top += 1
-            records.append(_alpha_record(n, d, chi[n], f_top, p, q, log_fac))
+                fields = {}
+            c = chi[n]
+            alpha_fields = fields.get(c)
+            if alpha_fields is None:
+                alpha_fields = fields[c] = _alpha_fields(c, f_top, p, q, log_fac)
+            num, den, exponent = alpha_fields
+            records.append(AlphaRecord(n, d, c, f_top, num, den, exponent))
     return records
 
 

@@ -1,10 +1,12 @@
 """Command line interface: formats, golden files, and exit codes."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,13 +14,13 @@ from math import factorial, log
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import baryzeros
 from baryzeros import RootFindingError, __version__, eigen_rationals, summary
 from baryzeros.checks import SUITES
-from baryzeros.cli import _write_csv, _write_json, main
+from baryzeros.cli import _typed, _untyped, _write_csv, _write_json, main
 from baryzeros.complexes import DEFAULT_SIEVE_LIMIT
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,7 +123,16 @@ def _tables(draw, typed_columns=False):
         row = st.tuples(*(draw(_COLUMNS) for _ in header))
     else:
         row = st.lists(_CELLS, min_size=len(header), max_size=len(header))
-    return header, draw(st.lists(row, max_size=6))
+    rows = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        # As in a scan: each row its own first cell, at most three tails.
+        tails = draw(st.lists(row, min_size=1, max_size=3))
+        rows = [(first, *draw(st.sampled_from(tails))[1:]) for first, *_ in rows]
+    return header, rows
+
+
+# True and 1 are equal dict keys with one hash, but render apart.
+_MIXED_FLAGS = (["n", "flag", "x"], [(7, True, ""), (8, 1, ""), (9, True, ""), (10, 1, "")])
 
 
 @given(
@@ -129,6 +140,8 @@ def _tables(draw, typed_columns=False):
     command=st.text(),
     metadata=st.dictionaries(st.text(), st.one_of(st.integers(), st.text(), st.none())),
 )
+@example(table=_MIXED_FLAGS, command="c", metadata={})
+@example(table=(["n", "flag"], []), command="c", metadata={})
 def test_streamed_json_equals_json_dumps(table, command, metadata):
     header, rows = table
     payload = {
@@ -138,11 +151,14 @@ def test_streamed_json_equals_json_dumps(table, command, metadata):
         "rows": [dict(zip(header, row)) for row in rows],
     }
     handle = io.StringIO()
-    _write_json(handle, command, metadata, header, iter(rows))
+    _write_json(handle, command, metadata, header, iter(_typed(rows)), _untyped)
     assert handle.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 @given(table=_tables(typed_columns=True))
+@example(table=_MIXED_FLAGS)
+@example(table=(["n", "flag"], []))
+@example(table=([""], [("",), (None,), ("a",)]))
 def test_streamed_csv_equals_buffered_writer(table):
     header, rows = table
     expected = io.StringIO()
@@ -159,7 +175,7 @@ def test_streamed_csv_equals_buffered_writer(table):
                 cells.append(value)
         writer.writerow(cells)
     handle = io.StringIO()
-    _write_csv(handle, header, iter(rows))
+    _write_csv(handle, header, iter(_typed(rows)), _untyped)
     assert handle.getvalue() == expected.getvalue()
 
 
@@ -258,6 +274,63 @@ def test_alpha_scan_bytes_match_fraction_oracle(capsys, monkeypatch):
     }
     out = run_cli(capsys, "alpha", "--to", "2310", "--format", "json")
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def _json_rows(out: str) -> list[str]:
+    "The text of each row object of a JSON table, as printed."
+    return [block.split("\n    }")[0] for block in out.split("\n    {")[1:]]
+
+
+def test_range_rows_equal_point_rows(capsys, monkeypatch):
+    """A row of alpha --to equals alpha --n at the same n, and chi --from a
+    slice of chi --to: the range renders from records and tails it caches,
+    the point from summary(n) alone."""
+    monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
+    primorial_edges = [29, 30, 209, 210, 2309, 2310, 30029, 30030, 30031]
+    ns = primorial_edges + random.Random(20171).sample(range(6, 100001), 191)
+    csv_lines = run_cli(capsys, "alpha", "--to", "100000").splitlines()
+    json_rows = _json_rows(run_cli(capsys, "alpha", "--to", "100000", "--format", "json"))
+    for n in ns:
+        assert run_cli(capsys, "alpha", "--n", str(n)).splitlines()[1] == csv_lines[n], n
+        point = run_cli(capsys, "alpha", "--n", str(n), "--format", "json")
+        assert _json_rows(point) == [json_rows[n - 1]], n
+
+    whole = run_cli(capsys, "chi", "--to", "30100").splitlines()
+    part = run_cli(capsys, "chi", "--from", "30000", "--to", "30100").splitlines()
+    assert part == whole[:1] + whole[30000:]
+    whole = _json_rows(run_cli(capsys, "chi", "--to", "30100", "--format", "json"))
+    part = run_cli(capsys, "chi", "--from", "30000", "--to", "30100", "--format", "json")
+    assert _json_rows(part) == whole[29999:]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("chi", "--to", "100000"),
+            "a15d484b6be91780aca80fd22fa3e01ccb033f97786ce5835ad91896dac1713b",
+        ),
+        (
+            ("chi", "--to", "100000", "--format", "json"),
+            "defc9b90f5a492cb4c81a130afc774a82523871720dbc91a35dfde003740b5fa",
+        ),
+        (
+            ("alpha", "--to", "100000"),
+            "ae646f4f88ac115b23a8ccf93e8c5e3fb1377662e5ca315dfbc3e9fb71ecf0cf",
+        ),
+        (
+            ("alpha", "--to", "100000", "--format", "json"),
+            "956224106b56e261757a9e9c7845ca66b2cfc0edbbf470c09c6ea59fc109d3a9",
+        ),
+    ],
+    ids=["chi-csv", "chi-json", "alpha-csv", "alpha-json"],
+)
+def test_scan_bytes_at_benchmark_scale(capsys, monkeypatch, argv, digest):
+    """The sha256 of a full scan at the benchmark's N, where the goldens
+    stop at 219: every dimension up to 5 and every tail a scan repeats."""
+    monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
+    out = run_cli(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_zeros_rows(capsys):
