@@ -13,9 +13,12 @@ divisors).  It provides:
   expansion of face counts and exact scaling limits (``dynamics``),
 - runnable invariant suites (``checks``) and a deterministic CLI
   (``cli``, console script ``baryzeros``).
+
+Importing the package loads neither mpmath nor ``checks``: the functions
+that compute with mpmath import it when called, and the five ``checks``
+names below are served on first access.
 """
 
-from .checks import CheckResult, complex_suite, core_suite, run_suite, zeros_suite
 from .complexes import (
     ComplexSummary,
     ConsistencyError,
@@ -70,6 +73,20 @@ from .subdivision import (
 )
 
 __version__ = "0.1.0"
+
+_CHECKS_NAMES = ("CheckResult", "complex_suite", "core_suite", "run_suite", "zeros_suite")
+
+
+def __getattr__(name: str):
+    if name in _CHECKS_NAMES:
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_CHECKS_NAMES})
 
 __all__ = [
     "AlphaRecord",

@@ -9,6 +9,10 @@ Output is deterministic: identical invocations produce byte-identical
 bytes.  Rationals render canonically as ``p/q`` with positive reduced
 denominator; arbitrary-precision values render with a digit count tied
 to the working precision, which is itself recorded in the row.
+
+A command loads only what it runs: ``zeros`` imports mpmath and
+``verify`` the suites (``checks``) when they start, so ``chi``,
+``alpha`` and ``tables`` load neither.
 """
 
 from __future__ import annotations
@@ -26,10 +30,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-import mpmath as mp
-
 from . import __version__
-from .checks import run_suite
 from .complexes import (
     DEFAULT_SIEVE_LIMIT,
     ResourceLimitError,
@@ -347,6 +348,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
+    import mpmath as mp
+
     limit = _sieve_limit()
     if not (1 <= args.n <= limit):
         raise CliError(f"--n must be between 1 and the sieve limit {limit}")
@@ -405,6 +408,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import run_suite
+
     results = run_suite(args.suite)
     lines = []
     failed = 0

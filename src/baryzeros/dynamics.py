@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import mpmath as mp
-
 from .complexes import (
     FVector,
     chi_profile,
@@ -156,6 +154,8 @@ class ZeroTrajectory:
 
 
 def _identity_errors(h: RationalPoly, roots) -> tuple:
+    import mpmath as mp
+
     degree = h.degree
     exact_sum = -h.coeffs[1] / h.coeffs[0]
     exact_prod = h.coeffs[-1] / h.coeffs[0]
@@ -194,6 +194,8 @@ def trajectory(
     automatically with k.  Every depth's exact face counts are computed
     before the first root search, so a depth above the cap fails at once.
     """
+    import mpmath as mp
+
     if k_values is None:
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")

@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .polynomials import RationalPoly
 
 DEFAULT_PRECISION_BITS = 128
@@ -67,6 +65,8 @@ class RootSet:
 
 
 def _mpf_to_fraction(x) -> Fraction:
+    import mpmath as mp
+
     sign, man, exp, _ = mp.mpf(x)._mpf_
     if man == 0:
         if x == 0:
@@ -77,6 +77,8 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _backward_residual(coeffs, abs_coeffs, z):
+    import mpmath as mp
+
     p = mp.mpc(0)
     scale = mp.mpf(0)
     az = abs(z)
@@ -97,6 +99,8 @@ def _certify_real_root(poly: RationalPoly, approx, precision_bits: int) -> bool:
     Only simple real roots can be certified this way, which is all the
     callers need.
     """
+    import mpmath as mp
+
     x = _mpf_to_fraction(mp.re(approx))
     base = max(abs(x), Fraction(1)) / Fraction(2) ** (precision_bits // 2)
     delta = base
@@ -269,10 +273,11 @@ def _bisect(p: list, lo: int, hi: int, e: int, s_hi: int, bits: int):
     return lo, hi, e
 
 
-def _newton(p: list, dp: list, a: int, e: int, bits: int):
-    """Newton steps from a / 2^e, each at twice the bits of the last, up
-    to bits; (a, e) after the last, or None if p' vanished."""
-    width = 2 * _BISECT_BITS
+def _newton(p: list, dp: list, a: int, e: int, start: int, bits: int):
+    """Newton steps from a / 2^e, good to start bits, each step at twice
+    the bits of the last, up to bits; (a, e) after the last, or None if
+    p' vanished."""
+    width = 2 * start
     while True:
         target = min(width, bits)
         grow = target - abs(a).bit_length()
@@ -339,21 +344,35 @@ def _rounded(p: list, a: int, e: int, lo: int, hi: int, le: int, s_hi: int, bits
 
 def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int):
     """The root in (lo / 2^e, hi / 2^e] as a dyadic (a, e), correctly
-    rounded to bits when a sign bracket inside the interval proves it."""
+    rounded to bits when a sign bracket inside the interval proves it.
+
+    Newton starts from a bracket of _BISECT_BITS relative bits.  Near
+    another root it converges quadratically only once the bracket is
+    narrower than their distance, so a start that does not certify is
+    retried from a bracket of twice the bits.  Bisection runs all the way
+    to bits + _GUARD_BITS only when every bracket below that falls short.
+    """
     v = _value(p, hi, e)
     if v == 0:
         return hi, e
     s_hi = 1 if v > 0 else -1
-    near = _bisect(p, lo, hi, e, s_hi, _BISECT_BITS)
-    if near[0] == near[1]:
-        return near[1:]
-    guess = _newton(p, dp, near[0] + near[1], near[2] + 1, bits + _GUARD_BITS)
-    if guess is not None:
-        rounded = _rounded(p, *guess, lo, hi, e, s_hi, bits)
-        if rounded is not None:
-            return rounded
-    # Newton left the bracket or fell short: bisection keeps the sign change.
-    n_lo, n_hi, n_e = _bisect(p, *near, s_hi, bits + _GUARD_BITS)
+    final = bits + _GUARD_BITS
+    near = (lo, hi, e)
+    width = _BISECT_BITS
+    while True:
+        near = _bisect(p, *near, s_hi, width)
+        if near[0] == near[1]:
+            return near[1:]
+        guess = _newton(p, dp, near[0] + near[1], near[2] + 1, width, final)
+        if guess is not None:
+            rounded = _rounded(p, *guess, lo, hi, e, s_hi, bits)
+            if rounded is not None:
+                return rounded
+        width *= 2
+        if width >= final:
+            break
+    # Newton fell short from every bracket: bisection keeps the sign change.
+    n_lo, n_hi, n_e = _bisect(p, *near, s_hi, final)
     if n_lo == n_hi:
         return n_hi, n_e
     return _rounded(p, n_hi, n_e, lo, hi, e, s_hi, bits) or (n_hi, n_e)
@@ -363,6 +382,8 @@ def _isolated_roots(work: list, precision_bits: int):
     """Every root of the rational polynomial, all real and simple, as mpf
     values at precision_bits; None when the polynomial is not squarefree
     or has a non-real root."""
+    import mpmath as mp
+
     denominator = math.lcm(*(c.denominator for c in work))
     ints = [c.numerator * (denominator // c.denominator) for c in work]
     content = math.gcd(*ints)
@@ -398,6 +419,8 @@ def find_roots(
     does not, or when the iteration does not converge, which usually means
     the precision is too low for the polynomial.
     """
+    import mpmath as mp
+
     if poly.is_zero or poly.degree < 1:
         raise ValueError("root finding needs a polynomial of degree >= 1")
     if precision_bits < 16:

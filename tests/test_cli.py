@@ -464,3 +464,50 @@ def test_tracer_sites_resolve():
             assert callable(getattr(module, attr, None)), (name, module_name)
     spans = {f"checks.{suite.__name__}" for suite in SUITES.values()}
     assert spans == set(tracer.SUITE_SPANS)
+
+
+# Runs one command in a fresh interpreter (with no command, only imports
+# the package and its CLI) and reports, as the last line of stderr, its
+# exit code and which of the heavy modules it imported.
+_LOADED_PROBE = """
+import json, sys
+from baryzeros.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+sys.stdout.flush()
+heavy = [m for m in ("mpmath", "baryzeros.checks") if m in sys.modules]
+sys.stderr.write(json.dumps([code, heavy]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ((), []),
+        (("chi", "--to", "50"), []),
+        (("alpha", "--to", "50"), []),
+        (("alpha", "--n", "50"), []),
+        (("tables", "--kind", "f", "--max-d", "3"), []),
+        (("zeros", "--n", "30", "--k", "2"), ["mpmath"]),
+    ],
+    ids=["import", "chi", "alpha-to", "alpha-n", "tables", "zeros"],
+)
+def test_commands_load_only_what_they_run(argv, loaded):
+    "mpmath loads only for zeros, the verify suites for no command but verify."
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, loaded], proc.stderr
+
+
+def test_package_names_resolve():
+    "Every public name resolves, the checks names through the lazy hook."
+    for name in baryzeros.__all__:
+        assert getattr(baryzeros, name) is not None, name
+    assert set(baryzeros.__all__) <= set(dir(baryzeros))
+    assert baryzeros.run_suite is baryzeros.checks.run_suite
+    assert baryzeros.CheckResult is baryzeros.checks.CheckResult
+    with pytest.raises(AttributeError, match="no_such_name"):
+        baryzeros.no_such_name

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational
 
-from baryzeros import RationalPoly, RootFindingError, RootSet, find_roots
+from baryzeros import RationalPoly, RootFindingError, RootSet, find_roots, rootfinding
 
 
 def poly(*coeffs) -> RationalPoly:
@@ -130,11 +130,44 @@ def test_roots_far_apart():
 
 
 def test_clustered_roots_certified_by_bisection():
-    "Roots 2^-100 apart: Newton cannot certify, sign bisection still does."
+    """Roots 2^-100 apart: Newton from the 60-bit bracket cannot certify,
+    from a bracket narrowed by sign bisection it does."""
     roots = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**100), Fraction(-2))
     rs = find_roots(product(*roots), precision_bits=256)
     assert rs.method == "isolated"
     assert_roots_match(rs, roots, 256)
+
+
+@pytest.mark.parametrize(
+    "bits, base, gap",
+    [
+        (192, Fraction(1), 60),
+        (192, Fraction(1, 3), 100),
+        (1024, Fraction(1), 60),
+        (1024, Fraction(1, 3), 60),
+        (1024, Fraction(1, 3), 100),
+        (1024, Fraction(-5, 7), 300),
+    ],
+)
+def test_clustered_roots_round_correctly(monkeypatch, bits, base, gap):
+    """A root 2^-gap (relative) from another rounds to nearest; at 1024 bits
+    Newton from a doubled bracket certifies it without bisecting all the way."""
+    roots = (base, base + base / 2**gap, Fraction(-3))
+    brackets = []
+    bisect = rootfinding._bisect
+
+    def recording(p, lo, hi, e, s_hi, width):
+        brackets.append(width)
+        return bisect(p, lo, hi, e, s_hi, width)
+
+    monkeypatch.setattr(rootfinding, "_bisect", recording)
+    rs = find_roots(product(*roots), precision_bits=bits)
+    assert rs.method == "isolated"
+    with mp.workprec(bits):
+        for z, r in zip(rs.roots, sorted(roots, key=lambda r: (abs(r), r))):
+            assert z == mp.mpf(r.numerator) / mp.mpf(r.denominator), (z, r)
+    if bits == 1024:
+        assert max(brackets) < bits
 
 
 def test_repeated_root_falls_back():
