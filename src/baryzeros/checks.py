@@ -542,9 +542,12 @@ def _check_trajectory_dim2_deeper() -> CheckResult:
 def _check_alpha_identity() -> CheckResult:
     """alpha * H1 * f_top == chi, as a * p * f_top == chi * b * q for
     alpha = a/b and H1 = p/q."""
-    records = alpha_scan(ALPHA_IDENTITY_LIMIT)
+    spot = {6: Fraction(1), 30: Fraction(6)}
+    seen = dict.fromkeys(spot)
     bad = []
-    for rec in records:
+    for rec in alpha_scan(ALPHA_IDENTITY_LIMIT):
+        if rec.n in seen:
+            seen[rec.n] = rec.alpha
         h1 = rec.h1
         if (
             rec.alpha_num * h1.numerator * rec.f_top
@@ -555,12 +558,9 @@ def _check_alpha_identity() -> CheckResult:
             bad.append(f"n={rec.n}: Euler characteristic disagrees with sieve")
         elif rec.dim != dim_of(rec.n) or rec.dim < 1:
             bad.append(f"n={rec.n}: dimension {rec.dim} wrong or below 1")
-    spot = {6: Fraction(1), 30: Fraction(6)}
-    by_n = {rec.n: rec for rec in records}
     for n, expected in spot.items():
-        got = by_n[n].alpha if n in by_n else None
-        if got != expected:
-            bad.append(f"n={n}: alpha {got} != {expected}")
+        if seen[n] != expected:
+            bad.append(f"n={n}: alpha {seen[n]} != {expected}")
     return _verdict(
         "alpha-defining-identity",
         bad,

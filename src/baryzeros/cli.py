@@ -339,9 +339,8 @@ def _cmd_alpha(args) -> int:
         shared_sieve(args.stop)
         records = alpha_scan(args.stop) if args.stop >= 6 else []
         skipped = range(1, min(args.stop, 5) + 1)
-        ns = map(itemgetter(0), records)
-        tails = map(itemgetter(slice(1, None)), records)
-        rows = chain(map(_skipped_alpha_row, skipped), zip(ns, tails))
+        split = itemgetter(0, slice(1, None))
+        rows = chain(map(_skipped_alpha_row, skipped), map(split, records))
         metadata["to"] = args.stop
     _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows, _alpha_tail)
     return 0

@@ -350,7 +350,7 @@ def _squarefree_prime_set(k: int) -> frozenset | None:
     return frozenset(primes)
 
 
-def explicit_complex(n: int, bound: int = EXPLICIT_COMPLEX_BOUND) -> SimplicialComplex:
+def explicit_complex(n: int) -> SimplicialComplex:
     """Materialise the squarefree-divisor complex at n as explicit sets.
 
     Bounded because the output has one simplex per squarefree k <= n;
@@ -358,9 +358,10 @@ def explicit_complex(n: int, bound: int = EXPLICIT_COMPLEX_BOUND) -> SimplicialC
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > bound:
+    if n > EXPLICIT_COMPLEX_BOUND:
         raise ResourceLimitError(
-            f"explicit construction capped at n={bound}; use summaries instead"
+            f"explicit construction capped at n={EXPLICIT_COMPLEX_BOUND}; "
+            "use summaries instead"
         )
     faces = set()
     for k in range(1, n + 1):
@@ -370,9 +371,7 @@ def explicit_complex(n: int, bound: int = EXPLICIT_COMPLEX_BOUND) -> SimplicialC
     return SimplicialComplex(frozenset(faces))
 
 
-def barycentric_subdivide(
-    complex_: SimplicialComplex, max_simplices: int = SUBDIVISION_OUTPUT_CAP
-) -> SimplicialComplex:
+def barycentric_subdivide(complex_: SimplicialComplex) -> SimplicialComplex:
     """Barycentric subdivision with canonical tuple vertex labels.
 
     Vertices of the output are the nonempty faces of the input, labelled
@@ -395,7 +394,7 @@ def barycentric_subdivide(
                     strict_supersets[fs].append(big)
 
     out = {frozenset()}
-    budget = max_simplices
+    budget = SUBDIVISION_OUTPUT_CAP
 
     def grow(chain: tuple, top) -> None:
         nonlocal budget
@@ -403,7 +402,7 @@ def barycentric_subdivide(
         budget -= 1
         if budget < 0:
             raise ResourceLimitError(
-                f"subdivision would exceed {max_simplices} simplices"
+                f"subdivision would exceed {SUBDIVISION_OUTPUT_CAP} simplices"
             )
         for nxt in strict_supersets[top]:
             grow(chain + (label[nxt],), nxt)

@@ -312,7 +312,7 @@ def alpha(n: int) -> AlphaRecord:
     The limit needs a root of largest modulus that separates from the
     rest, which requires dimension at least 1, hence n >= 6.
     """
-    if n < 6 or dim_of(n) < 1:
+    if n < 6:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
     info = summary(n)
     d = info.dim
@@ -371,12 +371,12 @@ class ConjectureReport:
 
 
 def conjecture_report(n_max: int) -> ConjectureReport:
-    records = alpha_scan(n_max)
     strong = []
     weak = []
-    zero_count = 0
+    checked = zero_count = 0
     best = None
-    for rec in records:
+    for rec in alpha_scan(n_max):
+        checked += 1
         a, b = rec.alpha_num, rec.alpha_den
         if a == 0:
             zero_count += 1
@@ -390,7 +390,7 @@ def conjecture_report(n_max: int) -> ConjectureReport:
             best = rec
     return ConjectureReport(
         n_max=n_max,
-        checked=len(records),
+        checked=checked,
         zero_count=zero_count,
         strong_violations=tuple(strong),
         weak_violations=tuple(weak),

@@ -13,9 +13,9 @@ take one of two routes, recorded in ``RootSet.method``:
   and the precision of the returned numbers.
 - ``"polyroots"``: otherwise (a repeated or a non-real root), mpmath's
   simultaneous iteration runs at a caller-chosen working precision, and
-  realness is certified afterwards by exact sign brackets evaluated in
-  rational arithmetic, so no floating-point step can silently lie about
-  a root being real.
+  realness is certified afterwards by the same integer sign test at
+  dyadic points around each approximation, so no floating-point step can
+  silently lie about a root being real.
 
 Either way a solution is accepted only when every backward residual is
 tiny.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polynomials import RationalPoly
 
@@ -64,18 +63,6 @@ class RootSet:
         return tuple(z for z, ok in zip(self.roots, self.real_certified) if ok)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    import mpmath as mp
-
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        if x == 0:
-            return Fraction(0)
-        raise ValueError(f"cannot convert {x!r} to an exact rational")
-    value = Fraction(man) * Fraction(2) ** exp
-    return -value if sign else value
-
-
 def _backward_residual(coeffs, abs_coeffs, z):
     import mpmath as mp
 
@@ -88,31 +75,6 @@ def _backward_residual(coeffs, abs_coeffs, z):
     if scale == 0:
         return abs(p)
     return abs(p) / scale
-
-
-def _certify_real_root(poly: RationalPoly, approx, precision_bits: int) -> bool:
-    """Exact sign bracket around the real part of an approximate root.
-
-    Returns True when p changes sign (or vanishes) on a tiny rational
-    interval around Re(approx); the interval starts at relative width
-    2^(-precision_bits // 2) and is doubled a few times before giving up.
-    Only simple real roots can be certified this way, which is all the
-    callers need.
-    """
-    import mpmath as mp
-
-    x = _mpf_to_fraction(mp.re(approx))
-    base = max(abs(x), Fraction(1)) / Fraction(2) ** (precision_bits // 2)
-    delta = base
-    for _ in range(_CERTIFY_DOUBLINGS):
-        lo = poly(x - delta)
-        hi = poly(x + delta)
-        if lo == 0 or hi == 0:
-            return True
-        if (lo < 0) != (hi < 0):
-            return True
-        delta *= 2
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +340,12 @@ def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int):
     return _rounded(p, n_hi, n_e, lo, hi, e, s_hi, bits) or (n_hi, n_e)
 
 
-def _isolated_roots(work: list, precision_bits: int):
-    """Every root of the rational polynomial, all real and simple, as mpf
+def _isolated_roots(ints: list, precision_bits: int):
+    """Every root of the integer polynomial, all real and simple, as mpf
     values at precision_bits; None when the polynomial is not squarefree
     or has a non-real root."""
     import mpmath as mp
 
-    denominator = math.lcm(*(c.denominator for c in work))
-    ints = [c.numerator * (denominator // c.denominator) for c in work]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
     seq = _sturm_sequence(ints)
     intervals = _isolate(seq)
     if intervals is None:
@@ -397,6 +355,35 @@ def _isolated_roots(work: list, precision_bits: int):
         a, e = _refine(ints, seq[1], lo, hi, e, precision_bits)
         roots.append(mp.ldexp(mp.mpf(a), -e))
     return roots
+
+
+def _certify_real_root(ints: list, approx, precision_bits: int) -> bool:
+    """Exact sign bracket around the real part of an approximate root.
+
+    Returns True when the integer polynomial changes sign (or vanishes) on
+    a tiny dyadic interval around Re(approx); the interval starts at
+    half-width max(|Re(approx)|, 1) * 2^(-precision_bits // 2) and is
+    doubled a few times before giving up.  Only simple real roots can be
+    certified this way, which is all the callers need.
+    """
+    import mpmath as mp
+
+    x = mp.re(approx)
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ValueError(f"cannot convert {x!r} to an exact rational")
+    half = precision_bits // 2
+    # x = a / 2^e and the half-width delta / 2^e, both exact
+    e = half + max(0, -exp)
+    a = (-man if sign else man) << (exp + e)
+    delta = max(abs(a), 1 << e) >> half
+    for _ in range(_CERTIFY_DOUBLINGS):
+        lo = _value(ints, a - delta, e)
+        hi = _value(ints, a + delta, e)
+        if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
+            return True
+        delta *= 2
+    return False
 
 
 def find_roots(
@@ -432,6 +419,11 @@ def find_roots(
         work.pop()
         zero_roots += 1
     degree = len(work) - 1
+    # the primitive integer form: a positive multiple, so the same signs
+    denominator = math.lcm(*(c.denominator for c in work))
+    ints = [c.numerator * (denominator // c.denominator) for c in work]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
 
     with mp.workprec(precision_bits):
         zeros = tuple(mp.mpc(0) for _ in range(zero_roots))
@@ -442,7 +434,7 @@ def find_roots(
 
         coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in work]
         abs_coeffs = [abs(a) for a in coeffs]
-        raw = _isolated_roots(work, precision_bits)
+        raw = _isolated_roots(ints, precision_bits)
         method = "isolated"
         if raw is None:
             method = "polyroots"
@@ -474,10 +466,9 @@ def find_roots(
         if method == "isolated":
             tail_certified = tuple(True for _ in ordered)
         else:
-            deflated = RationalPoly.from_coefficients(work)
             tail_certified = tuple(
                 abs(mp.im(w)) <= max(abs(w), mp.mpf(1)) * target
-                and _certify_real_root(deflated, w, precision_bits)
+                and _certify_real_root(ints, w, precision_bits)
                 for w in ordered
             )
         roots = zeros + tuple(ordered)

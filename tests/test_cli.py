@@ -276,6 +276,16 @@ def test_alpha_scan_bytes_match_fraction_oracle(capsys, monkeypatch):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def test_alpha_range_reads_records_once(capsys, monkeypatch):
+    "alpha --to prints the same bytes when alpha_scan yields an iterator."
+    monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
+    argvs = [("alpha", "--to", "300"), ("alpha", "--to", "300", "--format", "json")]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+    scan = baryzeros.cli.alpha_scan
+    monkeypatch.setattr("baryzeros.cli.alpha_scan", lambda n: iter(scan(n)))
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected
+
+
 def _json_rows(out: str) -> list[str]:
     "The text of each row object of a JSON table, as printed."
     return [block.split("\n    }")[0] for block in out.split("\n    {")[1:]]
@@ -377,6 +387,8 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
         assert err == "error: --precision-bits must be at most 8192\n", bits
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "65")
     assert err == "error: subdivision depth 65 exceeds the cap 64\n"
+    err = run_cli_error(capsys, "zeros", "--n", "6", "--k", "-1")
+    assert err == "error: k_max must be nonnegative\n"
 
     def fail(*args, **kwargs):
         raise RootFindingError("residual missed target")
@@ -464,6 +476,31 @@ def test_tracer_sites_resolve():
             assert callable(getattr(module, attr, None)), (name, module_name)
     spans = {f"checks.{suite.__name__}" for suite in SUITES.values()}
     assert spans == set(tracer.SUITE_SPANS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("alpha", "--to", "300"),
+        ("zeros", "--n", "30", "--k", "3"),
+        ("verify", "--suite", "core"),
+    ],
+    ids=["alpha", "zeros", "verify"],
+)
+def test_traced_run_prints_the_same_bytes(tmp_path, argv):
+    "The benchmark's traced mode runs each command kind to the CLI's own stdout."
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(TRACER), "--spans", str(spans), "--", *argv],
+        capture_output=True,
+        env=CHILD_ENV,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "baryzeros", *argv], capture_output=True, env=CHILD_ENV
+    )
+    assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr
+    assert traced.stdout == plain.stdout
+    assert json.loads(spans.read_text())["spans"][0][0] == "tracer"
 
 
 # Runs one command in a fresh interpreter (with no command, only imports

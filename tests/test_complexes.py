@@ -260,9 +260,11 @@ def test_explicit_complex_matches_summary():
         assert c.euler_char() == s.euler_char, n
 
 
-def test_explicit_complex_respects_bound():
-    with pytest.raises(ResourceLimitError):
-        explicit_complex(50, bound=10)
+def test_explicit_complex_respects_bound(monkeypatch):
+    monkeypatch.setattr("baryzeros.complexes.EXPLICIT_COMPLEX_BOUND", 10)
+    assert explicit_complex(10).f_vector() == summary(10).f_vector
+    with pytest.raises(ResourceLimitError, match="capped at n=10;"):
+        explicit_complex(50)
 
 
 def test_subdivide_known_face_counts():
@@ -281,9 +283,10 @@ def test_subdivide_trivial_complexes():
     assert barycentric_subdivide(empty).f_vector().counts == (1,)
 
 
-def test_subdivide_budget():
-    with pytest.raises(ResourceLimitError):
-        barycentric_subdivide(explicit_complex(30), max_simplices=3)
+def test_subdivide_budget(monkeypatch):
+    monkeypatch.setattr("baryzeros.complexes.SUBDIVISION_OUTPUT_CAP", 3)
+    with pytest.raises(ResourceLimitError, match="exceed 3 simplices"):
+        barycentric_subdivide(explicit_complex(30))
 
 
 def test_shared_sieve_grows_monotonically():

@@ -23,6 +23,7 @@ from baryzeros import (
     trajectory,
     trajectory_precision,
 )
+from baryzeros import checks, dynamics
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 
 
@@ -287,6 +288,22 @@ def test_conjecture_report_matches_fraction_reference():
     assert report.weak_violations == tuple(weak)
     assert report.max_exponent == exponents[argmax_n]
     assert report.argmax_n == argmax_n
+
+
+@pytest.mark.parametrize(
+    "module, run",
+    [
+        ("dynamics", lambda: conjecture_report(10000)),
+        ("checks", checks._check_alpha_identity),
+    ],
+    ids=["conjecture-report", "alpha-defining-identity"],
+)
+def test_alpha_scan_consumers_read_records_once(monkeypatch, module, run):
+    "The report and the verify check come out the same from an iterator."
+    expected = run()
+    scan = dynamics.alpha_scan
+    monkeypatch.setattr(f"baryzeros.{module}.alpha_scan", lambda n: iter(scan(n)))
+    assert run() == expected
 
 
 def test_conjecture_report_thresholds_exact(monkeypatch):

@@ -1,9 +1,10 @@
 """Certified numeric root extraction for rational polynomials."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational
@@ -209,6 +210,65 @@ def test_isolation_agrees_with_polyroots(roots, bits):
     for z, r in zip(rs.roots, sorted(roots, key=lambda r: (abs(r), r))):
         nearest = from_rational(r.numerator, r.denominator, bits, "n")
         assert z.real._mpf_ == nearest and z.imag == 0, (z, r)
+
+
+def certify_by_fractions(p: RationalPoly, approx, bits: int) -> bool:
+    "The exact sign bracket of _certify_real_root, in Fraction arithmetic."
+    sign, man, exp, _ = mp.re(approx)._mpf_
+    x = Fraction(-man if sign else man) * Fraction(2) ** exp
+    delta = max(abs(x), Fraction(1)) / Fraction(2) ** (bits // 2)
+    for _ in range(rootfinding._CERTIFY_DOUBLINGS):
+        lo, hi = p(x - delta), p(x + delta)
+        if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
+            return True
+        delta *= 2
+    return False
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(rationals, max_size=5, unique=True),
+    st.lists(st.tuples(rationals, rationals.filter(bool)), max_size=2),
+    st.integers(16, 512),
+    st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(-4, 18)), max_size=4),
+)
+def test_certification_agrees_with_fractions(roots, pairs, bits, nudges):
+    """Real roots (z - r) and complex pairs (z - u)^2 + v^2: the integer
+    sign test gives the Fraction verdict on each polyroots approximation,
+    as computed and moved by 2^shift times the first bracket's half-width,
+    up to past the last doubled bracket."""
+    assume(roots or pairs)
+    p = product(*roots)
+    for u, v in pairs:
+        coeffs = [Fraction(0)] * (len(p.coeffs) + 2)
+        for i, c in enumerate(p.coeffs):
+            for j, m in enumerate((1, -2 * u, u * u + v * v)):
+                coeffs[i + j] += c * m
+        p = poly(*coeffs)
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
+    with mp.workprec(bits):
+        coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in p.coeffs]
+        try:
+            raw = mp.polyroots(coeffs, maxsteps=400, extraprec=bits // 2)
+        except mp.NoConvergence:
+            raw = []
+        approx = [mp.mpc(w) for w in raw]
+        for w in list(approx):
+            for sign, shift in nudges:
+                step = max(abs(mp.re(w)), 1) * mp.mpf(2) ** (shift - bits // 2)
+                approx.append(w + sign * step)
+        for w in approx:
+            got = rootfinding._certify_real_root(ints, w, bits)
+            assert got == certify_by_fractions(p, w, bits), (w, bits)
+
+
+def test_non_finite_root_fails_certification():
+    with pytest.raises(ValueError, match="exact rational"):
+        rootfinding._certify_real_root([1, -1], mp.mpf("inf"), 64)
 
 
 def test_near_tie_rounds_correctly():
