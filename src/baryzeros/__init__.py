@@ -51,7 +51,7 @@ from .dynamics import (
     trajectory,
     trajectory_precision,
 )
-from .polynomials import RationalPoly, shift_coefficients
+from .polynomials import RationalPoly
 from .rootfinding import RootFindingError, RootSet, find_roots
 from .subdivision import (
     SimplexMatrix,
@@ -62,7 +62,6 @@ from .subdivision import (
     eigen_rationals_direct,
     h_polynomial_limit,
     identity_matrix,
-    limit_f_poly,
     limit_h_coefficients,
     shift_matrix,
     shift_matrix_inverse,
@@ -127,12 +126,10 @@ __all__ = [
     "h_poly",
     "h_polynomial_limit",
     "identity_matrix",
-    "limit_f_poly",
     "limit_h_coefficients",
     "mertens",
     "run_suite",
     "shared_sieve",
-    "shift_coefficients",
     "shift_matrix",
     "shift_matrix_inverse",
     "stirling2",

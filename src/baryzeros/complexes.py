@@ -9,10 +9,10 @@ function at n, which doubles as a built-in consistency oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .polynomials import RationalPoly
+from .subdivision import shift_matrix
 
 DEFAULT_SIEVE_LIMIT = 10**6
 SIEVE_MEMORY_BUDGET = 10**8
@@ -191,21 +191,21 @@ class FVector:
             total += c if idx % 2 else -c
         return total
 
-    def f_poly(self) -> RationalPoly:
-        """sum f_i z^(d - i), degree d + 1, monic since f_{-1} = 1."""
-        return RationalPoly.from_coefficients(self.counts)
-
 
 def h_poly(fv: FVector) -> RationalPoly:
-    """h-polynomial: the f-polynomial composed with z - 1.
+    """h-polynomial: the f-polynomial sum f_i z^(d - i) composed with z - 1.
 
-    Monic of degree dim + 1 with constant term (-1)^dim times the Euler
-    characteristic.  The degenerate dim = -1 vector (empty simplex only)
-    is assigned the constant -1, its Euler characteristic, by convention.
+    The reversed ``shift_matrix(dim)`` image of the face counts, in
+    integers.  Monic of degree dim + 1 with constant term (-1)^dim times
+    the Euler characteristic.  The degenerate dim = -1 vector (empty
+    simplex only) is assigned the constant -1, its Euler characteristic,
+    by convention.
     """
     if fv.dim == -1:
         return RationalPoly.from_coefficients([-1])
-    return fv.f_poly().shift(Fraction(-1))
+    return RationalPoly.from_coefficients(
+        shift_matrix(fv.dim).apply(fv.counts)[::-1]
+    )
 
 
 @dataclass(frozen=True)
@@ -319,9 +319,6 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max(len(s) for s in self.simplices) - 1
-
-    def vertices(self) -> list:
-        return sorted(v for s in self.simplices if len(s) == 1 for v in s)
 
     def f_vector(self) -> FVector:
         counts = [0] * (self.dim + 2)

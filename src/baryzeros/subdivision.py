@@ -5,6 +5,11 @@ indexed by simplex dimensions running from -1 (the empty simplex) to d.
 Matrices over that index range are stored 0-based with a +1 offset and
 exposed through an ``entry(i, j)`` accessor taking the -1-based indices.
 
+``shift_matrix`` is the one step from face counts to h-coefficients
+(composition with z - 1): ``complexes.h_poly`` and
+``limit_h_coefficients`` both apply it, and it is the S of the
+similarity S T S^-1 that ``verify`` checks.
+
 Everything is exact: entries are Python ints or ``Fraction`` values.
 """
 
@@ -17,7 +22,7 @@ from functools import cache
 from math import comb, factorial, gcd
 from typing import Sequence
 
-from .polynomials import RationalPoly, shift_coefficients
+from .polynomials import RationalPoly
 
 BRUTE_FORCE_DIMENSION_CAP = 5
 
@@ -126,31 +131,27 @@ def eigen_rationals_direct(d: int, i: int) -> Fraction:
     return total
 
 
-def limit_f_poly(d: int) -> RationalPoly:
-    """Polynomial with the eigen weights as coefficients (degree d for d >= 0)."""
-    return RationalPoly.from_coefficients(eigen_rationals(d))
+@cache
+def limit_h_coefficients(d: int) -> tuple[Fraction, ...]:
+    """h-coefficients of the limit: the eigen weights composed with z - 1.
+
+    The reversed :func:`shift_matrix` image of :func:`eigen_rationals`,
+    highest degree first.  Entry index i runs 0..d+1, with index 0 the
+    (always zero) z^(d+1) coefficient so the tuple lines up with the
+    -1..d table convention.
+    """
+    if d < 0:
+        raise ValueError("d must be at least 0")
+    return shift_matrix(d).apply(eigen_rationals(d))[::-1]
 
 
 def h_polynomial_limit(d: int) -> RationalPoly:
-    """The shifted limit polynomial: limit_f_poly(d) evaluated at z - 1.
+    """The polynomial of :func:`limit_h_coefficients`, leading zero dropped.
 
     For d >= 1 this has degree d, positive interior coefficients and zero
     constant term; for d = 0 it degenerates to the constant 1.
     """
-    return limit_f_poly(d).shift(Fraction(-1))
-
-
-def limit_h_coefficients(d: int) -> tuple[Fraction, ...]:
-    """Coefficient table of :func:`h_polynomial_limit`, length d + 2.
-
-    Entry index i runs 0..d+1, with index 0 the (always zero) z^(d+1)
-    coefficient so the tuple lines up with the -1..d table convention.
-    """
-    if d < 0:
-        raise ValueError("d must be at least 0")
-    raw = shift_coefficients([Fraction(x) for x in eigen_rationals(d)], Fraction(-1))
-    assert len(raw) == d + 2
-    return tuple(raw)
+    return RationalPoly.from_coefficients(limit_h_coefficients(d))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,7 @@ def transfer_matrix(d: int) -> SimplexMatrix:
     )
 
 
+@cache
 def shift_matrix(d: int) -> SimplexMatrix:
     """Matrix carrying f-polynomial coefficients to reversed h-coefficients.
 

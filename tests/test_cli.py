@@ -343,6 +343,35 @@ def test_scan_bytes_at_benchmark_scale(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("tables", "--kind", "H", "--max-d", "16"),
+            "3a70671f2c80503ea86b15c03e6e90bf4ebedb6c1b96fe76afdb01fe62df4f4e",
+        ),
+        (
+            ("tables", "--kind", "H", "--max-d", "16", "--format", "json"),
+            "dfc1ec48e83cd53cf060ade8a84592532c529b7baedb58ddc701e238e751f7d4",
+        ),
+        (
+            ("tables", "--kind", "F", "--max-d", "16"),
+            "152539934f37f246bcdd54c62ba414509316943bf9585fcfca5bb172025e0d9f",
+        ),
+        (
+            ("tables", "--kind", "F", "--max-d", "16", "--format", "json"),
+            "0c1dd9679d74b64f69b4b8b3aa0dde498002bab0141b938c55febb0a83ad099e",
+        ),
+    ],
+    ids=["H-csv", "H-json", "F-csv", "F-json"],
+)
+def test_limit_table_bytes_at_full_size(capsys, argv, digest):
+    """The sha256 of the limit tables at the largest accepted max-d, where
+    the goldens stop at d = 7: every h-coefficient the shift matrix builds."""
+    out = run_cli(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_zeros_rows(capsys):
     out = run_cli(capsys, "zeros", "--n", "6", "--k", "4")
     rows = list(csv.reader(out.splitlines()))

@@ -1,7 +1,5 @@
 """Sieves, squarefree-divisor complexes, and explicit subdivision."""
 
-from fractions import Fraction
-
 import pytest
 
 from baryzeros import (
@@ -163,7 +161,6 @@ def test_fvector_accessors():
     with pytest.raises(IndexError):
         fv.count(2)
     assert fv.euler_char() == 1
-    assert fv.f_poly().coeffs == (Fraction(1), Fraction(3), Fraction(1))
 
 
 def test_h_poly_known_cases():
@@ -243,7 +240,7 @@ def test_validate_rejects_missing_face():
 def test_explicit_complex_small():
     c6 = explicit_complex(6)
     assert frozenset({2, 3}) in c6.simplices
-    assert c6.vertices() == [2, 3, 5]
+    assert {frozenset({2}), frozenset({3}), frozenset({5})} <= c6.simplices
     assert c6.f_vector().counts == (1, 3, 1)
     c1 = explicit_complex(1)
     assert c1.simplices == frozenset({frozenset()})

@@ -1,4 +1,4 @@
-"""Exact rational polynomial arithmetic."""
+"""Exact rational polynomials, and the one shift that builds h-polynomials."""
 
 from fractions import Fraction
 
@@ -6,23 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from baryzeros import RationalPoly, shift_coefficients
+from baryzeros import FVector, RationalPoly, h_poly
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
 )
-coeff_lists = st.lists(rationals, min_size=1, max_size=7)
-
-
-def test_shift_coefficients_square():
-    "(z - 1)^2 = z^2 - 2z + 1"
-    out = shift_coefficients([Fraction(1), Fraction(0), Fraction(0)], Fraction(-1))
-    assert out == [Fraction(1), Fraction(-2), Fraction(1)]
-
-
-def test_shift_coefficients_preserves_length():
-    out = shift_coefficients([Fraction(2), Fraction(3)], Fraction(5))
-    assert len(out) == 2
+face_counts = st.builds(
+    lambda middle, top: (1, *middle, top),
+    st.lists(st.integers(0, 10**12), max_size=8),
+    st.integers(1, 10**12),
+)
 
 
 def test_from_coefficients_strips_leading_zeros():
@@ -51,29 +44,11 @@ def test_evaluation_known_values():
     assert p(Fraction(-1, 2)) == Fraction(-1, 4)
 
 
-def test_shift_known_case():
-    "Composing z^2 + 3z + 1 with z - 1 gives z^2 + z - 1."
-    p = RationalPoly.from_coefficients([1, 3, 1])
-    assert p.shift(Fraction(-1)).coeffs == (Fraction(1), Fraction(1), Fraction(-1))
-
-
-def test_str_smoke():
-    text = str(RationalPoly.from_coefficients([1, 1, -1]))
-    assert "z" in text
-
-
-@given(coeff_lists, rationals)
-def test_shift_round_trip(coeffs, delta):
-    "Shifting by delta then -delta restores the polynomial."
-    p = RationalPoly.from_coefficients(coeffs)
-    assert p.shift(delta).shift(-delta) == p
-
-
-@given(coeff_lists, rationals, rationals)
-def test_shift_matches_evaluation(coeffs, delta, x):
-    "q = p shifted by delta satisfies q(x) = p(x + delta) exactly."
-    p = RationalPoly.from_coefficients(coeffs)
-    assert p.shift(delta)(x) == p(x + delta)
+@given(face_counts, rationals)
+def test_h_poly_is_f_poly_at_z_minus_one(counts, x):
+    "h_poly, built by the shift matrix, is the f-polynomial composed with z - 1."
+    f = RationalPoly.from_coefficients(counts)
+    assert h_poly(FVector(counts))(x) == f(x - 1)
 
 
 def test_pinned_to_rationals():

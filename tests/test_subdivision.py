@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from baryzeros import (
+    RationalPoly,
     descent_matrix,
     descent_matrix_bruteforce,
     det_sign_check,
     eigen_rationals,
     eigen_rationals_direct,
     h_polynomial_limit,
-    limit_f_poly,
     limit_h_coefficients,
     shift_matrix,
     stirling2,
@@ -106,8 +106,12 @@ def test_limit_h_disputed_cell():
 
 
 def test_limit_polys_related_by_shift():
-    for d in range(0, 9):
-        assert h_polynomial_limit(d) == limit_f_poly(d).shift(Fraction(-1))
+    "At d + 2 points, which pin down a polynomial of degree at most d + 1."
+    for d in range(0, 17):
+        f = RationalPoly.from_coefficients(eigen_rationals(d))
+        h = h_polynomial_limit(d)
+        for x in map(Fraction, range(d + 2)):
+            assert h(x) == f(x - 1), (d, x)
 
 
 def test_transfer_matrix_displays():
