@@ -51,7 +51,6 @@ from .dynamics import (
     trajectory,
     trajectory_precision,
 )
-from .polynomials import RationalPoly
 from .rootfinding import RootFindingError, RootSet, find_roots
 from .subdivision import (
     SimplexMatrix,
@@ -60,7 +59,6 @@ from .subdivision import (
     det_sign_check,
     eigen_rationals,
     eigen_rationals_direct,
-    h_polynomial_limit,
     identity_matrix,
     limit_h_coefficients,
     shift_matrix,
@@ -95,7 +93,6 @@ __all__ = [
     "ConsistencyError",
     "FVector",
     "GrowthExpansion",
-    "RationalPoly",
     "ResourceLimitError",
     "RootFindingError",
     "RootSet",
@@ -124,7 +121,6 @@ __all__ = [
     "first_negative_euler",
     "growth_expansion",
     "h_poly",
-    "h_polynomial_limit",
     "identity_matrix",
     "limit_h_coefficients",
     "mertens",

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .polynomials import RationalPoly
 from .subdivision import shift_matrix
 
 DEFAULT_SIEVE_LIMIT = 10**6
@@ -192,20 +191,19 @@ class FVector:
         return total
 
 
-def h_poly(fv: FVector) -> RationalPoly:
+def h_poly(fv: FVector) -> tuple[int, ...]:
     """h-polynomial: the f-polynomial sum f_i z^(d - i) composed with z - 1.
 
-    The reversed ``shift_matrix(dim)`` image of the face counts, in
-    integers.  Monic of degree dim + 1 with constant term (-1)^dim times
-    the Euler characteristic.  The degenerate dim = -1 vector (empty
-    simplex only) is assigned the constant -1, its Euler characteristic,
-    by convention.
+    The reversed ``shift_matrix(dim)`` image of the face counts: a tuple
+    of ints, highest degree first, as ``rootfinding.find_roots`` reads it.
+    Monic of degree dim + 1 with constant term (-1)^dim times the Euler
+    characteristic.  The degenerate dim = -1 vector (empty simplex only)
+    is assigned the constant (-1,), its Euler characteristic, by
+    convention.
     """
     if fv.dim == -1:
-        return RationalPoly.from_coefficients([-1])
-    return RationalPoly.from_coefficients(
-        shift_matrix(fv.dim).apply(fv.counts)[::-1]
-    )
+        return (-1,)
+    return shift_matrix(fv.dim).apply(fv.counts)[::-1]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .complexes import (
     shared_sieve,
     summary,
 )
-from .polynomials import RationalPoly
 from .rootfinding import find_roots
 from .subdivision import eigen_rationals, transfer_matrix
 
@@ -32,25 +31,32 @@ DEFAULT_TRAJECTORY_PRECISION = 192
 MAX_SUBDIVISION_DEPTH = 64
 
 
+def _orbit(fv: FVector, depth: int) -> list:
+    """Count vectors of fv after 0, 1, ..., depth rounds of subdivision.
+
+    One round multiplies the count vector by the integer transfer matrix
+    of the ambient dimension, so the orbit takes depth steps.  The one
+    check of the depth cap.
+    """
+    if depth < 0:
+        raise ValueError("subdivision depth must be nonnegative")
+    if depth > MAX_SUBDIVISION_DEPTH:
+        raise ValueError(
+            f"subdivision depth {depth} exceeds the cap {MAX_SUBDIVISION_DEPTH}"
+        )
+    matrix = transfer_matrix(fv.dim)
+    orbit = [fv.counts]
+    for _ in range(depth):
+        orbit.append(matrix.apply(orbit[-1]))
+    return orbit
+
+
 def subdivided_f(fv: FVector, k: int) -> FVector:
     """Face counts after k rounds of barycentric subdivision, exactly.
 
-    One round multiplies the count vector by the integer transfer matrix
-    of the ambient dimension; the dimension never changes.
+    The dimension never changes.
     """
-    if k < 0:
-        raise ValueError("subdivision depth must be nonnegative")
-    if k > MAX_SUBDIVISION_DEPTH:
-        raise ValueError(
-            f"subdivision depth {k} exceeds the cap {MAX_SUBDIVISION_DEPTH}"
-        )
-    if k == 0:
-        return fv
-    matrix = transfer_matrix(fv.dim)
-    vector = list(fv.counts)
-    for _ in range(k):
-        vector = list(matrix.apply(vector))
-    return FVector(tuple(int(v) for v in vector))
+    return FVector(_orbit(fv, k)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +159,12 @@ class ZeroTrajectory:
     entries: tuple
 
 
-def _identity_errors(h: RationalPoly, roots) -> tuple:
+def _identity_errors(h: tuple, roots) -> tuple:
     import mpmath as mp
 
-    degree = h.degree
-    exact_sum = -h.coeffs[1] / h.coeffs[0]
-    exact_prod = h.coeffs[-1] / h.coeffs[0]
-    if degree % 2:
+    exact_sum = Fraction(-h[1], h[0])
+    exact_prod = Fraction(h[-1], h[0])
+    if (len(h) - 1) % 2:
         exact_prod = -exact_prod
     num_sum = sum(roots, mp.mpc(0))
     num_prod = mp.mpc(1)
@@ -191,15 +196,20 @@ def trajectory(
     Produces one entry per depth k = 0..k_max, or exactly the depths in
     k_values when that is given.  Needs dimension at least 1 so that the
     smallest and largest roots are distinct objects.  Precision is raised
-    automatically with k.  Every depth's exact face counts are computed
-    before the first root search, so a depth above the cap fails at once.
+    automatically with k.  The exact face counts are walked one transfer
+    step per depth up to the deepest depth before the first root search,
+    so a depth above the cap fails at once.
     """
     import mpmath as mp
 
     if k_values is None:
         if k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        k_values = range(k_max + 1)
+        k_values, deepest = range(k_max + 1), k_max
+    else:
+        if min(k_values, default=0) < 0:
+            raise ValueError("subdivision depth must be nonnegative")
+        deepest = max(k_values, default=0)
     info = summary(n)
     d = info.dim
     if d < 1:
@@ -209,11 +219,11 @@ def trajectory(
     chi = info.euler_char
     fac = math.factorial(d + 1)
 
-    f_vectors = [subdivided_f(info.f_vector, k) for k in k_values]
+    orbit = _orbit(info.f_vector, deepest)
     entries = []
-    for k, fv_k in zip(k_values, f_vectors):
+    for k in k_values:
         bits = trajectory_precision(d, k, precision_bits)
-        h = h_poly(fv_k)
+        h = h_poly(FVector(orbit[k]))
         rootset = find_roots(h, precision_bits=bits)
         with mp.workprec(bits):
             roots = rootset.roots

@@ -1,7 +1,9 @@
-"""Certified polynomial root finding for rational-coefficient polynomials.
+"""Certified polynomial root finding for integer-coefficient polynomials.
 
-Exact zero roots are deflated symbolically first.  The rest of the roots
-take one of two routes, recorded in ``RootSet.method``:
+A polynomial is a sequence of ints, highest degree first, as
+``complexes.h_poly`` returns it.  Exact zero roots are deflated
+symbolically first, and the rest is divided by its content.  Its roots
+then take one of two routes, recorded in ``RootSet.method``:
 
 - ``"isolated"``: when the integer Sturm sequence shows the deflated
   polynomial squarefree with every root real, each root is isolated in a
@@ -25,8 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .polynomials import RationalPoly
 
 DEFAULT_PRECISION_BITS = 128
 MAX_ITERATIONS = 200
@@ -58,9 +58,6 @@ class RootSet:
     real_certified: tuple
     precision_bits: int
     method: str
-
-    def real_roots(self) -> tuple:
-        return tuple(z for z, ok in zip(self.roots, self.real_certified) if ok)
 
 
 def _backward_residual(coeffs, abs_coeffs, z):
@@ -387,12 +384,15 @@ def _certify_real_root(ints: list, approx, precision_bits: int) -> bool:
 
 
 def find_roots(
-    poly: RationalPoly,
+    coeffs,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RootSet:
-    """All complex roots of a rational polynomial, with certification.
+    """All complex roots of an integer polynomial, with certification.
 
-    Exact zero roots are deflated symbolically first.  When the rest is
+    coeffs are the polynomial's ints, highest degree first.  A non-int
+    coefficient raises TypeError; a zero leading coefficient or a degree
+    below 1 raises ValueError.  Exact zero roots are deflated symbolically
+    first, and the rest is divided by its content.  When that is
     squarefree with only real roots (its Sturm count equals its degree),
     every root is isolated and refined in exact integer arithmetic, rounded
     to nearest at precision_bits and certified by an exact sign bracket of
@@ -408,22 +408,25 @@ def find_roots(
     """
     import mpmath as mp
 
-    if poly.is_zero or poly.degree < 1:
+    work = list(coeffs)
+    for c in work:
+        if not isinstance(c, int):
+            raise TypeError(f"expected int coefficients, got {type(c).__name__}")
+    if len(work) < 2:
         raise ValueError("root finding needs a polynomial of degree >= 1")
+    if work[0] == 0:
+        raise ValueError("the leading coefficient must be nonzero")
     if precision_bits < 16:
         raise ValueError("precision_bits must be at least 16")
 
-    work = list(poly.coeffs)
     zero_roots = 0
-    while len(work) > 1 and work[-1] == 0:
+    while work[-1] == 0:
         work.pop()
         zero_roots += 1
     degree = len(work) - 1
-    # the primitive integer form: a positive multiple, so the same signs
-    denominator = math.lcm(*(c.denominator for c in work))
-    ints = [c.numerator * (denominator // c.denominator) for c in work]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
+    # the primitive form: a positive divisor keeps the signs
+    content = math.gcd(*work)
+    ints = [c // content for c in work]
 
     with mp.workprec(precision_bits):
         zeros = tuple(mp.mpc(0) for _ in range(zero_roots))
@@ -432,15 +435,15 @@ def find_roots(
             certified = tuple(True for _ in zeros)
             return RootSet(zeros, residuals, certified, precision_bits, "isolated")
 
-        coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in work]
-        abs_coeffs = [abs(a) for a in coeffs]
+        mp_coeffs = [mp.mpf(c) for c in work]
+        abs_coeffs = [abs(a) for a in mp_coeffs]
         raw = _isolated_roots(ints, precision_bits)
         method = "isolated"
         if raw is None:
             method = "polyroots"
             try:
                 raw = mp.polyroots(
-                    coeffs, maxsteps=MAX_ITERATIONS, extraprec=precision_bits // 2
+                    mp_coeffs, maxsteps=MAX_ITERATIONS, extraprec=precision_bits // 2
                 )
             except mp.libmp.libhyper.NoConvergence as exc:
                 raise RootFindingError(
@@ -453,7 +456,7 @@ def find_roots(
             (mp.mpc(r) for r in raw), key=lambda w: (abs(w), mp.re(w), mp.im(w))
         )
         tail_residuals = tuple(
-            _backward_residual(coeffs, abs_coeffs, w) for w in ordered
+            _backward_residual(mp_coeffs, abs_coeffs, w) for w in ordered
         )
         worst = max(tail_residuals)
         if worst > target:

@@ -22,8 +22,6 @@ from functools import cache
 from math import comb, factorial, gcd
 from typing import Sequence
 
-from .polynomials import RationalPoly
-
 BRUTE_FORCE_DIMENSION_CAP = 5
 
 
@@ -143,15 +141,6 @@ def limit_h_coefficients(d: int) -> tuple[Fraction, ...]:
     if d < 0:
         raise ValueError("d must be at least 0")
     return shift_matrix(d).apply(eigen_rationals(d))[::-1]
-
-
-def h_polynomial_limit(d: int) -> RationalPoly:
-    """The polynomial of :func:`limit_h_coefficients`, leading zero dropped.
-
-    For d >= 1 this has degree d, positive interior coefficients and zero
-    constant term; for d = 0 it degenerates to the constant 1.
-    """
-    return RationalPoly.from_coefficients(limit_h_coefficients(d))
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,8 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
         assert err == "error: --precision-bits must be at most 8192\n", bits
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "65")
     assert err == "error: subdivision depth 65 exceeds the cap 64\n"
+    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", str(10**20))
+    assert err == f"error: subdivision depth {10**20} exceeds the cap 64\n"
     err = run_cli_error(capsys, "zeros", "--n", "6", "--k", "-1")
     assert err == "error: k_max must be nonnegative\n"
 

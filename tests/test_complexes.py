@@ -1,6 +1,8 @@
 """Sieves, squarefree-divisor complexes, and explicit subdivision."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from baryzeros import (
     ComplexSummary,
@@ -164,25 +166,48 @@ def test_fvector_accessors():
 
 
 def test_h_poly_known_cases():
-    assert h_poly(FVector((1, 3, 1))).coeffs == (1, 1, -1)
-    assert h_poly(FVector((1, 4, 2))).coeffs == (1, 2, -1)
-    assert h_poly(FVector((1, 10, 7, 1))).coeffs == (1, 7, -10, 3)
-    assert h_poly(FVector((1, 18, 20, 6))).coeffs == (1, 15, -13, 3)
+    assert h_poly(FVector((1, 3, 1))) == (1, 1, -1)
+    assert h_poly(FVector((1, 4, 2))) == (1, 2, -1)
+    assert h_poly(FVector((1, 10, 7, 1))) == (1, 7, -10, 3)
+    assert h_poly(FVector((1, 18, 20, 6))) == (1, 15, -13, 3)
 
 
 def test_h_poly_degenerate_cases():
     "A single point has h(z) = z; the empty-simplex complex gets -1."
-    assert h_poly(FVector((1, 1))).coeffs == (1, 0)
-    assert h_poly(FVector((1,))).coeffs == (-1,)
+    assert h_poly(FVector((1, 1))) == (1, 0)
+    assert h_poly(FVector((1,))) == (-1,)
 
 
 def test_h_poly_constant_term_tracks_euler_char():
     for counts in ((1, 3, 1), (1, 10, 7, 1), (1, 18, 20, 6), (1, 5, 4)):
         fv = FVector(counts)
         h = h_poly(fv)
-        assert h.coeffs[0] == 1
+        assert h[0] == 1
         sign = -1 if fv.dim % 2 else 1
-        assert h.constant_term == sign * fv.euler_char()
+        assert h[-1] == sign * fv.euler_char()
+
+
+def horner(coeffs, x):
+    "The polynomial with these coefficients, highest degree first, at x."
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+@given(
+    st.builds(
+        lambda middle, top: (1, *middle, top),
+        st.lists(st.integers(0, 10**12), max_size=8),
+        st.integers(1, 10**12),
+    ),
+    st.fractions(min_value=-50, max_value=50, max_denominator=20),
+)
+def test_h_poly_is_f_poly_at_z_minus_one(counts, x):
+    "h_poly, built by the shift matrix, is the f-polynomial composed with z - 1."
+    h = h_poly(FVector(counts))
+    assert all(type(c) is int for c in h)
+    assert horner(h, x) == horner(counts, x - 1)
 
 
 def test_summary_known_complexes():
@@ -267,7 +292,7 @@ def test_explicit_complex_respects_bound(monkeypatch):
 def test_subdivide_known_face_counts():
     once = barycentric_subdivide(explicit_complex(6))
     assert once.f_vector().counts == (1, 4, 2)
-    assert h_poly(once.f_vector()).coeffs == (1, 2, -1)
+    assert h_poly(once.f_vector()) == (1, 2, -1)
     big = barycentric_subdivide(explicit_complex(30))
     assert big.f_vector().counts == (1, 18, 20, 6)
 

@@ -43,6 +43,18 @@ def test_subdivided_f_guards():
         subdivided_f(fv, 65)
 
 
+@pytest.mark.parametrize("n", [30, 210, 30030])
+def test_orbit_matches_subdivided_f_and_closed_form(n):
+    "The walk trajectory takes, one step per depth, against k-step rebuilds."
+    fv = summary(n).f_vector
+    orbit = dynamics._orbit(fv, 64)
+    expansion = growth_expansion(fv)
+    assert len(orbit) == 65
+    for k, counts in enumerate(orbit):
+        assert counts == subdivided_f(fv, k).counts, k
+        assert counts == tuple(expansion.evaluate(i, k) for i in range(-1, fv.dim + 1))
+
+
 def test_growth_expansion_line_complex():
     "Vertex counts of the repeatedly subdivided segment pair: 2^k + 2."
     g = growth_expansion(FVector((1, 3, 1)))
@@ -124,19 +136,19 @@ def test_trajectory_convergence_direction():
 
 
 def sturm_count(poly) -> int:
-    "Distinct real roots of a rational polynomial by Sturm's theorem."
+    "Distinct real roots of an integer polynomial by Sturm's theorem, in Fractions."
 
     def remainder(a, b):
         a = list(a)
         while len(a) >= len(b):
-            q = a[0] / b[0]
+            q = Fraction(a[0]) / b[0]
             a = [x - q * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
         while a and a[0] == 0:
             a.pop(0)
         return a
 
-    n = poly.degree
-    seq = [list(poly.coeffs), [(n - i) * c for i, c in enumerate(poly.coeffs[:-1])]]
+    n = len(poly) - 1
+    seq = [list(poly), [(n - i) * c for i, c in enumerate(poly[:-1])]]
     while len(seq[-1]) > 1:
         rem = remainder(seq[-2], seq[-1])
         if not rem:
@@ -163,7 +175,7 @@ def test_trajectory_certified_at_deep_depths(n, k):
     assert max(e.residuals) <= mp.mpf(2) ** -(e.precision_bits // 2)
     assert len(e.roots) == t.dim + 1
     h = h_poly(subdivided_f(t.base, k))
-    assert len(find_roots(h, e.precision_bits).real_roots()) == sturm_count(h)
+    assert sum(find_roots(h, e.precision_bits).real_certified) == sturm_count(h)
 
 
 def test_trajectory_selected_depths():

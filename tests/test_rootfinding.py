@@ -1,4 +1,4 @@
-"""Certified numeric root extraction for rational polynomials."""
+"""Certified numeric root extraction for integer polynomials."""
 
 from fractions import Fraction
 from math import lcm
@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational
 
-from baryzeros import RationalPoly, RootFindingError, RootSet, find_roots, rootfinding
+from baryzeros import RootFindingError, RootSet, find_roots, rootfinding
+from test_complexes import horner
 
 
-def poly(*coeffs) -> RationalPoly:
-    return RationalPoly.from_coefficients(coeffs)
+def poly(*coeffs) -> tuple:
+    "Integer coefficients of a rational polynomial, denominators cleared."
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    return tuple(int(c * scale) for c in coeffs)
 
 
-def product(*roots) -> RationalPoly:
-    "Monic polynomial with exactly the given rational roots."
+def product(*roots) -> tuple:
+    "Integer polynomial with exactly the given rational roots."
     coeffs = [Fraction(1)]
     for r in roots:
         coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
@@ -88,7 +91,7 @@ def test_complex_pair_not_certified_real():
     assert rs.method == "polyroots"
     assert len(rs.roots) == 2
     assert not any(rs.real_certified)
-    assert rs.real_roots() == ()
+    assert rs.real_certified == (False, False)
     with mp.workprec(rs.precision_bits):
         assert all(abs(abs(z) - 1) < mp.mpf(2) ** -100 for z in rs.roots)
 
@@ -97,7 +100,7 @@ def test_distinct_integer_roots_certified():
     "(z - 1)(z - 2)(z - 3)(z - 4), all real and separated."
     rs = find_roots(poly(1, -10, 35, -50, 24))
     assert rs.method == "isolated"
-    assert len(rs.real_roots()) == 4
+    assert rs.real_certified == (True,) * 4
     seen = sorted(float(z.real) for z in rs.roots)
     assert all(abs(a - b) < 1e-25 for a, b in zip(seen, (1.0, 2.0, 3.0, 4.0)))
 
@@ -201,7 +204,7 @@ def test_isolation_agrees_with_polyroots(roots, bits):
     assert rs.method == "isolated"
     assert all(rs.real_certified)
     with mp.workprec(max(2 * bits, 128)):
-        coeffs = [mp.mpf(c.numerator) / c.denominator for c in p.coeffs]
+        coeffs = [mp.mpf(c) for c in p]
         ref = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * bits)
         # by value: +-r tie in modulus, and the reference's error can break the tie
         ref = sorted(mp.re(w) for w in ref)
@@ -212,13 +215,13 @@ def test_isolation_agrees_with_polyroots(roots, bits):
         assert z.real._mpf_ == nearest and z.imag == 0, (z, r)
 
 
-def certify_by_fractions(p: RationalPoly, approx, bits: int) -> bool:
+def certify_by_fractions(p: tuple, approx, bits: int) -> bool:
     "The exact sign bracket of _certify_real_root, in Fraction arithmetic."
     sign, man, exp, _ = mp.re(approx)._mpf_
     x = Fraction(-man if sign else man) * Fraction(2) ** exp
     delta = max(abs(x), Fraction(1)) / Fraction(2) ** (bits // 2)
     for _ in range(rootfinding._CERTIFY_DOUBLINGS):
-        lo, hi = p(x - delta), p(x + delta)
+        lo, hi = horner(p, x - delta), horner(p, x + delta)
         if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
             return True
         delta *= 2
@@ -243,15 +246,13 @@ def test_certification_agrees_with_fractions(roots, pairs, bits, nudges):
     assume(roots or pairs)
     p = product(*roots)
     for u, v in pairs:
-        coeffs = [Fraction(0)] * (len(p.coeffs) + 2)
-        for i, c in enumerate(p.coeffs):
+        coeffs = [Fraction(0)] * (len(p) + 2)
+        for i, c in enumerate(p):
             for j, m in enumerate((1, -2 * u, u * u + v * v)):
                 coeffs[i + j] += c * m
         p = poly(*coeffs)
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
     with mp.workprec(bits):
-        coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in p.coeffs]
+        coeffs = [mp.mpf(c) for c in p]
         try:
             raw = mp.polyroots(coeffs, maxsteps=400, extraprec=bits // 2)
         except mp.NoConvergence:
@@ -262,7 +263,7 @@ def test_certification_agrees_with_fractions(roots, pairs, bits, nudges):
                 step = max(abs(mp.re(w)), 1) * mp.mpf(2) ** (shift - bits // 2)
                 approx.append(w + sign * step)
         for w in approx:
-            got = rootfinding._certify_real_root(ints, w, bits)
+            got = rootfinding._certify_real_root(p, w, bits)
             assert got == certify_by_fractions(p, w, bits), (w, bits)
 
 
@@ -301,6 +302,12 @@ def test_rejects_degenerate_inputs():
         find_roots(poly(0))
     with pytest.raises(ValueError):
         find_roots(poly(1, 1), precision_bits=8)
+    with pytest.raises(TypeError, match="int coefficients"):
+        find_roots((1.0, 2))
+    with pytest.raises(TypeError, match="int coefficients"):
+        find_roots((1, Fraction(1, 2)))
+    with pytest.raises(ValueError, match="leading coefficient"):
+        find_roots((0, 1, 2))
 
 
 def test_precision_floor_respected():
@@ -327,8 +334,7 @@ def test_assorted_rational_polynomials():
     ]
     for coeffs in cases:
         rs = find_roots(poly(*coeffs))
-        degree = poly(*coeffs).degree
-        assert len(rs.roots) == degree, coeffs
+        assert len(rs.roots) == len(coeffs) - 1, coeffs
         target = mp.mpf(2) ** -(rs.precision_bits // 2)
         assert all(r <= target for r in rs.residuals), coeffs
 

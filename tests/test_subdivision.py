@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from baryzeros import (
-    RationalPoly,
     descent_matrix,
     descent_matrix_bruteforce,
     det_sign_check,
     eigen_rationals,
     eigen_rationals_direct,
-    h_polynomial_limit,
     limit_h_coefficients,
     shift_matrix,
     stirling2,
@@ -28,6 +26,7 @@ from reference_tables import (
     H_LIMIT_REFERENCE,
     TRANSFER_REFERENCE,
 )
+from test_complexes import horner
 
 
 def brute_partition_count(n: int, k: int) -> int:
@@ -102,16 +101,15 @@ def test_limit_h_disputed_cell():
     assert printed == 0
     assert computed == 1
     assert limit_h_coefficients(0) == (Fraction(0), Fraction(1))
-    assert h_polynomial_limit(0).coeffs == (Fraction(1),)
 
 
 def test_limit_polys_related_by_shift():
     "At d + 2 points, which pin down a polynomial of degree at most d + 1."
     for d in range(0, 17):
-        f = RationalPoly.from_coefficients(eigen_rationals(d))
-        h = h_polynomial_limit(d)
+        f = eigen_rationals(d)
+        h = limit_h_coefficients(d)
         for x in map(Fraction, range(d + 2)):
-            assert h(x) == f(x - 1), (d, x)
+            assert horner(h, x) == horner(f, x - 1), (d, x)
 
 
 def test_transfer_matrix_displays():
