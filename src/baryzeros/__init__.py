@@ -20,7 +20,6 @@ names below are served on first access.
 """
 
 from .complexes import (
-    ComplexSummary,
     ConsistencyError,
     FVector,
     ResourceLimitError,
@@ -88,7 +87,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "AlphaRecord",
     "CheckResult",
-    "ComplexSummary",
     "ConjectureReport",
     "ConsistencyError",
     "FVector",

@@ -272,14 +272,15 @@ def _cmd_chi(args) -> int:
         raise CliError("need 1 <= --from <= --to")
     if args.stop > limit:
         raise CliError(f"--to {args.stop} exceeds the sieve limit {limit}")
-    chi, mm = chi_profile(args.stop)
+    chi = chi_profile(args.stop)
+    mm = shared_sieve(args.stop).mertens_prefix
     header = ["n", "chi", "mertens", "dim"]
     dims = chain.from_iterable(
         repeat(d, hi - lo) for d, lo, hi in dimension_runs(args.start, args.stop + 1)
     )
     ns = range(args.start, args.stop + 1)
     # the key is the tail itself: three ints
-    rows = zip(ns, zip(chi[args.start :], mm[args.start :], dims))
+    rows = zip(ns, zip(chi[args.start :], mm[args.start : args.stop + 1], dims))
     _emit_table(
         args,
         "chi",

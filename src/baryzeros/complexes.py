@@ -8,6 +8,7 @@ function at n, which doubles as a built-in consistency oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -149,7 +150,7 @@ def dimension_runs(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# f-vectors and summaries
+# f-vectors
 
 
 @dataclass(frozen=True)
@@ -206,54 +207,40 @@ def h_poly(fv: FVector) -> tuple[int, ...]:
     return shift_matrix(fv.dim).apply(fv.counts)[::-1]
 
 
-@dataclass(frozen=True)
-class ComplexSummary:
-    """Face data of the squarefree-divisor complex at n, cross-checked."""
-
-    n: int
-    dim: int
-    f_vector: FVector
-    euler_char: int
-    mertens: int
-
-    def __post_init__(self):
-        if self.euler_char != -self.mertens:
-            raise ConsistencyError(
-                f"euler characteristic {self.euler_char} and Mertens value "
-                f"{self.mertens} disagree at n={self.n}"
-            )
-
-
-def summary(n: int) -> ComplexSummary:
-    """f-vector, Euler characteristic and Mertens cross-check for one n."""
+def summary(n: int) -> FVector:
+    """f-vector of the complex at n, its Euler characteristic cross-checked
+    against minus the Mertens value."""
     if n < 1:
         raise ValueError("n must be at least 1")
     table = shared_sieve(n)
-    d = dim_of(n)
-    counts = [0] * (d + 2)
+    counts = [0] * (dim_of(n) + 2)
     weight = table.weight
     for k in range(1, n + 1):
         w = weight[k]
         if w >= 0:
             counts[w] += 1
     fv = FVector(tuple(counts))
-    return ComplexSummary(n, d, fv, fv.euler_char(), table.mertens_prefix[n])
+    chi, mertens_n = fv.euler_char(), table.mertens_prefix[n]
+    if chi != -mertens_n:
+        raise ConsistencyError(
+            f"euler characteristic {chi} and Mertens value "
+            f"{mertens_n} disagree at n={n}"
+        )
+    return fv
 
 
-def chi_profile(limit: int) -> tuple[list[int], list[int]]:
-    """Euler characteristics and Mertens values for all n <= limit.
+def chi_profile(limit: int) -> list[int]:
+    """Euler characteristics for all n <= limit, indexed by n, slot 0 unused.
 
-    Returns (chi, mertens_values), both indexed by n with slot 0 unused.
-    chi is accumulated from squarefree weight classes (each squarefree n
-    of weight w contributes (-1)^(w-1)), mertens_values is the sieve's
-    running Moebius sum; the two routes are compared by callers.
+    Accumulated from squarefree weight classes (each squarefree n of
+    weight w contributes (-1)^(w-1)), a route apart from the sieve's
+    running Moebius sum, against which callers compare it.
     """
     if limit < 0:
         raise ValueError(f"limit={limit} must be nonnegative")
-    table = shared_sieve(limit)
     chi = [0] * (limit + 1)
     chi_run = 0
-    w = table.weight
+    w = shared_sieve(limit).weight
     for k in range(1, limit + 1):
         wk = w[k]
         if wk == 0:
@@ -261,12 +248,12 @@ def chi_profile(limit: int) -> tuple[list[int], list[int]]:
         elif wk > 0:
             chi_run += -1 if (wk - 1) % 2 else 1
         chi[k] = chi_run
-    return chi, table.mertens_prefix[: limit + 1]
+    return chi
 
 
 def first_negative_euler(limit: int = 200) -> int | None:
     """Smallest n >= 2 with negative Euler characteristic, if any <= limit."""
-    chi, _ = chi_profile(limit)
+    chi = chi_profile(limit)
     for n in range(2, limit + 1):
         if chi[n] < 0:
             return n
@@ -291,20 +278,16 @@ class SimplicialComplex:
     @classmethod
     def from_facets(cls, facets: Iterable) -> "SimplicialComplex":
         """Downward closure of the given generating faces."""
-        import itertools as _it
-
         out = {frozenset()}
         for facet in facets:
             members = tuple(facet)
             for size in range(1, len(members) + 1):
-                for sub in _it.combinations(members, size):
+                for sub in itertools.combinations(members, size):
                     out.add(frozenset(sub))
         return cls(frozenset(out))
 
     def validate(self) -> None:
         """Raise if some face is missing a subset (closure violation)."""
-        import itertools as _it
-
         present = self.simplices
         if frozenset() not in present:
             raise ValueError("missing the empty simplex")
@@ -377,13 +360,11 @@ def barycentric_subdivide(complex_: SimplicialComplex) -> SimplicialComplex:
     label = {s: tuple(sorted(s)) for s in faces}
     face_set = set(faces)
 
-    import itertools as _it
-
     strict_supersets: dict = {s: [] for s in faces}
     for big in faces:
         members = tuple(big)
         for size in range(1, len(members)):
-            for sub in _it.combinations(members, size):
+            for sub in itertools.combinations(members, size):
                 fs = frozenset(sub)
                 if fs in face_set:
                     strict_supersets[fs].append(big)

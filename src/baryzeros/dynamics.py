@@ -31,12 +31,12 @@ DEFAULT_TRAJECTORY_PRECISION = 192
 MAX_SUBDIVISION_DEPTH = 64
 
 
-def _orbit(fv: FVector, depth: int) -> list:
-    """Count vectors of fv after 0, 1, ..., depth rounds of subdivision.
+def subdivided_f(fv: FVector, depth: int) -> tuple[FVector, ...]:
+    """Face counts after 0, 1, ..., depth rounds of barycentric subdivision.
 
-    One round multiplies the count vector by the integer transfer matrix
-    of the ambient dimension, so the orbit takes depth steps.  The one
-    check of the depth cap.
+    Exact: one round multiplies the count vector by the integer transfer
+    matrix of the ambient dimension, which never changes, so the orbit of
+    depth + 1 FVectors takes depth steps.  The one check of the depth cap.
     """
     if depth < 0:
         raise ValueError("subdivision depth must be nonnegative")
@@ -45,18 +45,10 @@ def _orbit(fv: FVector, depth: int) -> list:
             f"subdivision depth {depth} exceeds the cap {MAX_SUBDIVISION_DEPTH}"
         )
     matrix = transfer_matrix(fv.dim)
-    orbit = [fv.counts]
+    orbit = [fv]
     for _ in range(depth):
-        orbit.append(matrix.apply(orbit[-1]))
-    return orbit
-
-
-def subdivided_f(fv: FVector, k: int) -> FVector:
-    """Face counts after k rounds of barycentric subdivision, exactly.
-
-    The dimension never changes.
-    """
-    return FVector(_orbit(fv, k)[-1])
+        orbit.append(FVector(matrix.apply(orbit[-1].counts)))
+    return tuple(orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +188,9 @@ def trajectory(
     Produces one entry per depth k = 0..k_max, or exactly the depths in
     k_values when that is given.  Needs dimension at least 1 so that the
     smallest and largest roots are distinct objects.  Precision is raised
-    automatically with k.  The exact face counts are walked one transfer
-    step per depth up to the deepest depth before the first root search,
-    so a depth above the cap fails at once.
+    automatically with k.  One :func:`subdivided_f` orbit to the deepest
+    depth gives the exact face counts before the first root search, so a
+    depth above the cap fails at once.
     """
     import mpmath as mp
 
@@ -210,20 +202,19 @@ def trajectory(
         if min(k_values, default=0) < 0:
             raise ValueError("subdivision depth must be nonnegative")
         deepest = max(k_values, default=0)
-    info = summary(n)
-    d = info.dim
+    fv = summary(n)
+    d = fv.dim
     if d < 1:
         raise ValueError(f"n={n} has dimension {d}; trajectories need dim >= 1")
     h1 = eigen_rationals(d)[1]
-    f_top = info.f_vector.count(d)
-    chi = info.euler_char
+    f_top = fv.count(d)
     fac = math.factorial(d + 1)
 
-    orbit = _orbit(info.f_vector, deepest)
+    orbit = subdivided_f(fv, deepest)
     entries = []
     for k in k_values:
         bits = trajectory_precision(d, k, precision_bits)
-        h = h_poly(FVector(orbit[k]))
+        h = h_poly(orbit[k])
         rootset = find_roots(h, precision_bits=bits)
         with mp.workprec(bits):
             roots = rootset.roots
@@ -259,7 +250,7 @@ def trajectory(
                 prod_rel_err=prod_err,
             )
         )
-    return ZeroTrajectory(n, d, info.f_vector, chi, h1, f_top, tuple(entries))
+    return ZeroTrajectory(n, d, fv, fv.euler_char(), h1, f_top, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +315,9 @@ def alpha(n: int) -> AlphaRecord:
     """
     if n < 6:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
-    info = summary(n)
-    d = info.dim
-    chi, f_top = info.euler_char, info.f_vector.count(d)
+    fv = summary(n)
+    d = fv.dim
+    chi, f_top = fv.euler_char(), fv.count(d)
     return AlphaRecord(n, d, chi, f_top, *_alpha_fields(chi, f_top, *_h1_log_fac(d)))
 
 
@@ -341,7 +332,7 @@ def alpha_scan(n_max: int) -> list[AlphaRecord]:
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
-    chi, _ = chi_profile(n_max)
+    chi = chi_profile(n_max)
     weight = shared_sieve(n_max).weight
     records = []
     for d, lo, hi in dimension_runs(6, n_max + 1):

@@ -193,6 +193,7 @@ def identity_matrix(d: int) -> SimplexMatrix:
     )
 
 
+@cache
 def transfer_matrix(d: int) -> SimplexMatrix:
     """Upper-triangular matrix of subdivision counts, diagonal 0!..(d+1)!.
 

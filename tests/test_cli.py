@@ -18,7 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import baryzeros
-from baryzeros import RootFindingError, __version__, eigen_rationals, summary
+from baryzeros import RootFindingError, __version__, checks, eigen_rationals, summary
 from baryzeros.checks import SUITES
 from baryzeros.cli import _typed, _untyped, _write_csv, _write_json, main
 from baryzeros.complexes import DEFAULT_SIEVE_LIMIT
@@ -232,13 +232,13 @@ def _alpha_oracle_rows(n_max: int) -> list[list]:
     "alpha --to rows from Fraction(chi, h1*f_top), str(h1) and the exponent formula."
     rows = []
     for n in range(1, n_max + 1):
-        info = summary(n)
-        d, chi = info.dim, info.euler_char
+        fv = summary(n)
+        d, chi = fv.dim, fv.euler_char()
         if d < 1:
             rows.append([n, d, chi, None, None, None, None, "skipped"])
             continue
         h1 = eigen_rationals(d)[1]
-        f_top = info.f_vector.count(d)
+        f_top = fv.count(d)
         value = Fraction(chi, h1 * f_top)
         exponent = None
         if value:
@@ -401,6 +401,21 @@ def test_verify_passes_and_reports(capsys):
 def test_verify_all_suites_green(capsys):
     out = run_cli(capsys, "verify", "--suite", "all")
     assert "FAIL" not in out
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    "A failed check prints its FAIL line, counts in the total and exits 1."
+    monkeypatch.setattr(checks, "FIRST_NEGATIVE", 95)
+    assert main(["verify", "--suite", "complex"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL first-negative-euler: first negative at 94, expected 95" in lines
+    assert lines[-1] == "4 passed, 1 failed"
+
+
+def test_verdict_names_the_first_failure_and_counts_the_rest():
+    result = checks._verdict("name", ["a", "b", "c"], "scope")
+    assert result == checks.CheckResult("name", False, "a (+2 more)")
+    assert checks._verdict("name", [], "scope") == checks.CheckResult("name", True, "scope")
 
 
 def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from baryzeros import (
-    ComplexSummary,
     ConsistencyError,
     FVector,
     ResourceLimitError,
@@ -119,7 +118,7 @@ def test_summary_counts_match_weight_rescans():
     for n in range(1, 2001):
         d = dim_of(n)
         expected = (1, *(weight_count(w, n) for w in range(1, d + 2)))
-        assert summary(n).f_vector.counts == expected, n
+        assert summary(n).counts == expected, n
 
 
 def test_dim_of_primorial_steps():
@@ -212,31 +211,39 @@ def test_h_poly_is_f_poly_at_z_minus_one(counts, x):
 
 def test_summary_known_complexes():
     s6 = summary(6)
-    assert (s6.dim, s6.f_vector.counts, s6.euler_char) == (1, (1, 3, 1), 1)
+    assert (s6.dim, s6.counts, s6.euler_char()) == (1, (1, 3, 1), 1)
     s30 = summary(30)
-    assert (s30.dim, s30.f_vector.counts, s30.euler_char) == (2, (1, 10, 7, 1), 3)
+    assert (s30.dim, s30.counts, s30.euler_char()) == (2, (1, 10, 7, 1), 3)
     s94 = summary(94)
-    assert (s94.dim, s94.euler_char) == (2, -1)
+    assert (s94.dim, s94.euler_char()) == (2, -1)
     s210 = summary(210)
     assert s210.dim == 3
-    assert s210.f_vector.count(3) == 1
+    assert s210.count(3) == 1
 
 
-def test_summary_cross_check_is_enforced():
-    good = summary(6)
-    with pytest.raises(ConsistencyError):
-        ComplexSummary(6, 1, good.f_vector, good.euler_char, good.mertens + 1)
+def test_summary_cross_check_is_enforced(monkeypatch):
+    table = shared_sieve(6)
+    skewed = list(table.mertens_prefix)
+    skewed[6] += 1
+    monkeypatch.setattr(table, "mertens_prefix", skewed)
+    with pytest.raises(
+        ConsistencyError,
+        match=r"^euler characteristic 1 and Mertens value 0 disagree at n=6$",
+    ):
+        summary(6)
 
 
 def test_chi_profile_against_reference():
-    chi, mm = chi_profile(44)
+    chi = chi_profile(44)
+    mm = shared_sieve(44).mertens_prefix
+    assert len(chi) == 45
     assert [chi[n] for n in range(1, 45)] == CHI_REFERENCE
     assert all(chi[n] == -mm[n] for n in range(1, 45))
 
 
 def test_first_negative_euler():
     assert first_negative_euler() == 94
-    chi, _ = chi_profile(94)
+    chi = chi_profile(94)
     assert chi[94] == -1
     assert all(chi[n] >= 0 for n in range(2, 94))
 
@@ -278,13 +285,13 @@ def test_explicit_complex_matches_summary():
         c = explicit_complex(n)
         c.validate()
         s = summary(n)
-        assert c.f_vector() == s.f_vector, n
-        assert c.euler_char() == s.euler_char, n
+        assert c.f_vector() == s, n
+        assert c.euler_char() == s.euler_char(), n
 
 
 def test_explicit_complex_respects_bound(monkeypatch):
     monkeypatch.setattr("baryzeros.complexes.EXPLICIT_COMPLEX_BOUND", 10)
-    assert explicit_complex(10).f_vector() == summary(10).f_vector
+    assert explicit_complex(10).f_vector() == summary(10)
     with pytest.raises(ResourceLimitError, match="capped at n=10;"):
         explicit_complex(50)
 

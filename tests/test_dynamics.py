@@ -29,30 +29,30 @@ from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 
 def test_subdivided_f_first_rounds():
     fv = FVector((1, 3, 1))
-    assert subdivided_f(fv, 0) == fv
-    assert subdivided_f(fv, 1).counts == (1, 4, 2)
-    assert subdivided_f(fv, 2).counts == (1, 6, 4)
-    assert subdivided_f(FVector((1, 10, 7, 1)), 1).counts == (1, 18, 20, 6)
+    assert subdivided_f(fv, 0) == (fv,)
+    assert [f.counts for f in subdivided_f(fv, 2)] == [(1, 3, 1), (1, 4, 2), (1, 6, 4)]
+    assert subdivided_f(FVector((1, 10, 7, 1)), 1)[1].counts == (1, 18, 20, 6)
 
 
 def test_subdivided_f_guards():
     fv = FVector((1, 3, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subdivision depth must be nonnegative$"):
         subdivided_f(fv, -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subdivision depth 65 exceeds the cap 64$"):
         subdivided_f(fv, 65)
 
 
 @pytest.mark.parametrize("n", [30, 210, 30030])
 def test_orbit_matches_subdivided_f_and_closed_form(n):
-    "The walk trajectory takes, one step per depth, against k-step rebuilds."
-    fv = summary(n).f_vector
-    orbit = dynamics._orbit(fv, 64)
+    "The orbit, one step per depth, against its k-step prefixes and the closed form."
+    fv = summary(n)
+    orbit = subdivided_f(fv, 64)
     expansion = growth_expansion(fv)
     assert len(orbit) == 65
-    for k, counts in enumerate(orbit):
-        assert counts == subdivided_f(fv, k).counts, k
-        assert counts == tuple(expansion.evaluate(i, k) for i in range(-1, fv.dim + 1))
+    for k, fk in enumerate(orbit):
+        assert fk.dim == fv.dim
+        assert subdivided_f(fv, k) == orbit[: k + 1], k
+        assert fk.counts == tuple(expansion.evaluate(i, k) for i in range(-1, fv.dim + 1))
 
 
 def test_growth_expansion_line_complex():
@@ -69,11 +69,11 @@ def test_growth_expansion_line_complex():
 def test_growth_expansion_leading_coefficients():
     "The top-eigenvalue coefficient is f_top times the eigen weight."
     for n in (6, 30, 210):
-        info = summary(n)
-        d = info.dim
-        g = growth_expansion(info.f_vector)
+        fv = summary(n)
+        d = fv.dim
+        g = growth_expansion(fv)
         weights = eigen_rationals(d)
-        f_top = info.f_vector.count(d)
+        f_top = fv.count(d)
         for i in range(-1, d + 1):
             assert g.leading(i) == f_top * weights[i + 1], (n, i)
 
@@ -89,8 +89,7 @@ def test_growth_expansion_reproduces_exact_counts():
     ):
         fv = FVector(counts)
         g = growth_expansion(fv)
-        for k in range(0, 13):
-            fk = subdivided_f(fv, k)
+        for k, fk in enumerate(subdivided_f(fv, 12)):
             for i in range(-1, fv.dim + 1):
                 assert g.evaluate(i, k) == fk.count(i), (counts, i, k)
 
@@ -174,8 +173,22 @@ def test_trajectory_certified_at_deep_depths(n, k):
     assert e.rho_inf_real
     assert max(e.residuals) <= mp.mpf(2) ** -(e.precision_bits // 2)
     assert len(e.roots) == t.dim + 1
-    h = h_poly(subdivided_f(t.base, k))
+    h = h_poly(subdivided_f(t.base, k)[k])
     assert sum(find_roots(h, e.precision_bits).real_certified) == sturm_count(h)
+
+
+def test_trajectory_walks_one_orbit(monkeypatch):
+    "trajectory takes its face counts from one subdivided_f call at the deepest depth."
+    calls = []
+    walk = dynamics.subdivided_f
+
+    def counting(fv, depth):
+        calls.append(depth)
+        return walk(fv, depth)
+
+    monkeypatch.setattr(dynamics, "subdivided_f", counting)
+    trajectory(30, 5)
+    assert calls == [5]
 
 
 def test_trajectory_selected_depths():
@@ -275,11 +288,9 @@ def test_conjecture_report_matches_fraction_reference():
     n_max = 2000
     strong, weak, zeros, exponents = [], [], 0, {}
     for n in range(6, n_max + 1):
-        info = summary(n)
-        d = info.dim
-        value = Fraction(info.euler_char) / (
-            eigen_rationals(d)[1] * info.f_vector.count(d)
-        )
+        fv = summary(n)
+        d = fv.dim
+        value = Fraction(fv.euler_char()) / (eigen_rationals(d)[1] * fv.count(d))
         if value == 0:
             zeros += 1
             continue
