@@ -30,6 +30,7 @@ from .complexes import (
 )
 from .dynamics import alpha_scan, growth_expansion, subdivided_f, trajectory
 from .subdivision import (
+    BRUTE_FORCE_DIMENSION_CAP,
     descent_matrix,
     descent_matrix_bruteforce,
     det_sign_check,
@@ -48,7 +49,6 @@ DEFAULT_SEED = 94
 CORE_MAX_DIM = 10
 EXACT_TABLE_MAX_DIM = 12
 CHAIN_FORMULA_MAX_DIM = 8
-BRUTE_DESCENT_MAX_DIM = 5
 MERTENS_LIMIT = 100_000
 FIRST_NEGATIVE = 94
 RANDOM_COMPLEX_INSTANCES = 50
@@ -158,13 +158,13 @@ def _check_similarity() -> CheckResult:
 def _check_descent_bruteforce() -> CheckResult:
     bad = [
         f"d={d}"
-        for d in range(0, BRUTE_DESCENT_MAX_DIM + 1)
+        for d in range(0, BRUTE_FORCE_DIMENSION_CAP + 1)
         if descent_matrix_bruteforce(d) != descent_matrix(d)
     ]
     return _verdict(
         "descent-recurrence-vs-enumeration",
         bad,
-        f"d <= {BRUTE_DESCENT_MAX_DIM}, full permutation counts",
+        f"d <= {BRUTE_FORCE_DIMENSION_CAP}, full permutation counts",
     )
 
 
@@ -465,7 +465,7 @@ def _check_growth_expansion() -> CheckResult:
 
 def _check_trajectory_dim1() -> CheckResult:
     bad = []
-    run = trajectory(6, 16)
+    run = trajectory(6, range(17))
     for entry in run.entries:
         k = entry.k
         if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
@@ -492,7 +492,7 @@ def _check_trajectory_dim1() -> CheckResult:
 
 def _check_trajectory_dim2() -> CheckResult:
     bad = []
-    run = trajectory(30, 12, precision_bits=512, k_values=[12])
+    run = trajectory(30, [12], precision_bits=512)
     entry = run.entries[0]
     if abs(entry.ratio_inf - 1) > 1e-3:
         bad.append(f"largest-root ratio off by {abs(entry.ratio_inf - 1)}")
@@ -526,7 +526,7 @@ def _check_trajectory_dim2() -> CheckResult:
 
 def _check_trajectory_dim2_deeper() -> CheckResult:
     bad = []
-    run = trajectory(30, 16, precision_bits=512, k_values=[16])
+    run = trajectory(30, [16], precision_bits=512)
     entry = run.entries[0]
     gap = abs(entry.interior[0] + 1)
     if gap > 1e-6:

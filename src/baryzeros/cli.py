@@ -87,9 +87,11 @@ def _digits(bits: int) -> int:
 # cells after the first.  A scan's rows repeat a few thousand tails over
 # hundreds of thousands of n, so each writer renders the text after the
 # first cell once per distinct key and joins it to each row's own first
-# cell.  Keys must not merge tails that render apart: scans key on the
-# fields the tail is derived from, whole rows on (type, value) pairs,
-# since True == 1 as a dict key.
+# cell.  Every table keeps to one contract: the first cell is an int (n,
+# k, i or d) and renders with str, and each column holds one type in
+# every row.  So scans key on the fields the tail is derived from, other
+# tables on the tail itself: True == 1 as a dict key, but no column holds
+# both.
 
 _BATCH_ROWS = 4096
 
@@ -101,16 +103,6 @@ def _output(out: str | None) -> Iterator[TextIO]:
             yield handle
     else:
         yield sys.stdout
-
-
-def _typed(rows: Iterable[Sequence]) -> list[tuple]:
-    """Whole rows as (first cell, key) pairs, the key each later cell
-    paired with its type; :func:`_untyped` is their tail."""
-    return [(row[0], tuple((type(v), v) for v in row[1:])) for row in rows]
-
-
-def _untyped(key: tuple) -> list:
-    return [v for _, v in key]
 
 
 def _row_batches(
@@ -136,8 +128,7 @@ def _write_csv(handle: TextIO, header: list[str], rows: Iterable, tail: Callable
     """csv.writer rows: None is an empty cell, a boolean reads true/false.
 
     A field's quoting depends on the row only when it is the row's one
-    field, so a tail renders beside a placeholder first cell and a first
-    cell beside a placeholder tail; a one-column row renders whole.
+    field, so a tail renders beside a placeholder first cell.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -148,16 +139,11 @@ def _write_csv(handle: TextIO, header: list[str], rows: Iterable, tail: Callable
         writer.writerow([("true" if v else "false") if type(v) is bool else v for v in cells])
         return buffer.getvalue()
 
-    def first_text(value) -> str:
-        if type(value) is int:
-            return str(value)
-        return line([value, 0])[: -len(",0\n")] if len(header) > 1 else line([value])[:-1]
-
     def tail_text(cells: Sequence) -> str:
         return line([0, *cells])[1:]
 
     handle.write(line(header))
-    handle.writelines(_row_batches(rows, tail, first_text, tail_text))
+    handle.writelines(_row_batches(rows, tail, str, tail_text))
 
 
 _JSON_VALUE = {
@@ -188,8 +174,8 @@ def _write_json(
     keys = [f',\n      {encode_basestring_ascii(key)}: ' for key in header]
     first_key = ",\n    {" + keys[0][1:]
 
-    def first_text(value) -> str:
-        return first_key + _JSON_VALUE[type(value)](value)
+    def first_text(value: int) -> str:
+        return first_key + str(value)
 
     def tail_text(cells: Sequence) -> str:
         return "".join([k + _JSON_VALUE[type(v)](v) for k, v in zip(keys[1:], cells)]) + "\n    }"
@@ -262,7 +248,8 @@ def _cmd_tables(args) -> int:
         raise CliError(f"--max-d must be between 0 and {MAX_TABLE_DIM}")
     header, rows = _tables_payload(args.kind, args.max_d)
     metadata = {"kind": args.kind, "max_d": args.max_d}
-    _emit_table(args, "tables", metadata, header, _typed(rows), _untyped)
+    rows = [(first, tuple(rest)) for first, *rest in rows]
+    _emit_table(args, "tables", metadata, header, rows, tuple)
     return 0
 
 
@@ -357,7 +344,9 @@ def _cmd_zeros(args) -> int:
         raise CliError("--precision-bits must be at least 16")
     if args.precision_bits > MAX_PRECISION_BITS:
         raise CliError(f"--precision-bits must be at most {MAX_PRECISION_BITS}")
-    run = trajectory(args.n, args.k, precision_bits=args.precision_bits)
+    if args.k < 0:
+        raise CliError("k_max must be nonnegative")
+    run = trajectory(args.n, range(args.k + 1), args.precision_bits)
     header = [
         "k",
         "precision_bits",
@@ -377,23 +366,21 @@ def _cmd_zeros(args) -> int:
     for entry in run.entries:
         digits = _digits(entry.precision_bits)
         with mp.workprec(entry.precision_bits):
-            rows.append(
-                [
-                    entry.k,
-                    entry.precision_bits,
-                    mp.nstr(entry.rho_0, digits),
-                    mp.nstr(entry.rho_inf, digits),
-                    mp.nstr(entry.ratio_inf, SUMMARY_DIGITS),
-                    mp.nstr(entry.scaled_rho0, SUMMARY_DIGITS),
-                    bool(entry.rho_inf_real),
-                    bool(entry.ambiguous),
-                    mp.nstr(entry.sum_rel_err, SUMMARY_DIGITS),
-                    mp.nstr(entry.prod_rel_err, SUMMARY_DIGITS),
-                    mp.nstr(max(entry.residuals), SUMMARY_DIGITS),
-                    ";".join(mp.nstr(z, digits) for z in entry.interior),
-                    ";".join(mp.nstr(z, digits) for z in entry.roots),
-                ]
+            tail = (
+                entry.precision_bits,
+                mp.nstr(entry.rho_0, digits),
+                mp.nstr(entry.rho_inf, digits),
+                mp.nstr(entry.ratio_inf, SUMMARY_DIGITS),
+                mp.nstr(entry.scaled_rho0, SUMMARY_DIGITS),
+                bool(entry.rho_inf_real),
+                bool(entry.ambiguous),
+                mp.nstr(entry.sum_rel_err, SUMMARY_DIGITS),
+                mp.nstr(entry.prod_rel_err, SUMMARY_DIGITS),
+                mp.nstr(max(entry.residuals), SUMMARY_DIGITS),
+                ";".join(mp.nstr(z, digits) for z in entry.interior),
+                ";".join(mp.nstr(z, digits) for z in entry.roots),
             )
+        rows.append((entry.k, tail))
     metadata = {
         "n": args.n,
         "dim": run.dim,
@@ -403,7 +390,7 @@ def _cmd_zeros(args) -> int:
         "f_top": run.f_top,
         "chi": run.chi,
     }
-    _emit_table(args, "zeros", metadata, header, _typed(rows), _untyped)
+    _emit_table(args, "zeros", metadata, header, rows, tuple)
     return 0
 
 

@@ -47,7 +47,7 @@ class SieveTable:
     mertens_prefix: list[int]
 
 
-def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SieveTable:
+def build_sieve(limit: int) -> SieveTable:
     """Linear (Euler) sieve writing squarefree weights in one pass.
 
     An i >= 2 not yet reached is prime and gets weight 1.  Every composite

@@ -179,29 +179,22 @@ def trajectory_precision(dim: int, k: int, requested: int) -> int:
 
 def trajectory(
     n: int,
-    k_max: int,
+    depths: Sequence[int],
     precision_bits: int = DEFAULT_TRAJECTORY_PRECISION,
-    k_values: Sequence[int] | None = None,
 ) -> ZeroTrajectory:
     """Root trajectories of the h-polynomial of the complex at n.
 
-    Produces one entry per depth k = 0..k_max, or exactly the depths in
-    k_values when that is given.  Needs dimension at least 1 so that the
-    smallest and largest roots are distinct objects.  Precision is raised
-    automatically with k.  One :func:`subdivided_f` orbit to the deepest
-    depth gives the exact face counts before the first root search, so a
-    depth above the cap fails at once.
+    Produces one entry per depth k in depths, a nonempty ascending
+    sequence such as range(k_max + 1).  Needs dimension at least 1 so
+    that the smallest and largest roots are distinct objects.  Precision
+    is raised automatically with k.  One :func:`subdivided_f` orbit to
+    depths[-1] gives the exact face counts before the first root search,
+    so a depth above the cap fails at once.
     """
     import mpmath as mp
 
-    if k_values is None:
-        if k_max < 0:
-            raise ValueError("k_max must be nonnegative")
-        k_values, deepest = range(k_max + 1), k_max
-    else:
-        if min(k_values, default=0) < 0:
-            raise ValueError("subdivision depth must be nonnegative")
-        deepest = max(k_values, default=0)
+    if not depths or depths[0] < 0:
+        raise ValueError("depths must be nonempty, ascending and nonnegative")
     fv = summary(n)
     d = fv.dim
     if d < 1:
@@ -210,9 +203,9 @@ def trajectory(
     f_top = fv.count(d)
     fac = math.factorial(d + 1)
 
-    orbit = subdivided_f(fv, deepest)
+    orbit = subdivided_f(fv, depths[-1])
     entries = []
-    for k in k_values:
+    for k in depths:
         bits = trajectory_precision(d, k, precision_bits)
         h = h_poly(orbit[k])
         rootset = find_roots(h, precision_bits=bits)
@@ -265,8 +258,10 @@ class AlphaRecord(NamedTuple):
     is alpha in lowest terms with alpha_den > 0, and exponent is
     log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple of
     plain ints and a float, so that a scan's hundreds of thousands of
-    records are cheap to build and reference no object the garbage
-    collector tracks; h1 and alpha are derived as Fractions on demand.
+    records are cheap to build; h1 and alpha are derived as Fractions on
+    demand.  Each record is itself tracked by the garbage collector: the
+    collector untracks only exact tuples, so gc.is_tracked stays True
+    for this tuple subclass after a collection.
     """
 
     n: int

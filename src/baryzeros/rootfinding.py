@@ -69,8 +69,7 @@ def _backward_residual(coeffs, abs_coeffs, z):
     for a, aa in zip(coeffs, abs_coeffs):
         p = p * z + a
         scale = scale * az + aa
-    if scale == 0:
-        return abs(p)
+    # coeffs are zero-deflated: their nonzero constant keeps scale above 0
     return abs(p) / scale
 
 
@@ -232,11 +231,11 @@ def _bisect(p: list, lo: int, hi: int, e: int, s_hi: int, bits: int):
     return lo, hi, e
 
 
-def _newton(p: list, dp: list, a: int, e: int, start: int, bits: int):
-    """Newton steps from a / 2^e, good to start bits, each step at twice
+def _newton(p: list, dp: list, a: int, e: int, bits: int):
+    """Newton steps from a / 2^e, good to _BISECT_BITS, each step at twice
     the bits of the last, up to bits; (a, e) after the last, or None if
     p' vanished."""
-    width = 2 * start
+    width = 2 * _BISECT_BITS
     while True:
         target = min(width, bits)
         grow = target - abs(a).bit_length()
@@ -305,32 +304,24 @@ def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int):
     """The root in (lo / 2^e, hi / 2^e] as a dyadic (a, e), correctly
     rounded to bits when a sign bracket inside the interval proves it.
 
-    Newton starts from a bracket of _BISECT_BITS relative bits.  Near
-    another root it converges quadratically only once the bracket is
-    narrower than their distance, so a start that does not certify is
-    retried from a bracket of twice the bits.  Bisection runs all the way
-    to bits + _GUARD_BITS only when every bracket below that falls short.
+    Newton starts once from a bracket of _BISECT_BITS relative bits.  Near
+    another root it may fall short of a certified rounding; bisection then
+    runs all the way to bits + _GUARD_BITS.
     """
     v = _value(p, hi, e)
     if v == 0:
         return hi, e
     s_hi = 1 if v > 0 else -1
     final = bits + _GUARD_BITS
-    near = (lo, hi, e)
-    width = _BISECT_BITS
-    while True:
-        near = _bisect(p, *near, s_hi, width)
-        if near[0] == near[1]:
-            return near[1:]
-        guess = _newton(p, dp, near[0] + near[1], near[2] + 1, width, final)
-        if guess is not None:
-            rounded = _rounded(p, *guess, lo, hi, e, s_hi, bits)
-            if rounded is not None:
-                return rounded
-        width *= 2
-        if width >= final:
-            break
-    # Newton fell short from every bracket: bisection keeps the sign change.
+    near = _bisect(p, lo, hi, e, s_hi, _BISECT_BITS)
+    if near[0] == near[1]:
+        return near[1:]
+    guess = _newton(p, dp, near[0] + near[1], near[2] + 1, final)
+    if guess is not None:
+        rounded = _rounded(p, *guess, lo, hi, e, s_hi, bits)
+        if rounded is not None:
+            return rounded
+    # Newton left the bracket or fell short: bisection keeps the sign change.
     n_lo, n_hi, n_e = _bisect(p, *near, s_hi, final)
     if n_lo == n_hi:
         return n_hi, n_e

@@ -113,7 +113,7 @@ def test_c2_descent_matrix_displays():
 
 
 def snapshot_dim2(k: int):
-    t = trajectory(30, 0, precision_bits=512, k_values=[k])
+    t = trajectory(30, [k], precision_bits=512)
     return t.entries[0]
 
 

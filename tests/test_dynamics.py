@@ -1,7 +1,10 @@
 """Growth expansions, zero trajectories, and scaling limits."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from math import factorial, gcd, log
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -23,8 +26,10 @@ from baryzeros import (
     trajectory,
     trajectory_precision,
 )
-from baryzeros import checks, dynamics
+from baryzeros import checks, dynamics, rootfinding
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
+
+WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
 
 
 def test_subdivided_f_first_rounds():
@@ -103,7 +108,7 @@ def test_trajectory_precision_floor():
 
 
 def test_trajectory_structure():
-    t = trajectory(6, 3)
+    t = trajectory(6, range(4))
     assert (t.n, t.dim, t.chi, t.f_top) == (6, 1, 1, 1)
     assert t.h1 == 1
     assert t.base.counts == (1, 3, 1)
@@ -120,7 +125,7 @@ def test_trajectory_structure():
 
 
 def test_trajectory_vieta_errors_tiny():
-    t = trajectory(6, 6)
+    t = trajectory(6, range(7))
     for e in t.entries:
         assert e.sum_rel_err < mp.mpf(1e-9), e.k
         assert e.prod_rel_err < mp.mpf(1e-9), e.k
@@ -128,7 +133,7 @@ def test_trajectory_vieta_errors_tiny():
 
 def test_trajectory_convergence_direction():
     "scaled_rho0 approaches |alpha| = 1 and ratio_inf approaches 1."
-    t = trajectory(6, 10)
+    t = trajectory(6, range(11))
     last = t.entries[-1]
     assert abs(float(last.scaled_rho0) - 1.0) < 1e-2
     assert abs(float(last.ratio_inf) - 1.0) < 1e-2
@@ -168,7 +173,7 @@ def sturm_count(poly) -> int:
 )
 def test_trajectory_certified_at_deep_depths(n, k):
     "Depths where polyroots gave up at the 192-bit floor are certified now."
-    t = trajectory(n, 0, k_values=[k])
+    t = trajectory(n, [k])
     (e,) = t.entries
     assert e.rho_inf_real
     assert max(e.residuals) <= mp.mpf(2) ** -(e.precision_bits // 2)
@@ -187,20 +192,47 @@ def test_trajectory_walks_one_orbit(monkeypatch):
         return walk(fv, depth)
 
     monkeypatch.setattr(dynamics, "subdivided_f", counting)
-    trajectory(30, 5)
+    trajectory(30, range(6))
     assert calls == [5]
 
 
 def test_trajectory_selected_depths():
-    t = trajectory(6, 0, k_values=[2, 5])
+    t = trajectory(6, [2, 5])
     assert [e.k for e in t.entries] == [2, 5]
 
 
 def test_trajectory_guards():
     with pytest.raises(ValueError):
-        trajectory(6, -1)
+        trajectory(6, [-1])
     with pytest.raises(ValueError):
-        trajectory(5, 2)
+        trajectory(5, range(3))
+
+
+def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
+    """One benchmark zeros command per (dimension, bits) cell: every root
+    certifies from the first _BISECT_BITS bracket, so _refine's fallback
+    to full bisection never runs on the workload's h-polynomials."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body is processed
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    cells = {}
+    for command in workloads.commands_for("zeros", 1, 15):
+        facts = command.facts
+        cells.setdefault((facts["dim"], facts["bits"]), facts)
+    widths = []
+    bisect = rootfinding._bisect
+
+    def recording(p, lo, hi, e, s_hi, bits):
+        widths.append(bits)
+        return bisect(p, lo, hi, e, s_hi, bits)
+
+    monkeypatch.setattr(rootfinding, "_bisect", recording)
+    for facts in cells.values():
+        trajectory(facts["n"], range(facts["k"] + 1), facts["bits"])
+    assert len(cells) == len(workloads.ZEROS_DEPTHS) * len(workloads.ZEROS_BITS)
+    assert widths and set(widths) == {rootfinding._BISECT_BITS}
 
 
 def test_alpha_known_values():
