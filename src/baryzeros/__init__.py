@@ -38,6 +38,8 @@ from .complexes import (
 )
 from .dynamics import (
     AlphaRecord,
+    AlphaRun,
+    AlphaScan,
     ConjectureReport,
     GrowthExpansion,
     TrajectoryEntry,
@@ -86,6 +88,8 @@ def __dir__() -> list[str]:
 
 __all__ = [
     "AlphaRecord",
+    "AlphaRun",
+    "AlphaScan",
     "CheckResult",
     "ConjectureReport",
     "ConsistencyError",

@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import mpmath as mp
 
@@ -24,11 +25,16 @@ from .complexes import (
     dim_of,
     explicit_complex,
     first_negative_euler,
-    mertens,
     shared_sieve,
     summary,
 )
-from .dynamics import alpha_scan, growth_expansion, subdivided_f, trajectory
+from .dynamics import (
+    alpha_fields,
+    alpha_scan,
+    growth_expansion,
+    subdivided_f,
+    trajectory,
+)
 from .subdivision import (
     BRUTE_FORCE_DIMENSION_CAP,
     descent_matrix,
@@ -540,23 +546,30 @@ def _check_trajectory_dim2_deeper() -> CheckResult:
 
 def _check_alpha_identity() -> CheckResult:
     """alpha * H1 * f_top == chi, as a * p * f_top == chi * b * q for
-    alpha = a/b and H1 = p/q."""
+    alpha = a/b and H1 = p/q, once per distinct (d, chi, f_top) of the
+    scan's runs; chi == -M(n) and d == dim_of(n) at every n."""
     spot = {6: Fraction(1), 30: Fraction(6)}
     seen = dict.fromkeys(spot)
+    mertens_prefix = shared_sieve(ALPHA_IDENTITY_LIMIT).mertens_prefix
     bad = []
-    for rec in alpha_scan(ALPHA_IDENTITY_LIMIT):
-        if rec.n in seen:
-            seen[rec.n] = rec.alpha
-        h1 = rec.h1
-        if (
-            rec.alpha_num * h1.numerator * rec.f_top
-            != rec.chi * rec.alpha_den * h1.denominator
-        ):
-            bad.append(f"n={rec.n}: defining identity broken")
-        elif rec.chi != -mertens(rec.n):
-            bad.append(f"n={rec.n}: Euler characteristic disagrees with sieve")
-        elif rec.dim != dim_of(rec.n) or rec.dim < 1:
-            bad.append(f"n={rec.n}: dimension {rec.dim} wrong or below 1")
+    for d, f_top, lo, chi in alpha_scan(ALPHA_IDENTITY_LIMIT).runs:
+        hi = lo + len(chi)
+        h1 = eigen_rationals(d)[1]
+        for c in dict.fromkeys(chi):
+            a, b, _ = alpha_fields(d, c, f_top)
+            if a * h1.numerator * f_top != c * b * h1.denominator:
+                bad.append(f"n={lo + chi.index(c)}: defining identity broken")
+        if any(map(add, chi, mertens_prefix[lo:hi])):
+            bad.extend(
+                f"n={n}: Euler characteristic disagrees with sieve"
+                for n, c in enumerate(chi, lo)
+                if c != -mertens_prefix[n]
+            )
+        if d < 1 or dim_of(lo) != d or dim_of(hi - 1) != d:
+            bad.append(f"n={lo}: dimension {d} wrong or below 1")
+        for n in spot:
+            if lo <= n < hi:
+                seen[n] = Fraction(*alpha_fields(d, chi[n - lo], f_top)[:2])
     for n, expected in spot.items():
         if seen[n] != expected:
             bad.append(f"n={n}: alpha {seen[n]} != {expected}")

@@ -27,7 +27,6 @@ import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
@@ -40,7 +39,13 @@ from .complexes import (
     mertens,
     shared_sieve,
 )
-from .dynamics import DEFAULT_TRAJECTORY_PRECISION, alpha, alpha_scan, trajectory
+from .dynamics import (
+    DEFAULT_TRAJECTORY_PRECISION,
+    alpha,
+    alpha_fields,
+    alpha_scan,
+    trajectory,
+)
 from .rootfinding import RootFindingError
 from .subdivision import (
     descent_matrix,
@@ -89,9 +94,9 @@ def _digits(bits: int) -> int:
 # first cell once per distinct key and joins it to each row's own first
 # cell.  Every table keeps to one contract: the first cell is an int (n,
 # k, i or d) and renders with str, and each column holds one type in
-# every row.  So scans key on the fields the tail is derived from, other
-# tables on the tail itself: True == 1 as a dict key, but no column holds
-# both.
+# every row.  So alpha keys on (dim, chi, f_top), the fields its tail is
+# derived from, and every other table on the tail itself: True == 1 as a
+# dict key, but no column holds both.
 
 _BATCH_ROWS = 4096
 
@@ -288,11 +293,12 @@ def _h1_text(d: int) -> str:
 
 
 def _alpha_tail(key: tuple) -> list:
-    """The cells after n from a record's fields after n; alpha renders as
-    Fraction does, and f_top None marks a row below dimension 1."""
-    d, chi, f_top, num, den, exponent = key
+    """The cells after n from (d, chi, f_top); alpha renders as Fraction
+    does, and f_top None marks a row below dimension 1."""
+    d, chi, f_top = key
     if f_top is None:
         return [d, chi, None, None, None, None, "skipped"]
+    num, den, exponent = alpha_fields(d, chi, f_top)
     return [
         d,
         chi,
@@ -305,7 +311,12 @@ def _alpha_tail(key: tuple) -> list:
 
 
 def _skipped_alpha_row(n: int) -> tuple:
-    return n, (dim_of(n), -mertens(n), None, None, None, None)
+    return n, (dim_of(n), -mertens(n), None)
+
+
+def _alpha_run_rows(run) -> Iterator[tuple]:
+    d, f_top, lo, chi = run
+    return zip(range(lo, lo + len(chi)), zip(repeat(d), chi, repeat(f_top)))
 
 
 def _cmd_alpha(args) -> int:
@@ -317,7 +328,7 @@ def _cmd_alpha(args) -> int:
         if dim_of(args.n) < 1:
             rows = [_skipped_alpha_row(args.n)]
         else:
-            rows = [(args.n, alpha(args.n)[1:])]
+            rows = [(args.n, alpha(args.n)[1:4])]
         metadata["n"] = args.n
     else:
         if not (1 <= args.stop <= limit):
@@ -325,10 +336,12 @@ def _cmd_alpha(args) -> int:
         # The skipped rows read the sieve lazily; build it (or fail its
         # budget) before the first byte.
         shared_sieve(args.stop)
-        records = alpha_scan(args.stop) if args.stop >= 6 else []
+        runs = alpha_scan(args.stop).runs if args.stop >= 6 else ()
         skipped = range(1, min(args.stop, 5) + 1)
-        split = itemgetter(0, slice(1, None))
-        rows = chain(map(_skipped_alpha_row, skipped), map(split, records))
+        rows = chain(
+            map(_skipped_alpha_row, skipped),
+            chain.from_iterable(map(_alpha_run_rows, runs)),
+        )
         metadata["to"] = args.stop
     _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows, _alpha_tail)
     return 0

@@ -10,10 +10,12 @@ limits of the smallest root across all squarefree-divisor complexes.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .complexes import (
     FVector,
@@ -184,17 +186,19 @@ def trajectory(
 ) -> ZeroTrajectory:
     """Root trajectories of the h-polynomial of the complex at n.
 
-    Produces one entry per depth k in depths, a nonempty ascending
-    sequence such as range(k_max + 1).  Needs dimension at least 1 so
-    that the smallest and largest roots are distinct objects.  Precision
-    is raised automatically with k.  One :func:`subdivided_f` orbit to
-    depths[-1] gives the exact face counts before the first root search,
-    so a depth above the cap fails at once.
+    Produces one entry per depth k in depths, a nonempty strictly
+    ascending sequence such as range(k_max + 1).  Needs dimension at
+    least 1 so that the smallest and largest roots are distinct objects.
+    Precision is raised automatically with k.  One :func:`subdivided_f`
+    orbit to depths[-1] gives the exact face counts before the first root
+    search, so a depth above the cap fails at once, and depths out of
+    order fail next.
     """
     import mpmath as mp
 
+    rule = "depths must be nonempty, strictly ascending and nonnegative"
     if not depths or depths[0] < 0:
-        raise ValueError("depths must be nonempty, ascending and nonnegative")
+        raise ValueError(rule)
     fv = summary(n)
     d = fv.dim
     if d < 1:
@@ -204,6 +208,9 @@ def trajectory(
     fac = math.factorial(d + 1)
 
     orbit = subdivided_f(fv, depths[-1])
+    # the cap on depths[-1] came first, so this walks at most 65 depths
+    if any(a >= b for a, b in itertools.pairwise(depths)):
+        raise ValueError(rule)
     entries = []
     for k in depths:
         bits = trajectory_precision(d, k, precision_bits)
@@ -257,11 +264,9 @@ class AlphaRecord(NamedTuple):
     the ambient dimension and f_d the top face count; alpha_num/alpha_den
     is alpha in lowest terms with alpha_den > 0, and exponent is
     log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple of
-    plain ints and a float, so that a scan's hundreds of thousands of
-    records are cheap to build; h1 and alpha are derived as Fractions on
-    demand.  Each record is itself tracked by the garbage collector: the
-    collector untracks only exact tuples, so gc.is_tracked stays True
-    for this tuple subclass after a collection.
+    plain ints and a float; h1 and alpha are derived as Fractions on
+    demand.  A scan holds runs, not records (see :class:`AlphaScan`), and
+    builds each record only as it is iterated.
     """
 
     n: int
@@ -281,25 +286,21 @@ class AlphaRecord(NamedTuple):
         return Fraction(self.alpha_num, self.alpha_den)
 
 
-def _alpha_fields(chi, f_top, p, q, log_fac) -> tuple:
-    """(alpha_num, alpha_den, exponent) of alpha = chi / (H1 * f_top) =
-    chi*q / (p*f_top) for H1 = p/q > 0, reduced by one gcd; log_fac is
-    log (d+1)!."""
-    num = chi * q
-    den = p * f_top
+def alpha_fields(d: int, chi: int, f_top: int) -> tuple:
+    """(alpha_num, alpha_den, exponent) of alpha = chi / (H1 * f_top) in
+    dimension d: chi*q / (p*f_top) for H1 = p/q > 0, reduced by one gcd,
+    and log |alpha| / log (d+1)!, None when chi = 0."""
+    h1 = eigen_rationals(d)[1]
+    num = chi * h1.denominator
+    den = h1.numerator * f_top
     g = math.gcd(num, den)
     num //= g
     den //= g
     exponent = None
     if num:
+        log_fac = math.log(math.factorial(d + 1))
         exponent = (math.log(abs(num)) - math.log(den)) / log_fac
     return num, den, exponent
-
-
-def _h1_log_fac(d: int) -> tuple:
-    """(p, q, log (d+1)!) for H1 = p/q of dimension d."""
-    h1 = eigen_rationals(d)[1]
-    return h1.numerator, h1.denominator, math.log(math.factorial(d + 1))
 
 
 def alpha(n: int) -> AlphaRecord:
@@ -313,38 +314,74 @@ def alpha(n: int) -> AlphaRecord:
     fv = summary(n)
     d = fv.dim
     chi, f_top = fv.euler_char(), fv.count(d)
-    return AlphaRecord(n, d, chi, f_top, *_alpha_fields(chi, f_top, *_h1_log_fac(d)))
+    return AlphaRecord(n, d, chi, f_top, *alpha_fields(d, chi, f_top))
 
 
-def alpha_scan(n_max: int) -> list[AlphaRecord]:
-    """AlphaRecord for every n from 6 to n_max, chi from :func:`chi_profile`.
+class AlphaRun(NamedTuple):
+    """Every n in lo .. lo + len(chi) - 1 has dimension dim and top face
+    count f_top; chi[i] is the Euler characteristic at lo + i."""
 
-    n is walked in runs of constant dimension d, which start at the
-    product of the first d+1 primes, the least squarefree number with d+1
-    prime factors; so f_top is a count of weight d+1 within the run.
-    While d and f_top hold, alpha depends on chi alone, so its fields are
-    computed once per chi value and shared until the next weight-(d+1) n.
+    dim: int
+    f_top: int
+    lo: int
+    chi: list
+
+
+class AlphaScan:
+    """Scaling limits for every n from 6 to n_max, held as runs.
+
+    An alpha depends on n only through (dim, chi, f_top), and dim and
+    f_top change only at the runs' starts, so consumers can work once per
+    distinct value.  Iterating yields an :class:`AlphaRecord` per n, in
+    order, built on demand; len() counts them.  A plain class, not a
+    dataclass: every command imports this module, and building a
+    dataclass costs about 0.4 ms of that start-up.
+    """
+
+    __slots__ = ("n_max", "runs")
+
+    def __init__(self, n_max: int, runs: tuple):
+        self.n_max = n_max
+        self.runs = runs
+
+    def __len__(self) -> int:
+        return self.n_max - 5
+
+    def __iter__(self) -> Iterator[AlphaRecord]:
+        for d, f_top, lo, chi in self.runs:
+            fields: dict = {}
+            for n, c in enumerate(chi, lo):
+                cells = fields.get(c)
+                if cells is None:
+                    cells = fields[c] = alpha_fields(d, c, f_top)
+                yield AlphaRecord(n, d, c, f_top, *cells)
+
+
+def alpha_scan(n_max: int) -> AlphaScan:
+    """Scaling limits for every n from 6 to n_max, chi from :func:`chi_profile`.
+
+    A run of constant dimension d starts at the product of the first d+1
+    primes, the least squarefree number with d+1 prime factors, so f_top
+    counts the n of weight d+1 from there; each such n starts a new
+    :class:`AlphaRun`.  The sieve's list finds them with ``index``, so no
+    Python loop walks every n.
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")
     chi = chi_profile(n_max)
     weight = shared_sieve(n_max).weight
-    records = []
+    runs = []
     for d, lo, hi in dimension_runs(6, n_max + 1):
-        p, q, log_fac = _h1_log_fac(d)
-        f_top = 0
-        fields: dict = {}
-        for n in range(lo, hi):
-            if weight[n] == d + 1:
-                f_top += 1
-                fields = {}
-            c = chi[n]
-            alpha_fields = fields.get(c)
-            if alpha_fields is None:
-                alpha_fields = fields[c] = _alpha_fields(c, f_top, p, q, log_fac)
-            num, den, exponent = alpha_fields
-            records.append(AlphaRecord(n, d, c, f_top, num, den, exponent))
-    return records
+        starts = []
+        at = lo
+        with contextlib.suppress(ValueError):
+            while True:
+                at = weight.index(d + 1, at, hi)
+                starts.append(at)
+                at += 1
+        for f_top, (start, stop) in enumerate(zip(starts, starts[1:] + [hi]), 1):
+            runs.append(AlphaRun(d, f_top, start, chi[start:stop]))
+    return AlphaScan(n_max, tuple(runs))
 
 
 @dataclass(frozen=True)
@@ -367,29 +404,41 @@ class ConjectureReport:
 
 
 def conjecture_report(n_max: int) -> ConjectureReport:
-    strong = []
-    weak = []
-    checked = zero_count = 0
-    best = None
-    for rec in alpha_scan(n_max):
-        checked += 1
-        a, b = rec.alpha_num, rec.alpha_den
-        if a == 0:
-            zero_count += 1
-            continue
-        fac = math.factorial(rec.dim + 1)
-        if a * a > fac**3 * b * b:
-            strong.append(rec.n)
-        if abs(a) > fac**2 * b:
-            weak.append(rec.n)
-        if best is None or rec.exponent > best.exponent:
-            best = rec
+    """Audit the growth bounds on alpha for every n from 6 to n_max.
+
+    Reads :func:`alpha_scan`'s runs: each distinct (d, chi, f_top) is
+    tested once, exactly, and only a value that breaks a bound is expanded
+    to its n, in ascending order.  argmax_n is the first n at which the
+    largest exponent occurs; alpha = 0 has no exponent and is counted in
+    zero_count instead.
+    """
+    scan = alpha_scan(n_max)
+    strong: list = []
+    weak: list = []
+    zero_count = 0
+    best, argmax_n = float("-inf"), 0
+    for d, f_top, lo, chi in scan.runs:
+        fac = math.factorial(d + 1)
+        zero_count += chi.count(0)
+        fields = {c: alpha_fields(d, c, f_top) for c in set(chi) if c}
+        over_strong = {c for c, (a, b, _) in fields.items() if a * a > fac**3 * b * b}
+        over_weak = {c for c, (a, b, _) in fields.items() if abs(a) > fac**2 * b}
+        for over, found in ((over_strong, strong), (over_weak, weak)):
+            if over:
+                found.extend(n for n, c in enumerate(chi, lo) if c in over)
+        if fields:
+            peak = max(exponent for _, _, exponent in fields.values())
+            if peak > best:
+                best = peak
+                argmax_n = lo + min(
+                    chi.index(c) for c, (_, _, e) in fields.items() if e == peak
+                )
     return ConjectureReport(
         n_max=n_max,
-        checked=checked,
+        checked=len(scan),
         zero_count=zero_count,
         strong_violations=tuple(strong),
         weak_violations=tuple(weak),
-        max_exponent=best.exponent if best is not None else float("-inf"),
-        argmax_n=best.n if best is not None else 0,
+        max_exponent=best,
+        argmax_n=argmax_n,
     )

@@ -18,7 +18,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import baryzeros
-from baryzeros import RootFindingError, __version__, checks, eigen_rationals, summary
+from baryzeros import (
+    AlphaScan,
+    RootFindingError,
+    __version__,
+    checks,
+    eigen_rationals,
+    summary,
+)
 from baryzeros.checks import SUITES
 from baryzeros.cli import _write_csv, _write_json, main
 from baryzeros.complexes import DEFAULT_SIEVE_LIMIT
@@ -277,12 +284,20 @@ def test_alpha_scan_bytes_match_fraction_oracle(capsys, monkeypatch):
 
 
 def test_alpha_range_reads_records_once(capsys, monkeypatch):
-    "alpha --to prints the same bytes when alpha_scan yields an iterator."
+    """alpha --to streams the scan's runs once and builds no record: the
+    same bytes from one-shot runs and a scan that cannot be iterated."""
     monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
     argvs = [("alpha", "--to", "300"), ("alpha", "--to", "300", "--format", "json")]
     expected = [run_cli(capsys, *argv) for argv in argvs]
     scan = baryzeros.cli.alpha_scan
-    monkeypatch.setattr("baryzeros.cli.alpha_scan", lambda n: iter(scan(n)))
+
+    def no_records(self):
+        raise AssertionError("alpha --to iterated the records")
+
+    monkeypatch.setattr(
+        "baryzeros.cli.alpha_scan", lambda n: AlphaScan(n, iter(scan(n).runs))
+    )
+    monkeypatch.setattr(AlphaScan, "__iter__", no_records)
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
 
 

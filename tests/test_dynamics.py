@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import factorial, gcd, log
 from pathlib import Path
@@ -10,17 +11,20 @@ import pytest
 from mpmath import mp
 
 from baryzeros import (
-    AlphaRecord,
+    AlphaRun,
+    AlphaScan,
     FVector,
     alpha,
     alpha_scan,
     chi_profile,
     conjecture_report,
+    dim_of,
     eigen_rationals,
     find_roots,
     first_negative_euler,
     growth_expansion,
     h_poly,
+    shared_sieve,
     subdivided_f,
     summary,
     trajectory,
@@ -208,6 +212,19 @@ def test_trajectory_guards():
         trajectory(5, range(3))
 
 
+@pytest.mark.parametrize("depths", [[5, 2], [2, 2]])
+def test_trajectory_rejects_depths_out_of_order(depths):
+    rule = "^depths must be nonempty, strictly ascending and nonnegative$"
+    with pytest.raises(ValueError, match=rule):
+        trajectory(6, depths)
+
+
+def test_trajectory_checks_the_depth_cap_first():
+    "A last depth above the cap fails on the cap, whatever the order."
+    with pytest.raises(ValueError, match="^subdivision depth 65 exceeds the cap 64$"):
+        trajectory(6, [70, 3, 65])
+
+
 def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
     """One benchmark zeros command per (dimension, bits) cell: every root
     certifies from the first _BISECT_BITS bracket, so _refine's fallback
@@ -265,20 +282,67 @@ def test_alpha_guards():
 
 
 def test_alpha_scan_agrees_with_single_lookups():
-    "Every n <= 2310, across the dimension changes at 6, 30, 210 and 2310."
-    records = alpha_scan(2310)
+    """Every n <= 2310, across the dimension changes at 6, 30, 210 and 2310:
+    list(alpha_scan(N)) == [alpha(n) for n in 6..N] for each N of them."""
+    records = list(alpha_scan(2310))
     assert [rec.n for rec in records] == list(range(6, 2311))
     for rec in records:
         single = alpha(rec.n)
         assert rec == single, rec.n
         assert rec.exponent == single.exponent, rec.n
     for n_max in (6, 30, 210, 2310):
-        assert alpha_scan(n_max) == records[: n_max - 5], n_max
+        assert list(alpha_scan(n_max)) == records[: n_max - 5], n_max
+
+
+@pytest.mark.parametrize("n_max", [6, 7, 29, 30, 31, 2310, 98000])
+def test_alpha_scan_runs_tile_the_range(n_max):
+    """The runs cover 6..n_max in order with no gap or overlap, and start
+    exactly at the primorials >= 6 and at every n of weight d+1."""
+    scan = alpha_scan(n_max)
+    assert isinstance(scan, AlphaScan)
+    assert scan.n_max == n_max
+    assert len(scan) == n_max - 5
+    runs = scan.runs
+    assert runs[0].lo == 6
+    for run, after in zip(runs, runs[1:]):
+        assert run.chi, run
+        assert run.lo + len(run.chi) == after.lo, run
+    assert runs[-1].lo + len(runs[-1].chi) == n_max + 1
+
+    weight = shared_sieve(n_max).weight
+    primorials = {6, 30, 210, 2310, 30030}
+    starts = {n for n in range(6, n_max + 1) if weight[n] == dim_of(n) + 1}
+    assert primorials & set(range(6, n_max + 1)) <= starts
+    assert [run.lo for run in runs] == sorted(starts)
+
+    chi = chi_profile(n_max)
+    for run in runs:
+        assert run.dim == dim_of(run.lo) == dim_of(run.lo + len(run.chi) - 1), run.lo
+        assert run.f_top == summary(run.lo).count(run.dim), run.lo
+        assert run.chi == chi[run.lo : run.lo + len(run.chi)], run.lo
+
+
+def test_alpha_scan_run_count():
+    "One run per n of weight d+1: 254 of them for 97995 n up to 98000."
+    assert len(alpha_scan(98000).runs) == 254
+
+
+def test_alpha_scan_memory():
+    "The scan holds runs: with the sieve built, 10^5 n cost well under 4 MiB."
+    shared_sieve(10**5)
+    tracemalloc.start()
+    try:
+        scan = alpha_scan(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scan) == 10**5 - 5
+    assert peak <= 4 * 2**20, peak
 
 
 def test_alpha_record_invariants():
     "alpha_num/alpha_den is alpha in lowest terms; h1 and alpha derive from it."
-    records = alpha_scan(2310)
+    records = list(alpha_scan(2310))
     for rec in records + [alpha(rec.n) for rec in records]:
         assert rec.alpha_den > 0, rec.n
         assert gcd(rec.alpha_num, rec.alpha_den) == 1, rec.n
@@ -354,37 +418,39 @@ def test_conjecture_report_matches_fraction_reference():
     ids=["conjecture-report", "alpha-defining-identity"],
 )
 def test_alpha_scan_consumers_read_records_once(monkeypatch, module, run):
-    "The report and the verify check come out the same from an iterator."
+    """The report and the verify check read the runs once and build no
+    record: the same result from one-shot runs and a scan that cannot be
+    iterated."""
     expected = run()
     scan = dynamics.alpha_scan
-    monkeypatch.setattr(f"baryzeros.{module}.alpha_scan", lambda n: iter(scan(n)))
+
+    def one_shot(n_max):
+        return AlphaScan(n_max, iter(scan(n_max).runs))
+
+    def no_records(self):
+        raise AssertionError("a consumer iterated the records")
+
+    monkeypatch.setattr(f"baryzeros.{module}.alpha_scan", one_shot)
+    monkeypatch.setattr(AlphaScan, "__iter__", no_records)
     assert run() == expected
 
 
 def test_conjecture_report_thresholds_exact(monkeypatch):
-    "At d = 1, F = 2: strong is alpha^2 > 8, weak |alpha| > 4, at the edges."
-    values = {
-        6: Fraction(17, 6),  # 2.833..., just above sqrt(8): strong only
-        7: Fraction(-14, 5),  # 2.8, just below sqrt(8): neither
-        8: Fraction(-4),  # strong; weak is strict, so not weak
-        9: Fraction(9, 2),  # both
-        10: Fraction(0),
-    }
-    records = [
-        AlphaRecord(
-            n,
-            1,
-            0,
-            1,
-            v.numerator,
-            v.denominator,
-            (log(abs(v.numerator)) - log(v.denominator)) / log(2) if v else None,
-        )
-        for n, v in values.items()
-    ]
-    monkeypatch.setattr("baryzeros.dynamics.alpha_scan", lambda n_max: records)
-    report = conjecture_report(10)
-    assert report.strong_violations == (6, 8, 9)
-    assert report.weak_violations == (9,)
+    """At d = 1, F = 2 and H1 = 1, so alpha = chi/f_top: strong is
+    alpha^2 > 8, weak |alpha| > 4, at the edges.  Violations come in n
+    order, and the largest exponent, tied at n = 9, 11 and 12, goes to
+    the first."""
+    runs = (
+        AlphaRun(1, 6, 6, [17]),  # 17/6 = 2.833..., just above sqrt(8): strong only
+        AlphaRun(1, 5, 7, [-14]),  # -14/5, just below sqrt(8): neither
+        AlphaRun(1, 1, 8, [-4]),  # strong; weak is strict, so not weak
+        AlphaRun(1, 2, 9, [9, 0, -9, 9]),  # 9/2, 0, -9/2, 9/2: both, bar the 0
+    )
+    monkeypatch.setattr("baryzeros.dynamics.alpha_scan", lambda n_max: AlphaScan(12, runs))
+    report = conjecture_report(12)
+    assert report.checked == 7
+    assert report.strong_violations == (6, 8, 9, 11, 12)
+    assert report.weak_violations == (9, 11, 12)
     assert report.zero_count == 1
     assert report.argmax_n == 9
+    assert report.max_exponent == (log(9) - log(2)) / log(2)
