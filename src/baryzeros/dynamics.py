@@ -160,8 +160,12 @@ def _identity_errors(h: tuple, roots) -> tuple:
     exact_prod = Fraction(h[-1], h[0])
     if (len(h) - 1) % 2:
         exact_prod = -exact_prod
-    num_sum = sum(roots, mp.mpc(0))
-    num_prod = mp.mpc(1)
+    # Real roots add and multiply in mpf: the same values, without the
+    # work on imaginary parts that stay zero.
+    if not any(z.imag for z in roots):
+        roots = [z.real for z in roots]
+    num_sum = sum(roots, mp.mpf(0))
+    num_prod = mp.mpf(1)
     for z in roots:
         num_prod *= z
 

@@ -2,25 +2,36 @@
 
 A polynomial is a sequence of ints, highest degree first, as
 ``complexes.h_poly`` returns it.  Exact zero roots are deflated
-symbolically first, and the rest is divided by its content.  Its roots
-then take one of two routes, recorded in ``RootSet.method``:
+symbolically first, and the rest is divided by its content.  When the
+integer Sturm sequence shows a repeated root, dividing out gcd(p, p')
+splits the polynomial into squarefree factors, each with its exact
+multiplicity.  The real roots of a squarefree factor are isolated in
+dyadic intervals by Sturm counts, refined by sign bisection and Newton
+steps in integer arithmetic, and rounded to nearest at precision_bits.
+One exact sign bracket certifies each: the interval of reals that round
+to it, of relative half-width at most 2^-precision_bits.  The roots then
+take one of two routes, recorded in ``RootSet.method``:
 
-- ``"isolated"``: when the integer Sturm sequence shows the deflated
-  polynomial squarefree with every root real, each root is isolated in a
-  dyadic interval by Sturm counts, refined by sign bisection and Newton
-  steps in integer arithmetic, and rounded to nearest at precision_bits.
-  One exact sign bracket certifies each result: the interval of reals
-  that round to it, of relative half-width at most 2^-precision_bits.  No
-  floating-point step is involved: precision_bits sets only that width
-  and the precision of the returned numbers.
-- ``"polyroots"``: otherwise (a repeated or a non-real root), mpmath's
-  simultaneous iteration runs at a caller-chosen working precision, and
-  realness is certified afterwards by the same integer sign test at
-  dyadic points around each approximation, so no floating-point step can
-  silently lie about a root being real.
+- ``"isolated"``: the deflated polynomial is squarefree and its Sturm
+  count equals its degree, so the real roots are all of them.
+- ``"enclosed"``: otherwise (a repeated or a non-real root).  The
+  non-real roots of each factor come in conjugate pairs from the
+  Weierstrass (Durand-Kerner) iteration on Gaussian integers, at
+  precision_bits + 64 bits, and are certified by the disks
+  D(z_i, n |W_i|), W_i = p(z_i) / (lc prod_{j != i} (z_i - z_j)):
+  pairwise disjoint, each holds exactly one root (Braess and Hadeler,
+  "Simultaneous inclusion of the zeros of a polynomial", Numer. Math. 21,
+  1973; Carstensen, "Inclusion of the roots of a polynomial based on
+  Gerschgorin's theorem", Numer. Math. 59, 1991).  Each radius is at most
+  2^-precision_bits of its centre's modulus, and the disjointness test is
+  exact, on squared integers.  When the disks do not separate, the
+  working precision doubles a bounded number of times before
+  RootFindingError is raised.
 
-Either way a solution is accepted only when every backward residual is
-tiny.
+Floating point only picks the iteration's starting points; every
+certificate is exact, and precision_bits sets only the certified widths
+and the precision of the returned numbers.  Either way a solution is
+accepted only when every backward residual is tiny.
 """
 
 from __future__ import annotations
@@ -29,28 +40,37 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_PRECISION_BITS = 128
-MAX_ITERATIONS = 200
-_CERTIFY_DOUBLINGS = 16
 # Sign bisection narrows an isolated root to this relative width before
 # Newton steps take over; Newton then works this many bits past the
 # certified width.
 _BISECT_BITS = 60
 _GUARD_BITS = 32
+# The Weierstrass iteration starts at this many bits and ends this many
+# past the certified width.  It takes at most _ENCLOSE_STEPS steps, and
+# its working precision doubles at most _ENCLOSE_DOUBLINGS times when the
+# disks do not separate.
+_ENCLOSE_BITS = 64
+_ENCLOSE_STEPS = 500
+_ENCLOSE_DOUBLINGS = 3
 
 
 class RootFindingError(RuntimeError):
-    """The iteration failed to reach the requested residual target."""
+    """A root could not be certified, or a backward residual missed its
+    target."""
 
 
 @dataclass(frozen=True)
 class RootSet:
     """Roots of one polynomial, sorted by ascending modulus.
 
+    A root of multiplicity m appears m times, with equal values.
     residuals[i] bounds |p(z_i)| relative to sum |a_j||z_i|^j; exact
-    deflated zeros carry residual 0.  real_certified[i] is True only when
-    an exact rational sign bracket around Re(z_i) was established.
-    method is ``"isolated"`` when the roots came from exact isolation (or
-    were all deflated zeros), ``"polyroots"`` when from mpmath's iteration.
+    deflated zeros carry residual 0.  real_certified[i] is True exactly
+    when z_i is real: a real root's sign bracket and a non-real root's
+    disk, disjoint from its mirror image, prove which.  method is
+    ``"isolated"`` when the polynomial is squarefree with every root real
+    (or all roots are deflated zeros), ``"enclosed"`` when it has a
+    repeated or a non-real root.
     """
 
     roots: tuple
@@ -61,10 +81,11 @@ class RootSet:
 
 
 def _backward_residual(coeffs, abs_coeffs, z):
-    import mpmath as mp
-
-    p = mp.mpc(0)
-    scale = mp.mpf(0)
+    # A real root is evaluated in mpf: the same values, without the work
+    # on imaginary parts that stay zero.
+    if not z.imag:
+        z = z.real
+    p = scale = 0
     az = abs(z)
     for a, aa in zip(coeffs, abs_coeffs):
         p = p * z + a
@@ -151,10 +172,9 @@ def _exponent_bound(coeffs: list) -> int:
     return max(1, top - lead + 2)
 
 
-def _isolate(seq: list):
-    """Disjoint intervals (lo / 2^e, hi / 2^e], each holding one root;
-    None unless the distinct real roots number the degree, that is unless
-    every root is real and simple.
+def _isolate(seq: list) -> list:
+    """Disjoint intervals (lo / 2^e, hi / 2^e], one around each distinct
+    real root of seq[0], in no fixed order.
 
     Sturm counts V(x) - V(y) give the distinct roots in (x, y].  A search
     over the dyadic shells 2^j < |x| <= 2^(j+1) between the root bounds
@@ -176,11 +196,8 @@ def _isolate(seq: list):
     def count(t):
         return _variations(seq, *grid(t))
 
-    v_neg, v_pos = count(-top), count(top)
-    if v_neg - v_pos != len(p) - 1:
-        return None
     shells = []
-    work = [(-top, top, v_neg, v_pos)]
+    work = [(-top, top, count(-top), count(top))]
     while work:
         t0, t1, v0, v1 = work.pop()
         if v0 == v1:
@@ -328,74 +345,258 @@ def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int):
     return _rounded(p, n_hi, n_e, lo, hi, e, s_hi, bits) or (n_hi, n_e)
 
 
-def _isolated_roots(ints: list, precision_bits: int):
-    """Every root of the integer polynomial, all real and simple, as mpf
-    values at precision_bits; None when the polynomial is not squarefree
-    or has a non-real root."""
-    import mpmath as mp
+def _quotient(a: list, b: list) -> list:
+    """a / b for primitive integer polynomials with b dividing a.
 
-    seq = _sturm_sequence(ints)
-    intervals = _isolate(seq)
-    if intervals is None:
-        return None
-    roots = []
-    for lo, hi, e in intervals:
-        a, e = _refine(ints, seq[1], lo, hi, e, precision_bits)
-        roots.append(mp.ldexp(mp.mpf(a), -e))
-    return roots
-
-
-def _certify_real_root(ints: list, approx, precision_bits: int) -> bool:
-    """Exact sign bracket around the real part of an approximate root.
-
-    Returns True when the integer polynomial changes sign (or vanishes) on
-    a tiny dyadic interval around Re(approx); the interval starts at
-    half-width max(|Re(approx)|, 1) * 2^(-precision_bits // 2) and is
-    doubled a few times before giving up.  Only simple real roots can be
-    certified this way, which is all the callers need.
+    By Gauss's lemma the quotient has integer coefficients, so every step
+    of the long division divides exactly.
     """
-    import mpmath as mp
+    rem = list(a)
+    out = []
+    for i in range(len(a) - len(b) + 1):
+        q = rem[i] // b[0]
+        out.append(q)
+        for j, bj in enumerate(b):
+            rem[i + j] -= q * bj
+    return out
 
-    x = mp.re(approx)
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"cannot convert {x!r} to an exact rational")
-    half = precision_bits // 2
-    # x = a / 2^e and the half-width delta / 2^e, both exact
-    e = half + max(0, -exp)
-    a = (-man if sign else man) << (exp + e)
-    delta = max(abs(a), 1 << e) >> half
-    for _ in range(_CERTIFY_DOUBLINGS):
-        lo = _value(ints, a - delta, e)
-        hi = _value(ints, a + delta, e)
-        if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
-            return True
-        delta *= 2
-    return False
+
+def _squarefree_factors(p: list, seq: list) -> list:
+    """(a, m) pairs with p = +-prod a^m: each a primitive, squarefree and
+    prime to the others, m its exact multiplicity.
+
+    seq is p's Sturm sequence, whose last member is gcd(p, p') up to a
+    constant: p' itself when p is a power of a linear factor.  With
+    g_0 = p and g_(k+1) = gcd(g_k, g_k'), made primitive, the quotient
+    g_(k-1) / g_k is the product of the distinct roots of multiplicity at
+    least k.
+    """
+    chain = [p]
+    g = seq[-1]
+    while len(g) > 1:
+        content = math.gcd(*g)
+        chain.append([c // content for c in g])
+        g = _sturm_sequence(chain[-1])[-1]
+    chain.append([1])
+    at_least = [_quotient(a, b) for a, b in zip(chain, chain[1:])] + [[1]]
+    return [
+        (_quotient(a, b), m)
+        for m, (a, b) in enumerate(zip(at_least, at_least[1:]), 1)
+        if len(a) > len(b)
+    ]
+
+
+def _weierstrass(p: list, points: list, f: int, count: int) -> list:
+    """(P, D) at each of the first count Gaussian integer points X_i:
+    P = 2^(f n) p(X_i / 2^f) and D = prod_{j != i} (X_i - X_j), exactly,
+    as (re, im) pairs.
+
+    The Weierstrass correction at z_i = X_i / 2^f is then
+    W_i = P / (lc D 2^f).
+    """
+    out = []
+    for i in range(count):
+        x, y = points[i]
+        pr, pi = p[0], 0
+        shift = 0
+        for c in p[1:]:
+            shift += f
+            pr, pi = pr * x - pi * y + (c << shift), pr * y + pi * x
+        dr, di = 1, 0
+        for j, (u, v) in enumerate(points):
+            if j != i:
+                a, b = x - u, y - v
+                dr, di = dr * a - di * b, dr * b + di * a
+        out.append((pr, pi, dr, di))
+    return out
+
+
+def _disks(p: list, points: list, values: list, bits: int):
+    """Radii r_i >= n |W_i| 2^f of disks around the points, or None unless
+    the disks are pairwise disjoint and each r_i is at most 2^-bits of
+    |X_i|.
+
+    values are the (P, D) of the points, a real point and the upper half
+    of each conjugate pair; the lower halves follow in points, in order.
+    Each test is exact, on squared integers.
+    """
+    n2 = (len(p) - 1) ** 2
+    lc2 = p[0] * p[0]
+    radii = []
+    for (x, y), (pr, pi, dr, di) in zip(points, values):
+        den = lc2 * (dr * dr + di * di)
+        if not den:
+            return None
+        q = -(-n2 * (pr * pr + pi * pi) // den)
+        r = math.isqrt(q)
+        r += r * r < q
+        if (r * r) << (2 * bits) > x * x + y * y:
+            return None
+        radii.append(r)
+    # a lower half has its upper half's radius
+    radii += radii[2 * len(values) - len(points):]
+    for i, (x, y) in enumerate(points):
+        for j in range(i):
+            u, v = points[j]
+            if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
+                return None
+    return radii
+
+
+def _times_power(a: int, s: int) -> int:
+    """a * 2^s, rounded down."""
+    return a << s if s >= 0 else a >> -s
+
+
+def _polygon_moduli(p: list) -> list:
+    """log2 of a modulus near each root of p, which has a nonzero constant
+    term: the slopes of the upper Newton polygon of the points
+    (j, log2 |c_j|), c_j the coefficient of z^j, each repeated along its
+    edge's width."""
+    points = [(j, math.log2(abs(c))) for j, c in enumerate(reversed(p)) if c]
+    hull = []
+    for j, y in points:
+        while len(hull) > 1:
+            (j0, y0), (j1, y1) = hull[-2], hull[-1]
+            if (j1 - j0) * (y - y0) < (y1 - y0) * (j - j0):
+                break
+            hull.pop()
+        hull.append((j, y))
+    moduli = []
+    for (j0, y0), (j1, y1) in zip(hull, hull[1:]):
+        moduli += [(y0 - y1) / (j1 - j0)] * (j1 - j0)
+    return moduli
+
+
+def _enclose(p: list, reals: list, bits: int):
+    """Disks that each hold one root of the squarefree p, whose real roots
+    are near the dyadics reals (a, e) and whose other roots come in
+    conjugate pairs.
+
+    Returns (f, disks), each disk (x, y, r) the centre (x + iy) / 2^f and a
+    radius at most r / 2^f, at most 2^-bits of the centre's modulus: the
+    reals first, then the upper half of each pair, then the lower halves
+    in the same order.
+
+    The Weierstrass iteration z_i <- z_i - W_i, Newton's method on the map
+    from the roots to the coefficients, runs on Gaussian integers, the
+    lower halves kept the mirror images of the upper ones.  The scale 2^f
+    gives the smallest root about w relative bits; w starts at
+    _ENCLOSE_BITS and doubles whenever every correction is below 2^(-w/2)
+    relative, up to bits + _ENCLOSE_BITS.  The disks D(z_i, n |W_i|) contain the
+    Gerschgorin disks of diag(z) - W 1^T, whose characteristic polynomial
+    is p / lc, so when they are pairwise disjoint each holds exactly one
+    root; a disk disjoint from its mirror image holds a non-real root.
+    The disks are tried once the iteration has settled at that precision;
+    when they still overlap after it settles again, the working precision
+    doubles, at most _ENCLOSE_DOUBLINGS times.
+    """
+    n = len(p) - 1
+    lc = p[0]
+    real_count = len(reals)
+    pairs = (n - real_count) // 2
+    moduli = _polygon_moduli(p)
+    # The polygon's moduli are within a factor of about n of the roots',
+    # and a scale that proves too coarse only costs a doubling.
+    w = _ENCLOSE_BITS
+    f = w + max(0, math.ceil(-min(moduli))) + n.bit_length()
+    points = [(_times_power(a, f - e), 0) for a, e in reals]
+    # Upper halves start spread over the upper half plane, off the
+    # imaginary axis, at the moduli left after the real roots', one per
+    # pair.
+    for a, e in reals:
+        size = math.log2(abs(a)) - e
+        moduli.remove(min(moduli, key=lambda m: abs(m - size)))
+    for k, size in enumerate(sorted(moduli)[::2]):
+        angle = math.pi * (k + 0.6) / (pairs + 0.2)
+        unit, shift = 2 ** (size % 1 + 52), f + math.floor(size) - 52
+        x, y = (_times_power(round(unit * t), shift) for t in (math.cos(angle), math.sin(angle)))
+        points.append((x, y))
+
+    target = bits + _ENCLOSE_BITS
+    last = target << _ENCLOSE_DOUBLINGS
+    count = real_count + pairs
+    stalls = 0
+    for _ in range(_ENCLOSE_STEPS):
+        full = points + [(x, -y) for x, y in points[real_count:]]
+        values = _weierstrass(p, full, f, count)
+        if stalls:
+            radii = _disks(p, full, values, bits)
+            if radii is not None:
+                return f, [(x, y, r) for (x, y), r in zip(full, radii)]
+        converged = True
+        for i, (pr, pi, dr, di) in enumerate(values):
+            x, y = points[i]
+            if not (dr or di):
+                # two points coincide: move this one by a unit
+                points[i] = (x + 1, y + (i >= real_count))
+                converged = False
+                continue
+            # W 2^f = P / (lc D), rounded to a Gaussian integer.  Bits of D
+            # beyond 32 past those of the quotient cannot reach the units.
+            size = max(abs(dr), abs(di)).bit_length()
+            quotient = max(abs(pr), abs(pi)).bit_length() - size
+            drop = size - max(quotient, 0) - 32
+            if drop > 0:
+                pr, pi, dr, di = pr >> drop, pi >> drop, dr >> drop, di >> drop
+            nr, ni = pr * dr + pi * di, pi * dr - pr * di
+            den = lc * (dr * dr + di * di)
+            if den < 0:
+                nr, ni, den = -nr, -ni, -den
+            dx = (2 * nr + den) // (2 * den)
+            dy = (2 * ni + den) // (2 * den)
+            x, y = x - dx, y - dy
+            # an upper half that crossed the real axis swaps with its mirror
+            points[i] = (x, max(abs(y), 1)) if i >= real_count else (x, 0)
+            if (dx * dx + dy * dy) << w > x * x + y * y:
+                converged = False
+        if not converged:
+            continue
+        if w == target:
+            # Settled at the target precision: the disks are tried from the
+            # next step on.  Settled twice and still overlapping, the roots
+            # are closer than this precision resolves.
+            stalls += 1
+            if stalls < 2:
+                continue
+            if target == last:
+                break
+            target *= 2
+            stalls = 0
+        grow = min(2 * w, target) - w
+        w += grow
+        f += grow
+        points = [(x << grow, y << grow) for x, y in points]
+    raise RootFindingError(
+        f"the root enclosures of a degree-{n} factor did not separate "
+        f"within {_ENCLOSE_STEPS} steps and {target} bits; retry with "
+        f"higher precision"
+    )
 
 
 def find_roots(
     coeffs,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RootSet:
-    """All complex roots of an integer polynomial, with certification.
+    """All complex roots of an integer polynomial, each one certified.
 
     coeffs are the polynomial's ints, highest degree first.  A non-int
     coefficient raises TypeError; a zero leading coefficient or a degree
     below 1 raises ValueError.  Exact zero roots are deflated symbolically
-    first, and the rest is divided by its content.  When that is
-    squarefree with only real roots (its Sturm count equals its degree),
-    every root is isolated and refined in exact integer arithmetic, rounded
-    to nearest at precision_bits and certified by an exact sign bracket of
-    relative half-width at most 2^-precision_bits; precision_bits then
-    sets only that width and the precision of the returned values
-    (``method == "isolated"``).  Otherwise the roots come from mpmath's
-    simultaneous iteration at ``precision_bits`` working precision, and a
-    real root is certified by an exact sign bracket afterwards
-    (``method == "polyroots"``).  On either route every backward residual
-    must meet 2^(-precision_bits / 2); RootFindingError is raised when it
-    does not, or when the iteration does not converge, which usually means
-    the precision is too low for the polynomial.
+    first, and the rest is divided by its content and split into
+    squarefree factors with exact multiplicities.  Every real root is
+    isolated and refined in exact integer arithmetic, rounded to nearest
+    at precision_bits and certified by an exact sign bracket of relative
+    half-width at most 2^-precision_bits.  When that is every root of a
+    squarefree polynomial, ``method == "isolated"``; otherwise
+    (``method == "enclosed"``) each non-real root is the centre of a
+    Weierstrass disk of relative radius at most 2^-precision_bits that
+    holds exactly that root, rounded to precision_bits.  precision_bits
+    sets only these widths and the precision of the returned values.
+    Every backward residual must also meet 2^(-precision_bits / 2).
+    RootFindingError is raised when it does not, or when the disks fail
+    to separate, which usually means the precision is too low for the
+    polynomial.
     """
     import mpmath as mp
 
@@ -414,58 +615,51 @@ def find_roots(
     while work[-1] == 0:
         work.pop()
         zero_roots += 1
-    degree = len(work) - 1
     # the primitive form: a positive divisor keeps the signs
     content = math.gcd(*work)
     ints = [c // content for c in work]
 
     with mp.workprec(precision_bits):
-        zeros = tuple(mp.mpc(0) for _ in range(zero_roots))
-        if degree == 0:
-            residuals = tuple(mp.mpf(0) for _ in zeros)
-            certified = tuple(True for _ in zeros)
-            return RootSet(zeros, residuals, certified, precision_bits, "isolated")
+        found = [(mp.mpc(0), True)] * zero_roots
+        method = "isolated"
+        if len(ints) > 1:
+            seq = _sturm_sequence(ints)
+            factors = [(ints, 1)]
+            if len(seq[-1]) > 1:
+                factors = _squarefree_factors(ints, seq)
+                method = "enclosed"
+            for factor, multiplicity in factors:
+                if factor is not ints:
+                    seq = _sturm_sequence(factor)
+                reals = [
+                    _refine(factor, seq[1], lo, hi, e, precision_bits)
+                    for lo, hi, e in _isolate(seq)
+                ]
+                roots = [(mp.mpc(mp.ldexp(mp.mpf(a), -e)), True) for a, e in reals]
+                if len(reals) < len(factor) - 1:
+                    method = "enclosed"
+                    f, disks = _enclose(factor, reals, precision_bits)
+                    roots += [
+                        (mp.mpc(mp.ldexp(mp.mpf(x), -f), mp.ldexp(mp.mpf(y), -f)), False)
+                        for x, y, _ in disks[len(reals):]
+                    ]
+                found += roots * multiplicity
+        found.sort(key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
+        roots = tuple(z for z, _ in found)
+        certified = tuple(real for _, real in found)
 
         mp_coeffs = [mp.mpf(c) for c in work]
         abs_coeffs = [abs(a) for a in mp_coeffs]
-        raw = _isolated_roots(ints, precision_bits)
-        method = "isolated"
-        if raw is None:
-            method = "polyroots"
-            try:
-                raw = mp.polyroots(
-                    mp_coeffs, maxsteps=MAX_ITERATIONS, extraprec=precision_bits // 2
-                )
-            except mp.libmp.libhyper.NoConvergence as exc:
-                raise RootFindingError(
-                    f"no convergence after {MAX_ITERATIONS} steps at "
-                    f"{precision_bits} bits; retry with higher precision"
-                ) from exc
-
+        residuals = tuple(
+            _backward_residual(mp_coeffs, abs_coeffs, z) if z else mp.mpf(0)
+            for z in roots
+        )
         target = mp.mpf(2) ** (-(precision_bits // 2))
-        ordered = sorted(
-            (mp.mpc(r) for r in raw), key=lambda w: (abs(w), mp.re(w), mp.im(w))
-        )
-        tail_residuals = tuple(
-            _backward_residual(mp_coeffs, abs_coeffs, w) for w in ordered
-        )
-        worst = max(tail_residuals)
+        worst = max(residuals)
         if worst > target:
             raise RootFindingError(
                 f"residual {mp.nstr(worst, 8)} missed target "
                 f"{mp.nstr(target, 8)} at {precision_bits} bits; retry with "
                 f"higher precision"
             )
-
-        if method == "isolated":
-            tail_certified = tuple(True for _ in ordered)
-        else:
-            tail_certified = tuple(
-                abs(mp.im(w)) <= max(abs(w), mp.mpf(1)) * target
-                and _certify_real_root(ints, w, precision_bits)
-                for w in ordered
-            )
-        roots = zeros + tuple(ordered)
-        residuals = tuple(mp.mpf(0) for _ in zeros) + tail_residuals
-        certified = tuple(True for _ in zeros) + tail_certified
     return RootSet(roots, residuals, certified, precision_bits, method)

@@ -24,6 +24,7 @@ from baryzeros import (
     __version__,
     checks,
     eigen_rationals,
+    rootfinding,
     summary,
 )
 from baryzeros.checks import SUITES
@@ -478,6 +479,20 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     err = run_cli_error(capsys, "chi", "--to", "1000", "--out", str(target))
     assert err == "error: sieve limit 4096 exceeds the configured budget 100\n"
     assert not target.exists()
+
+
+def test_uncertified_roots_exit_2_without_fallback(capsys, monkeypatch):
+    "Disks that never separate end zeros in one error line and exit 2."
+    import mpmath
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots called")
+
+    monkeypatch.setattr(mpmath, "polyroots", refuse)
+    monkeypatch.setattr(rootfinding, "_disks", lambda *args: None)
+    err = run_cli_error(capsys, "zeros", "--n", "37", "--k", "3")
+    assert err.startswith("error: the root enclosures of a degree-")
+    assert "retry with higher precision" in err
 
 
 def test_bad_flag_exits_2(capsys):

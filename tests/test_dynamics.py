@@ -225,10 +225,9 @@ def test_trajectory_checks_the_depth_cap_first():
         trajectory(6, [70, 3, 65])
 
 
-def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
-    """One benchmark zeros command per (dimension, bits) cell: every root
-    certifies from the first _BISECT_BITS bracket, so _refine's fallback
-    to full bisection never runs on the workload's h-polynomials."""
+def benchmark_zeros_cells(monkeypatch) -> list:
+    """(n, k, bits) of the first seed-1 benchmark zeros command in each
+    (dimension, bits) cell."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     # dataclasses look their module up while the class body is processed
@@ -237,7 +236,16 @@ def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
     cells = {}
     for command in workloads.commands_for("zeros", 1, 15):
         facts = command.facts
-        cells.setdefault((facts["dim"], facts["bits"]), facts)
+        cells.setdefault((facts["dim"], facts["bits"]), (facts["n"], facts["k"], facts["bits"]))
+    assert len(cells) == len(workloads.ZEROS_DEPTHS) * len(workloads.ZEROS_BITS)
+    return list(cells.values())
+
+
+def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
+    """One benchmark zeros command per (dimension, bits) cell: every root
+    certifies from the first _BISECT_BITS bracket, so _refine's fallback
+    to full bisection never runs on the workload's h-polynomials."""
+    cells = benchmark_zeros_cells(monkeypatch)
     widths = []
     bisect = rootfinding._bisect
 
@@ -246,10 +254,41 @@ def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
         return bisect(p, lo, hi, e, s_hi, bits)
 
     monkeypatch.setattr(rootfinding, "_bisect", recording)
-    for facts in cells.values():
-        trajectory(facts["n"], range(facts["k"] + 1), facts["bits"])
-    assert len(cells) == len(workloads.ZEROS_DEPTHS) * len(workloads.ZEROS_BITS)
+    for n, k, bits in cells:
+        trajectory(n, range(k + 1), bits)
     assert widths and set(widths) == {rootfinding._BISECT_BITS}
+
+
+def test_benchmark_zeros_certify_every_root_without_polyroots(monkeypatch):
+    """One benchmark zeros command per (dimension, bits) cell, and the k <= 3
+    probe set at 16, 64 and 192 bits, with mpmath.polyroots made to raise:
+    every h-polynomial's roots are certified, and the ones certified real
+    number its distinct real roots by an independent Sturm count (none of
+    these h-polynomials has a repeated root)."""
+    import mpmath
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots called")
+
+    monkeypatch.setattr(mpmath, "polyroots", refuse)
+    probes = [
+        (n, 3, bits)
+        for n in (6, 7, 30, 31, 37, 210, 2310, 3090, 30030)
+        for bits in (16, 64, 192)
+    ]
+    seen = []
+    solve = dynamics.find_roots
+
+    def checking(h, precision_bits):
+        rs = solve(h, precision_bits)
+        assert sum(rs.real_certified) == sturm_count(h), (h, precision_bits)
+        seen.append(rs.method)
+        return rs
+
+    monkeypatch.setattr(dynamics, "find_roots", checking)
+    for n, k, bits in benchmark_zeros_cells(monkeypatch) + probes:
+        trajectory(n, range(k + 1), bits)
+    assert "enclosed" in seen and "isolated" in seen
 
 
 def test_alpha_known_values():

@@ -1,16 +1,16 @@
 """Certified numeric root extraction for integer polynomials."""
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational
 
 from baryzeros import RootFindingError, RootSet, find_roots, rootfinding
-from test_complexes import horner
 
 
 def poly(*coeffs) -> tuple:
@@ -86,9 +86,9 @@ def test_pure_monomial():
 
 
 def test_complex_pair_not_certified_real():
-    "z^2 + 1 has no real root, so the Sturm count sends it to polyroots."
+    "z^2 + 1 has no real root: its two roots come from disjoint disks."
     rs = find_roots(poly(1, 0, 1))
-    assert rs.method == "polyroots"
+    assert rs.method == "enclosed"
     assert len(rs.roots) == 2
     assert not any(rs.real_certified)
     assert rs.real_certified == (False, False)
@@ -163,14 +163,137 @@ def test_clustered_roots_round_correctly(bits, base, gap):
             assert z == mp.mpf(r.numerator) / mp.mpf(r.denominator), (z, r)
 
 
-def test_repeated_root_falls_back():
-    "(z + 1)^2 (z - 2) is not squarefree: polyroots, still the right roots."
+def test_repeated_root_gets_exact_multiplicity():
+    "(z + 1)^2 (z - 2) is not squarefree: -1 twice and 2, each exact."
     rs = find_roots(product(-1, -1, 2))
-    assert rs.method == "polyroots"
-    with mp.workprec(rs.precision_bits):
-        assert all(abs(z + 1) < mp.mpf(2) ** -40 for z in rs.roots[:2])
-        assert abs(rs.roots[2] - 2) < mp.mpf(2) ** -100
-    assert rs.real_certified[2]
+    assert rs.method == "enclosed"
+    assert rs.roots == (-1, -1, 2)
+    assert rs.real_certified == (True,) * 3
+    assert rs.residuals == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [(-1, -1), (Fraction(1, 2),) * 3, (-1, -1, -1, 2), (3, 3, 3, 3, -2, -2), (0, -1, -1)],
+)
+def test_powers_of_a_linear_factor_split_exactly(roots):
+    """Where a gcd in the chain is a power of one linear factor, the Sturm
+    sequence ends at that power's derivative, whose content is not 1."""
+    rs = find_roots(product(*roots), precision_bits=64)
+    assert rs.roots == tuple(sorted(roots, key=lambda r: (abs(r), r)))
+    assert all(rs.real_certified)
+
+
+def with_pairs(p: tuple, pairs) -> tuple:
+    "p times (z - u)^2 + v^2 for each (u, v): the conjugate roots u +- iv."
+    coeffs = [Fraction(c) for c in p]
+    for u, v in pairs:
+        coeffs = [
+            a - 2 * u * b + (u * u + v * v) * c
+            for a, b, c in zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)
+        ]
+    return poly(*coeffs)
+
+
+def gaussian_value(p, re, im) -> tuple:
+    "p at re + i im, exactly, as a (real, imaginary) pair."
+    a = b = Fraction(0)
+    for c in p:
+        a, b = a * re - b * im + c, a * im + b * re
+    return a, b
+
+
+def exact(x) -> Fraction:
+    "An mpf's exact value."
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+shifts = st.integers(-300, 300)
+real_roots = st.builds(
+    lambda a, c, s: Fraction(a, c) * Fraction(2) ** s,
+    st.integers(1, 50) | st.integers(-50, -1),
+    st.integers(1, 12),
+    shifts,
+)
+pair_roots = st.builds(
+    lambda a, b, c, s: (Fraction(a, c) * Fraction(2) ** s, Fraction(b, c) * Fraction(2) ** s),
+    st.integers(-50, 50),
+    st.integers(1, 50),
+    st.integers(1, 12),
+    shifts,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(real_roots, max_size=3, unique=True),
+    st.lists(pair_roots, min_size=1, max_size=3, unique=True),
+    st.sampled_from(["apart", "cluster", "near-real", "repeated"]),
+    st.sampled_from([16, 64, 192, 512]),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
+    """Real roots and conjugate pairs u +- iv of moduli 2^-300 to 2^300,
+    with a pair 2^-100 from another, or 2^-100 off the real axis, or the
+    first real root and pair repeated: each root lies in exactly one disk,
+    the disks are disjoint, each radius is at most 2^-bits of its centre's
+    modulus, and every multiplicity is exact."""
+    u, v = pairs[0]
+    if layout == "cluster":
+        pairs.append((u + u / 2**100, v + v / 2**100))
+    elif layout == "near-real":
+        pairs.append((u or v, abs(u or v) / 2**100))
+    real_mult = dict.fromkeys(reals, 1)
+    pair_mult = dict.fromkeys(pairs, 1)
+    if layout == "repeated":
+        pair_mult[pairs[0]] = repeats[1]
+        if reals:
+            real_mult[reals[0]] = repeats[0]
+    p = with_pairs(
+        product(*(r for r, m in real_mult.items() for _ in range(m))),
+        [pair for pair, m in pair_mult.items() for _ in range(m)],
+    )
+    calls = []
+    enclose = rootfinding._enclose
+
+    def recording(q, approx, b):
+        found = enclose(q, approx, b)
+        calls.append((q, found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rootfinding, "_enclose", recording)
+        rs = find_roots(p, bits)
+    assert rs.method == "enclosed"
+    assert len(rs.roots) == len(p) - 1
+    assert list(rs.real_certified) == [z.imag == 0 for z in rs.roots]
+    assert sum(rs.real_certified) == sum(real_mult.values())
+
+    truth = {(r, 0): m for r, m in real_mult.items()}
+    for (a, b), m in pair_mult.items():
+        truth[a, b] = truth[a, -b] = m
+    enclosed = []
+    for q, (f, disks) in calls:
+        held = [z for z in truth if gaussian_value(q, *z) == (0, 0)]
+        assert len(held) == len(disks) == len(q) - 1
+        for a, b in held:
+            inside = [(a * 2**f - x) ** 2 + (b * 2**f - y) ** 2 <= r * r for x, y, r in disks]
+            assert inside.count(True) == 1, (a, b)
+        for i, (x, y, r) in enumerate(disks):
+            assert (r * r) << (2 * bits) <= x * x + y * y
+            for x2, y2, r2 in disks[:i]:
+                assert (x - x2) ** 2 + (y - y2) ** 2 > (r + r2) ** 2
+        enclosed += held
+    assert {z for z in truth if z[1]} <= set(enclosed)
+
+    # every root, with its multiplicity, near a returned value
+    found = [(exact(z.real), exact(z.imag)) for z in rs.roots]
+    for (a, b), m in truth.items():
+        near = [(a - x) ** 2 + (b - y) ** 2 <= (a * a + b * b) / 4 ** (bits - 2) for x, y in found]
+        assert near.count(True) >= m, (a, b)
+    if layout == "repeated":
+        assert sorted(Counter(rs.roots).values()) == sorted(truth.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,63 +325,6 @@ def test_isolation_agrees_with_polyroots(roots, bits):
     for z, r in zip(rs.roots, sorted(roots, key=lambda r: (abs(r), r))):
         nearest = from_rational(r.numerator, r.denominator, bits, "n")
         assert z.real._mpf_ == nearest and z.imag == 0, (z, r)
-
-
-def certify_by_fractions(p: tuple, approx, bits: int) -> bool:
-    "The exact sign bracket of _certify_real_root, in Fraction arithmetic."
-    sign, man, exp, _ = mp.re(approx)._mpf_
-    x = Fraction(-man if sign else man) * Fraction(2) ** exp
-    delta = max(abs(x), Fraction(1)) / Fraction(2) ** (bits // 2)
-    for _ in range(rootfinding._CERTIFY_DOUBLINGS):
-        lo, hi = horner(p, x - delta), horner(p, x + delta)
-        if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
-            return True
-        delta *= 2
-    return False
-
-
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(rationals, max_size=5, unique=True),
-    st.lists(st.tuples(rationals, rationals.filter(bool)), max_size=2),
-    st.integers(16, 512),
-    st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(-4, 18)), max_size=4),
-)
-def test_certification_agrees_with_fractions(roots, pairs, bits, nudges):
-    """Real roots (z - r) and complex pairs (z - u)^2 + v^2: the integer
-    sign test gives the Fraction verdict on each polyroots approximation,
-    as computed and moved by 2^shift times the first bracket's half-width,
-    up to past the last doubled bracket."""
-    assume(roots or pairs)
-    p = product(*roots)
-    for u, v in pairs:
-        coeffs = [Fraction(0)] * (len(p) + 2)
-        for i, c in enumerate(p):
-            for j, m in enumerate((1, -2 * u, u * u + v * v)):
-                coeffs[i + j] += c * m
-        p = poly(*coeffs)
-    with mp.workprec(bits):
-        coeffs = [mp.mpf(c) for c in p]
-        try:
-            raw = mp.polyroots(coeffs, maxsteps=400, extraprec=bits // 2)
-        except mp.NoConvergence:
-            raw = []
-        approx = [mp.mpc(w) for w in raw]
-        for w in list(approx):
-            for sign, shift in nudges:
-                step = max(abs(mp.re(w)), 1) * mp.mpf(2) ** (shift - bits // 2)
-                approx.append(w + sign * step)
-        for w in approx:
-            got = rootfinding._certify_real_root(p, w, bits)
-            assert got == certify_by_fractions(p, w, bits), (w, bits)
-
-
-def test_non_finite_root_fails_certification():
-    with pytest.raises(ValueError, match="exact rational"):
-        rootfinding._certify_real_root([1, -1], mp.mpf("inf"), 64)
 
 
 def test_near_tie_rounds_correctly():
