@@ -25,13 +25,14 @@ import io
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .complexes import (
     DEFAULT_SIEVE_LIMIT,
+    ConsistencyError,
     ResourceLimitError,
     chi_profile,
     dim_of,
@@ -266,18 +267,16 @@ def _cmd_chi(args) -> int:
         raise CliError(f"--to {args.stop} exceeds the sieve limit {limit}")
     chi = chi_profile(args.stop)
     mm = shared_sieve(args.stop).mertens_prefix
-    header = ["n", "chi", "mertens", "dim"]
-    dims = chain.from_iterable(
-        repeat(d, hi - lo) for d, lo, hi in dimension_runs(args.start, args.stop + 1)
+    # one dimension run at a time; the key is the tail itself: three ints
+    rows = chain.from_iterable(
+        zip(range(lo, hi), zip(islice(chi, lo, hi), islice(mm, lo, hi), repeat(d)))
+        for d, lo, hi in dimension_runs(args.start, args.stop + 1)
     )
-    ns = range(args.start, args.stop + 1)
-    # the key is the tail itself: three ints
-    rows = zip(ns, zip(chi[args.start :], mm[args.start : args.stop + 1], dims))
     _emit_table(
         args,
         "chi",
         {"from": args.start, "to": args.stop, "sieve_limit": limit},
-        header,
+        ["n", "chi", "mertens", "dim"],
         rows,
         tuple,
     )
@@ -506,7 +505,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()
         return code
-    except (CliError, ValueError, OSError, ResourceLimitError, RootFindingError) as exc:
+    except (
+        CliError, ValueError, OSError, ConsistencyError, ResourceLimitError, RootFindingError
+    ) as exc:
         if isinstance(exc, BrokenPipeError) and not args.out:
             # The reader of stdout has gone (``| head``): stop quietly, and
             # point stdout at devnull so the flush at exit cannot fail again.

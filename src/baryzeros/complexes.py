@@ -3,7 +3,10 @@
 For an integer n >= 1 the associated complex has one simplex for every
 squarefree k <= n, namely the set of primes dividing k (the empty set
 for k = 1).  Its reduced Euler characteristic equals minus the Mertens
-function at n, which doubles as a built-in consistency oracle.
+function at n, term by term: a squarefree k with w prime factors is one
+face of dimension w - 1 and adds (-1)^(w-1) = -mu(k).  So chi is read
+off the sieve's running Moebius sum, and ``verify`` recomputes it from
+the faces.
 """
 
 from __future__ import annotations
@@ -230,25 +233,17 @@ def summary(n: int) -> FVector:
 
 
 def chi_profile(limit: int) -> list[int]:
-    """Euler characteristics for all n <= limit, indexed by n, slot 0 unused.
+    """Euler characteristics for all n <= limit, indexed by n, slot 0 = 0.
 
-    Accumulated from squarefree weight classes (each squarefree n of
-    weight w contributes (-1)^(w-1)), a route apart from the sieve's
-    running Moebius sum, against which callers compare it.
+    Minus the sieve's running Moebius sum, by the identity in the module
+    docstring; the ``euler-equals-minus-mertens`` check recomputes it from
+    the faces.  The list holds one int object per distinct value.
     """
     if limit < 0:
         raise ValueError(f"limit={limit} must be nonnegative")
-    chi = [0] * (limit + 1)
-    chi_run = 0
-    w = shared_sieve(limit).weight
-    for k in range(1, limit + 1):
-        wk = w[k]
-        if wk == 0:
-            chi_run -= 1  # the empty simplex enters at k = 1
-        elif wk > 0:
-            chi_run += -1 if (wk - 1) % 2 else 1
-        chi[k] = chi_run
-    return chi
+    prefix = shared_sieve(limit).mertens_prefix
+    negated = {m: -m for m in set(itertools.islice(prefix, limit + 1))}
+    return list(map(negated.__getitem__, itertools.islice(prefix, limit + 1)))
 
 
 def first_negative_euler(limit: int = 200) -> int | None:

@@ -20,7 +20,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .complexes import (
     FVector,
     chi_profile,
-    dim_of,
     dimension_runs,
     h_poly,
     shared_sieve,

@@ -25,13 +25,6 @@ from typing import Sequence
 BRUTE_FORCE_DIMENSION_CAP = 5
 
 
-def _binom(n: int, k: int) -> int:
-    """Binomial coefficient that is 0 outside the triangle instead of raising."""
-    if n < 0 or k < 0:
-        return 0
-    return comb(n, k)
-
-
 @cache
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: set partitions of n blocks k."""
@@ -225,7 +218,7 @@ def shift_matrix(d: int) -> SimplexMatrix:
         row = []
         for j in range(-1, d + 1):
             sign = -1 if (d + 1 + i + j) % 2 else 1
-            row.append(sign * _binom(d - j, i + 1))
+            row.append(sign * comb(d - j, i + 1))
         rows.append(tuple(row))
     return SimplexMatrix(d, tuple(rows))
 
@@ -237,7 +230,7 @@ def shift_matrix_inverse(d: int) -> SimplexMatrix:
     return SimplexMatrix(
         d,
         tuple(
-            tuple(_binom(j + 1, d - i) for j in range(-1, d + 1))
+            tuple(comb(j + 1, d - i) for j in range(-1, d + 1))
             for i in range(-1, d + 1)
         ),
     )

@@ -25,6 +25,7 @@ from baryzeros import (
     checks,
     eigen_rationals,
     rootfinding,
+    shared_sieve,
     summary,
 )
 from baryzeros.checks import SUITES
@@ -493,6 +494,19 @@ def test_uncertified_roots_exit_2_without_fallback(capsys, monkeypatch):
     err = run_cli_error(capsys, "zeros", "--n", "37", "--k", "3")
     assert err.startswith("error: the root enclosures of a degree-")
     assert "retry with higher precision" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("alpha", "--n", "6"), ("zeros", "--n", "6", "--k", "2")], ids=["alpha", "zeros"]
+)
+def test_failed_cross_check_exits_2(capsys, monkeypatch, argv):
+    "A chi = -M mismatch in summary ends the command in one error line, no traceback."
+    table = shared_sieve(6)
+    skewed = list(table.mertens_prefix)
+    skewed[6] += 1
+    monkeypatch.setattr(table, "mertens_prefix", skewed)
+    err = run_cli_error(capsys, *argv)
+    assert err == "error: euler characteristic 1 and Mertens value 0 disagree at n=6\n"
 
 
 def test_bad_flag_exits_2(capsys):

@@ -1,6 +1,7 @@
 """Growth expansions, zero trajectories, and scaling limits."""
 
 import importlib.util
+import os
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +32,7 @@ from baryzeros import (
     trajectory_precision,
 )
 from baryzeros import checks, dynamics, rootfinding
+from baryzeros.cli import main
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -377,6 +379,18 @@ def test_alpha_scan_memory():
         tracemalloc.stop()
     assert len(scan) == 10**5 - 5
     assert peak <= 4 * 2**20, peak
+
+
+def test_chi_command_memory():
+    "chi streams its columns: with the sieve built, 10^5 rows peak under 2.5 MiB."
+    shared_sieve(10**5)
+    tracemalloc.start()
+    try:
+        assert main(["chi", "--to", "100000", "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20, peak
 
 
 def test_alpha_record_invariants():
