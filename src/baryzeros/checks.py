@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, count, islice
 from operator import add
 
 import mpmath as mp
@@ -338,17 +339,23 @@ def _check_euler_vs_mertens() -> CheckResult:
     """chi summed over the faces, each squarefree k of weight w one face
     of dimension w - 1, against minus the sieve's running Moebius sum."""
     table = shared_sieve(MERTENS_LIMIT)
-    weight, mm = table.weight, table.mertens_prefix
+    # the empty simplex enters at k = 1 (weight 0), a squareful k adds nothing
+    step = {w: (-1) ** (w + 1) for w in range(dim_of(MERTENS_LIMIT) + 2)}
+    step[-1] = 0
+
+    def routes():
+        "chi from the faces and the Mertens sum, each for n = 1..MERTENS_LIMIT"
+        stop = MERTENS_LIMIT + 1
+        faces = accumulate(map(step.__getitem__, islice(table.weight, 1, stop)))
+        return faces, islice(table.mertens_prefix, 1, stop)
+
     bad = []
-    chi = 0
-    for n in range(1, MERTENS_LIMIT + 1):
-        w = weight[n]
-        if w == 0:
-            chi -= 1  # the empty simplex enters at k = 1
-        elif w > 0:
-            chi += -1 if (w - 1) % 2 else 1
-        if chi != -mm[n]:
-            bad.append(f"n={n}: chi {chi} != -M {mm[n]}")
+    if any(map(add, *routes())):
+        bad.extend(
+            f"n={n}: chi {c} != -M {m}"
+            for n, c, m in zip(count(1), *routes())
+            if c != -m
+        )
     return _verdict(
         "euler-equals-minus-mertens", bad, f"two routes agree for n <= {MERTENS_LIMIT}"
     )

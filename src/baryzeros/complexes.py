@@ -12,6 +12,7 @@ the faces.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,21 +43,34 @@ class SieveTable:
     weight[k] is the number of distinct prime factors for squarefree k
     and -1 otherwise; weight[1] = 0.  mertens_prefix[x] is the running
     Moebius sum up to x, the Moebius value of k being (-1)^weight[k] for
-    weight[k] >= 0 and 0 otherwise.  Slot 0 of both lists is 0.
+    weight[k] >= 0 and 0 otherwise.  Slot 0 of both is 0.  Both are
+    compact arrays: weight an ``array('b')``, one byte per slot, and
+    mertens_prefix an ``array('i')``, four.
     """
 
     limit: int
-    weight: list[int]
-    mertens_prefix: list[int]
+    weight: array
+    mertens_prefix: array
+
+
+# Byte maps for bytearray.translate.  _COUNT_PRIME adds one prime factor to
+# a count (counts stay below 9 within the budget) and keeps the squareful
+# mark 0xff; _MOEBIUS maps a count to its Moebius value as a signed byte and
+# the mark to 0.
+_COUNT_PRIME = bytes(range(1, 0xFF)) + b"\xfe\xff"
+_MOEBIUS = bytes(0xFF if w & 1 else 1 for w in range(0xFF)) + b"\0"
 
 
 def build_sieve(limit: int) -> SieveTable:
-    """Linear (Euler) sieve writing squarefree weights in one pass.
+    """Squarefree weights from slice operations, one round per prime.
 
-    An i >= 2 not yet reached is prime and gets weight 1.  Every composite
-    i*p is reached exactly once, from its smallest prime p: it gets -1 when
-    p divides i or i is not squarefree, and weight[i] + 1 otherwise.  The
-    Mertens running sums are then accumulated from the weights.
+    A slot still 0 past the last prime is the next prime p: every slot
+    p, 2p, ... gains one prime factor in a single ``translate`` of the
+    slice, and the slots p^2, 2p^2, ... take the squareful mark 0xff,
+    which later rounds keep.  So no Python loop visits every n.  The
+    bytes read as signed give weight, the mark as -1; the Mertens running
+    sums accumulate the Moebius bytes.  ``SIEVE_MEMORY_BUDGET`` bounds
+    the number of slots.
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
@@ -64,31 +78,19 @@ def build_sieve(limit: int) -> SieveTable:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds the configured budget {SIEVE_MEMORY_BUDGET}"
         )
-    weight = [0] * (limit + 1)
-    primes: list[int] = []
-    for i in range(2, limit + 1):
-        wi = weight[i]
-        if wi == 0:
-            wi = weight[i] = 1
-            primes.append(i)
-        next_weight = -1 if wi < 0 else wi + 1
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            if i % p == 0:
-                weight[ip] = -1
-                break
-            weight[ip] = next_weight
-
-    prefix = [0] * (limit + 1)
-    run = 0
-    for k in range(1, limit + 1):
-        w = weight[k]
-        if w >= 0:
-            run += -1 if w & 1 else 1
-        prefix[k] = run
-    return SieveTable(limit, weight, prefix)
+    size = limit + 1
+    raw = bytearray(size)
+    p = raw.find(0, 2)
+    while p > 0:
+        raw[p::p] = raw[p::p].translate(_COUNT_PRIME)
+        square = p * p
+        if square <= limit:
+            raw[square::square] = b"\xff" * len(range(square, size, square))
+        p = raw.find(0, p + 1)
+    mobius = raw.translate(_MOEBIUS)
+    mobius[0] = 0
+    prefix = array("i", itertools.accumulate(memoryview(mobius).cast("b")))
+    return SieveTable(limit, array("b", raw), prefix)
 
 
 _shared_sieve: SieveTable | None = None
@@ -212,17 +214,16 @@ def h_poly(fv: FVector) -> tuple[int, ...]:
 
 def summary(n: int) -> FVector:
     """f-vector of the complex at n, its Euler characteristic cross-checked
-    against minus the Mertens value."""
+    against minus the Mertens value.
+
+    f_{w-1} is the number of k <= n of weight w, counted with one
+    ``bytes.count`` per weight over the sieve's bytes.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     table = shared_sieve(n)
-    counts = [0] * (dim_of(n) + 2)
-    weight = table.weight
-    for k in range(1, n + 1):
-        w = weight[k]
-        if w >= 0:
-            counts[w] += 1
-    fv = FVector(tuple(counts))
+    faces = memoryview(table.weight)[1 : n + 1].tobytes()
+    fv = FVector(tuple(map(faces.count, range(dim_of(n) + 2))))
     chi, mertens_n = fv.euler_char(), table.mertens_prefix[n]
     if chi != -mertens_n:
         raise ConsistencyError(

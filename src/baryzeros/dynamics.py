@@ -366,8 +366,8 @@ def alpha_scan(n_max: int) -> AlphaScan:
     A run of constant dimension d starts at the product of the first d+1
     primes, the least squarefree number with d+1 prime factors, so f_top
     counts the n of weight d+1 from there; each such n starts a new
-    :class:`AlphaRun`.  The sieve's list finds them with ``index``, so no
-    Python loop walks every n.
+    :class:`AlphaRun`.  ``index`` on the sieve's weight array finds them,
+    so no Python loop walks every n.
     """
     if n_max < 6:
         raise ValueError("n_max must be at least 6")

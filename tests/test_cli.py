@@ -429,6 +429,18 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert lines[-1] == "4 passed, 1 failed"
 
 
+def test_euler_check_names_each_disagreeing_n(monkeypatch):
+    "The route from the faces against a skewed Mertens sum names the first n."
+    table = shared_sieve(checks.MERTENS_LIMIT)
+    skewed = list(table.mertens_prefix)
+    skewed[6] += 1
+    skewed[checks.MERTENS_LIMIT] -= 2
+    monkeypatch.setattr(table, "mertens_prefix", skewed)
+    result = checks._check_euler_vs_mertens()
+    assert result.detail == "n=6: chi 1 != -M 0 (+1 more)"
+    assert not result.passed
+
+
 def test_verdict_names_the_first_failure_and_counts_the_rest():
     result = checks._verdict("name", ["a", "b", "c"], "scope")
     assert result == checks.CheckResult("name", False, "a (+2 more)")

@@ -1,5 +1,7 @@
 """Sieves, squarefree-divisor complexes, and explicit subdivision."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,73 @@ def test_sieve_small_limits_are_prefixes():
         assert table.limit == limit
         assert table.weight == big.weight[: limit + 1], limit
         assert table.mertens_prefix == big.mertens_prefix[: limit + 1], limit
+
+
+def linear_sieve(limit: int) -> tuple[list, list]:
+    """Weights and Mertens running sums by the linear (Euler) sieve.
+
+    An i >= 2 not yet reached is prime and gets weight 1.  Every composite
+    i*p is reached exactly once, from its smallest prime p: it gets -1 when
+    p divides i or i is not squarefree, and weight[i] + 1 otherwise.
+    """
+    weight = [0] * (limit + 1)
+    primes = []
+    for i in range(2, limit + 1):
+        wi = weight[i]
+        if wi == 0:
+            wi = weight[i] = 1
+            primes.append(i)
+        next_weight = -1 if wi < 0 else wi + 1
+        for p in primes:
+            ip = i * p
+            if ip > limit:
+                break
+            if i % p == 0:
+                weight[ip] = -1
+                break
+            weight[ip] = next_weight
+    prefix = [0] * (limit + 1)
+    run = 0
+    for k in range(1, limit + 1):
+        w = weight[k]
+        if w >= 0:
+            run += -1 if w & 1 else 1
+        prefix[k] = run
+    return weight, prefix
+
+
+def test_sieve_against_linear_sieve():
+    """build_sieve slot for slot against the linear sieve: every limit up
+    to 3000, p^2 - 1, p^2 and p^2 + 1 for p <= 60, the primorials up to
+    510510 and 10^5.  The linear sieve at a limit is the prefix of its run
+    at 510510, so it runs once."""
+    weight, prefix = linear_sieve(510510)
+    small_primes = [p for p in range(2, 61) if brute_weight(p) == 1]
+    limits = [
+        *range(1, 3001),
+        *(p * p + e for p in small_primes for e in (-1, 0, 1)),
+        2, 6, 30, 210, 2310, 30030, 510510,
+        10**5,
+    ]
+    for limit in limits:
+        table = build_sieve(limit)
+        assert (table.weight.typecode, table.mertens_prefix.typecode) == ("b", "i")
+        assert table.weight.tolist() == weight[: limit + 1], limit
+        assert table.mertens_prefix.tolist() == prefix[: limit + 1], limit
+
+
+def test_sieve_memory():
+    "The sieve holds one byte of weight and four of Mertens sum per slot."
+    limit = 10**5
+    tracemalloc.start()
+    try:
+        table = build_sieve(limit)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert table.limit == limit
+    # an array built from an iterator over-allocates by about 1/16
+    assert held <= 5.5 * limit, held
 
 
 def test_sieve_guards(monkeypatch):

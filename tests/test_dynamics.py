@@ -261,6 +261,52 @@ def test_benchmark_zeros_certify_from_the_first_bracket(monkeypatch):
     assert widths and set(widths) == {rootfinding._BISECT_BITS}
 
 
+def exact(x) -> Fraction:
+    "The value of a finite mpf as a Fraction."
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def rounding_cell(x, bits: int) -> tuple:
+    """The closed interval of reals that round to nearest to the nonzero
+    mpf x with a bits-bit mantissa.  Below a power of two the spacing
+    halves."""
+    sign, man, exp, bc = x._mpf_
+    m, ulp = man << (bits - bc), Fraction(2) ** (exp - (bits - bc))
+    low = (m - Fraction(1, 4 if m == 1 << (bits - 1) else 2)) * ulp
+    high = (m + Fraction(1, 2)) * ulp
+    return (-high, -low) if sign else (low, high)
+
+
+def test_benchmark_zeros_round_to_nearest(monkeypatch):
+    """Every isolated row of the 192-bit benchmark zeros cells, d = 1..5:
+    each root found at bits + 64 lies in the rounding cell of the matching
+    root at the row's bits."""
+    cells = [(n, k) for n, k, bits in benchmark_zeros_cells(monkeypatch) if bits == 192]
+    assert sorted(dim_of(n) for n, _ in cells) == [1, 2, 3, 4, 5]
+    rows = 0
+    for n, k_max in cells:
+        fv = summary(n)
+        for k, counts in enumerate(subdivided_f(fv, k_max)):
+            h = h_poly(counts)
+            bits = trajectory_precision(fv.dim, k, 192)
+            coarse = find_roots(h, bits)
+            if coarse.method != "isolated":
+                continue
+            rows += 1
+            fine = find_roots(h, bits + 64)
+            assert fine.method == "isolated"
+            assert len(coarse.roots) == len(fine.roots) == fv.dim + 1
+            pairs = zip(sorted(z.real for z in coarse.roots), sorted(z.real for z in fine.roots))
+            for x, y in pairs:
+                if not x:
+                    assert not y, (n, k)
+                    continue
+                low, high = rounding_cell(x, bits)
+                assert low <= exact(y) <= high, (n, k, x)
+    assert rows >= sum(k for _, k in cells)
+
+
 def test_benchmark_zeros_certify_every_root_without_polyroots(monkeypatch):
     """One benchmark zeros command per (dimension, bits) cell, and the k <= 3
     probe set at 16, 64 and 192 bits, with mpmath.polyroots made to raise:
