@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from operator import add
+from typing import NamedTuple
 
 import mpmath as mp
 
@@ -64,8 +64,7 @@ ALPHA_IDENTITY_LIMIT = 10_000
 GROWTH_DEPTH = 20
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one named invariant check."""
 
     name: str

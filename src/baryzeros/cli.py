@@ -357,7 +357,7 @@ def _cmd_zeros(args) -> int:
     if args.precision_bits > MAX_PRECISION_BITS:
         raise CliError(f"--precision-bits must be at most {MAX_PRECISION_BITS}")
     if args.k < 0:
-        raise CliError("k_max must be nonnegative")
+        raise CliError("--k must be nonnegative")
     run = trajectory(args.n, range(args.k + 1), args.precision_bits)
     header = [
         "k",

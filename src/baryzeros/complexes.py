@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .subdivision import shift_matrix
 
@@ -36,8 +35,7 @@ class ResourceLimitError(RuntimeError):
 # sieve
 
 
-@dataclass
-class SieveTable:
+class SieveTable(NamedTuple):
     """Squarefree weights and Mertens running sums up to ``limit``.
 
     weight[k] is the number of distinct prime factors for squarefree k
@@ -158,26 +156,26 @@ def dimension_runs(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
 # f-vectors
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(NamedTuple("FVector", [("counts", tuple)])):
     """Face counts (f_{-1}, f_0, ..., f_d) of a complex of dimension d.
 
     The leading entry counts the empty simplex and is always 1; the
     trailing entry is positive (a complex of dimension d has at least one
-    d-simplex).
+    d-simplex).  ``count(i)`` shadows ``tuple.count``.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.counts:
+    def __new__(cls, counts: tuple[int, ...]):
+        if not counts:
             raise ValueError("f-vector cannot be empty")
-        if self.counts[0] != 1:
+        if counts[0] != 1:
             raise ValueError("f_{-1} must be 1 (one empty simplex)")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("face counts must be nonnegative")
-        if self.counts[-1] == 0:
+        if counts[-1] == 0:
             raise ValueError("top face count must be positive")
+        return super().__new__(cls, counts)
 
     @property
     def dim(self) -> int:
@@ -260,8 +258,7 @@ def first_negative_euler(limit: int = 200) -> int | None:
 # explicit complexes
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(NamedTuple):
     """Abstract simplicial complex: a set of frozensets closed downward.
 
     Always contains the empty simplex.  Vertex labels must be hashable

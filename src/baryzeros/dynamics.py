@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -56,8 +55,7 @@ def subdivided_f(fv: FVector, depth: int) -> tuple[FVector, ...]:
 # exact growth expansion
 
 
-@dataclass(frozen=True)
-class GrowthExpansion:
+class GrowthExpansion(NamedTuple):
     """Exact closed form f_i(k) = sum_j C[j][i] * ((d+1-j)!)^k.
 
     Valid for every k >= 0, not only asymptotically: the transfer matrix
@@ -112,8 +110,7 @@ def growth_expansion(fv: FVector) -> GrowthExpansion:
 # zero trajectories
 
 
-@dataclass(frozen=True)
-class TrajectoryEntry:
+class TrajectoryEntry(NamedTuple):
     """Root data of the h-polynomial after k subdivision rounds.
 
     rho_0 and rho_inf are the roots of smallest and largest modulus,
@@ -139,8 +136,7 @@ class TrajectoryEntry:
     prod_rel_err: object
 
 
-@dataclass(frozen=True)
-class ZeroTrajectory:
+class ZeroTrajectory(NamedTuple):
     """Zero dynamics of one squarefree-divisor complex under subdivision."""
 
     n: int
@@ -336,9 +332,9 @@ class AlphaScan:
     An alpha depends on n only through (dim, chi, f_top), and dim and
     f_top change only at the runs' starts, so consumers can work once per
     distinct value.  Iterating yields an :class:`AlphaRecord` per n, in
-    order, built on demand; len() counts them.  A plain class, not a
-    dataclass: every command imports this module, and building a
-    dataclass costs about 0.4 ms of that start-up.
+    order, built on demand; len() counts them.  A slotted class, not a
+    named tuple like the package's other records: its len() and its
+    iteration are over the records, not over its two fields.
     """
 
     __slots__ = ("n_max", "runs")
@@ -387,8 +383,7 @@ def alpha_scan(n_max: int) -> AlphaScan:
     return AlphaScan(n_max, tuple(runs))
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Exact audit of the scaling-limit growth bounds up to n_max.
 
     strong_violations lists n where alpha^2 > ((d+1)!)^3 (exponent above

@@ -37,7 +37,7 @@ accepted only when every backward residual is tiny.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_PRECISION_BITS = 128
 # Sign bisection narrows an isolated root to this relative width before
@@ -59,8 +59,7 @@ class RootFindingError(RuntimeError):
     target."""
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """Roots of one polynomial, sorted by ascending modulus.
 
     A root of multiplicity m appears m times, with equal values.

@@ -16,11 +16,10 @@ Everything is exact: entries are Python ints or ``Fraction`` values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 BRUTE_FORCE_DIMENSION_CAP = 5
 
@@ -140,17 +139,16 @@ def limit_h_coefficients(d: int) -> tuple[Fraction, ...]:
 # matrices indexed -1..d
 
 
-@dataclass(frozen=True)
-class SimplexMatrix:
+class SimplexMatrix(NamedTuple("SimplexMatrix", [("d", int), ("rows", tuple)])):
     """Square matrix whose rows/columns are indexed by dimensions -1..d."""
 
-    d: int
-    rows: tuple[tuple, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        size = self.d + 2
-        if len(self.rows) != size or any(len(r) != size for r in self.rows):
+    def __new__(cls, d: int, rows: tuple[tuple, ...]):
+        size = d + 2
+        if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError("matrix shape does not match dimension range")
+        return super().__new__(cls, d, rows)
 
     @property
     def size(self) -> int:

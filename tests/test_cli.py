@@ -23,6 +23,7 @@ from baryzeros import (
     RootFindingError,
     __version__,
     checks,
+    complexes,
     eigen_rationals,
     rootfinding,
     shared_sieve,
@@ -435,7 +436,7 @@ def test_euler_check_names_each_disagreeing_n(monkeypatch):
     skewed = list(table.mertens_prefix)
     skewed[6] += 1
     skewed[checks.MERTENS_LIMIT] -= 2
-    monkeypatch.setattr(table, "mertens_prefix", skewed)
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(mertens_prefix=skewed))
     result = checks._check_euler_vs_mertens()
     assert result.detail == "n=6: chi 1 != -M 0 (+1 more)"
     assert not result.passed
@@ -463,7 +464,7 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", str(10**20))
     assert err == f"error: subdivision depth {10**20} exceeds the cap 64\n"
     err = run_cli_error(capsys, "zeros", "--n", "6", "--k", "-1")
-    assert err == "error: k_max must be nonnegative\n"
+    assert err == "error: --k must be nonnegative\n"
 
     def fail(*args, **kwargs):
         raise RootFindingError("residual missed target")
@@ -516,7 +517,7 @@ def test_failed_cross_check_exits_2(capsys, monkeypatch, argv):
     table = shared_sieve(6)
     skewed = list(table.mertens_prefix)
     skewed[6] += 1
-    monkeypatch.setattr(table, "mertens_prefix", skewed)
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(mertens_prefix=skewed))
     err = run_cli_error(capsys, *argv)
     assert err == "error: euler characteristic 1 and Mertens value 0 disagree at n=6\n"
 
@@ -534,6 +535,40 @@ def test_sieve_limit_env_override(capsys, monkeypatch):
     assert "error:" in err
     monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", "not-a-number")
     run_cli_error(capsys, "chi", "--from", "1", "--to", "10")
+
+
+_N_RANGE = "--n must be between 1 and the sieve limit 1000000"
+
+
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        ("0", ("chi", "--to", "10"), "BARYZEROS_SIEVE_LIMIT must be positive, got 0"),
+        ("-3", ("chi", "--to", "10"), "BARYZEROS_SIEVE_LIMIT must be positive, got -3"),
+        (None, ("alpha", "--n", "0"), _N_RANGE),
+        (None, ("alpha", "--n", "1000001"), _N_RANGE),
+        (None, ("zeros", "--n", "0", "--k", "2"), _N_RANGE),
+        (None, ("zeros", "--n", "1000001", "--k", "2"), _N_RANGE),
+    ],
+)
+def test_range_guards_exit_2(capsys, monkeypatch, env, argv, message):
+    "Out-of-range limits and n end in one error line, exit 2 and no stdout."
+    monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
+    if env is not None:
+        monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", env)
+    assert run_cli_error(capsys, *argv) == f"error: {message}\n"
+
+
+def test_missed_residual_target_exits_2(capsys, monkeypatch):
+    "A residual above its target ends zeros in the gate's one error line."
+    import mpmath
+
+    monkeypatch.setattr(rootfinding, "_backward_residual", lambda *args: mpmath.mpf(1))
+    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2")
+    assert err == (
+        "error: residual 1.0 missed target 1.2621774e-29 at 192 bits; "
+        "retry with higher precision\n"
+    )
 
 
 def test_module_entry_point():
@@ -607,13 +642,15 @@ def test_traced_run_prints_the_same_bytes(tmp_path, argv):
 
 # Runs one command in a fresh interpreter (with no command, only imports
 # the package and its CLI) and reports, as the last line of stderr, its
-# exit code and which of the heavy modules it imported.
+# exit code and which of the heavy modules it imported.  dataclasses and
+# inspect are on the list so that no record idiom brings them back.
 _LOADED_PROBE = """
 import json, sys
 from baryzeros.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 sys.stdout.flush()
-heavy = [m for m in ("mpmath", "baryzeros.checks") if m in sys.modules]
+heavy = ("mpmath", "baryzeros.checks", "dataclasses", "inspect")
+heavy = [m for m in heavy if m in sys.modules]
 sys.stderr.write(json.dumps([code, heavy]))
 """
 
@@ -627,11 +664,13 @@ sys.stderr.write(json.dumps([code, heavy]))
         (("alpha", "--n", "50"), []),
         (("tables", "--kind", "f", "--max-d", "3"), []),
         (("zeros", "--n", "30", "--k", "2"), ["mpmath"]),
+        (("verify", "--suite", "core"), ["mpmath", "baryzeros.checks"]),
     ],
-    ids=["import", "chi", "alpha-to", "alpha-n", "tables", "zeros"],
+    ids=["import", "chi", "alpha-to", "alpha-n", "tables", "zeros", "verify"],
 )
 def test_commands_load_only_what_they_run(argv, loaded):
-    "mpmath loads only for zeros, the verify suites for no command but verify."
+    """mpmath loads only for zeros and verify, the verify suites for no
+    command but verify, and dataclasses and inspect for none."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, *argv],
         capture_output=True,

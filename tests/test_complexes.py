@@ -14,6 +14,7 @@ from baryzeros import (
     barycentric_subdivide,
     build_sieve,
     chi_profile,
+    complexes,
     dim_of,
     explicit_complex,
     first_negative_euler,
@@ -294,7 +295,7 @@ def test_summary_cross_check_is_enforced(monkeypatch):
     table = shared_sieve(6)
     skewed = list(table.mertens_prefix)
     skewed[6] += 1
-    monkeypatch.setattr(table, "mertens_prefix", skewed)
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(mertens_prefix=skewed))
     with pytest.raises(
         ConsistencyError,
         match=r"^euler characteristic 1 and Mertens value 0 disagree at n=6$",

@@ -403,3 +403,15 @@ def test_rootset_is_frozen():
 
 def test_error_type():
     assert issubclass(RootFindingError, RuntimeError)
+
+
+def test_missed_residual_target_raises(monkeypatch):
+    "The residual gate fires on a residual above 2^-(bits // 2)."
+    monkeypatch.setattr(rootfinding, "_backward_residual", lambda *args: mp.mpf(1))
+    message = (
+        "residual 1.0 missed target 2.3283064e-10 at 64 bits; "
+        "retry with higher precision"
+    )
+    with pytest.raises(RootFindingError) as excinfo:
+        find_roots((1, 1, -1), 64)
+    assert str(excinfo.value) == message
