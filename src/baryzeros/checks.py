@@ -17,15 +17,12 @@ from itertools import accumulate, count, islice
 from operator import add
 from typing import NamedTuple
 
-import mpmath as mp
-
 from .complexes import (
     SimplicialComplex,
     barycentric_subdivide,
     chi_profile,
     dim_of,
     explicit_complex,
-    first_negative_euler,
     shared_sieve,
     summary,
 )
@@ -360,6 +357,15 @@ def _check_euler_vs_mertens() -> CheckResult:
     )
 
 
+def first_negative_euler(limit: int = 200) -> int | None:
+    """Smallest n >= 2 with negative Euler characteristic, if any <= limit."""
+    chi = chi_profile(limit)
+    for n in range(2, limit + 1):
+        if chi[n] < 0:
+            return n
+    return None
+
+
 def _check_first_negative() -> CheckResult:
     found = first_negative_euler(200)
     chi = chi_profile(200)
@@ -489,14 +495,14 @@ def _check_trajectory_dim1() -> CheckResult:
             bad.append(f"k={k}: coefficient identity error above 1e-9")
         if k < 4:
             continue
-        tol = 8 * mp.mpf(2) ** (-k)
+        tol = 8 * 2.0**-k
         if abs(entry.ratio_inf - 1) > tol:
             bad.append(f"k={k}: largest-root ratio off by {abs(entry.ratio_inf - 1)}")
         if abs(entry.scaled_rho0 - 1) > tol:
             bad.append(f"k={k}: scaled smallest root off by {abs(entry.scaled_rho0 - 1)}")
         if not entry.rho_inf_real:
             bad.append(f"k={k}: largest root not certified real")
-        if not mp.re(entry.rho_inf) < 0:
+        if not entry.rho_inf.real < 0:
             bad.append(f"k={k}: largest root not negative")
         if entry.ambiguous:
             bad.append(f"k={k}: extreme roots flagged ambiguous")
@@ -521,14 +527,14 @@ def _check_trajectory_dim2() -> CheckResult:
         gap = abs(entry.interior[0] + 1)
         if gap > 1e-4:
             bad.append(f"interior root {gap} away from -1")
-        product = mp.mpc(1)
+        product = 1
         for z in entry.interior:
             product *= z
         if abs(product + 1) > 1e-4:
             bad.append(f"interior product {abs(product + 1)} away from -1")
     if not entry.rho_inf_real:
         bad.append("largest root not certified real")
-    if not mp.re(entry.rho_inf) < 0:
+    if not entry.rho_inf.real < 0:
         bad.append("largest root not negative")
     if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
         bad.append("coefficient identity error above 1e-9")

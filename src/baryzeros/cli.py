@@ -10,8 +10,9 @@ bytes.  Rationals render canonically as ``p/q`` with positive reduced
 denominator; arbitrary-precision values render with a digit count tied
 to the working precision, which is itself recorded in the row.
 
-A command loads only what it runs: ``zeros`` imports mpmath and
-``verify`` the suites (``checks``) when they start, so ``chi``,
+A command loads only what it runs: ``verify`` imports the suites
+(``checks``) when it starts, and mpmath loads only where zeros are
+computed (``zeros``, ``verify --suite zeros`` or ``all``), so ``chi``,
 ``alpha`` and ``tables`` load neither.
 """
 
@@ -378,10 +379,12 @@ def _cmd_zeros(args) -> int:
     for entry in run.entries:
         digits = _digits(entry.precision_bits)
         with mp.workprec(entry.precision_bits):
+            # entry.roots is rho_0, the interior roots, then rho_inf
+            texts = [mp.nstr(z, digits) for z in entry.roots]
             tail = (
                 entry.precision_bits,
-                mp.nstr(entry.rho_0, digits),
-                mp.nstr(entry.rho_inf, digits),
+                texts[0],
+                texts[-1],
                 mp.nstr(entry.ratio_inf, SUMMARY_DIGITS),
                 mp.nstr(entry.scaled_rho0, SUMMARY_DIGITS),
                 bool(entry.rho_inf_real),
@@ -389,8 +392,8 @@ def _cmd_zeros(args) -> int:
                 mp.nstr(entry.sum_rel_err, SUMMARY_DIGITS),
                 mp.nstr(entry.prod_rel_err, SUMMARY_DIGITS),
                 mp.nstr(max(entry.residuals), SUMMARY_DIGITS),
-                ";".join(mp.nstr(z, digits) for z in entry.interior),
-                ";".join(mp.nstr(z, digits) for z in entry.roots),
+                ";".join(texts[1:-1]),
+                ";".join(texts),
             )
         rows.append((entry.k, tail))
     metadata = {

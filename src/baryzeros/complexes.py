@@ -245,15 +245,6 @@ def chi_profile(limit: int) -> list[int]:
     return list(map(negated.__getitem__, itertools.islice(prefix, limit + 1)))
 
 
-def first_negative_euler(limit: int = 200) -> int | None:
-    """Smallest n >= 2 with negative Euler characteristic, if any <= limit."""
-    chi = chi_profile(limit)
-    for n in range(2, limit + 1):
-        if chi[n] < 0:
-            return n
-    return None
-
-
 # ---------------------------------------------------------------------------
 # explicit complexes
 

@@ -502,12 +502,14 @@ def _enclose(p: list, reals: list, bits: int):
     points = [(_times_power(a, f - e), 0) for a, e in reals]
     # Upper halves start spread over the upper half plane, off the
     # imaginary axis, at the moduli left after the real roots', one per
-    # pair.
+    # pair.  The angles are not symmetric about the imaginary axis: from a
+    # mirror-symmetric start the iteration stays symmetric, and an even
+    # polynomial's cluster on that axis would never separate.
     for a, e in reals:
         size = math.log2(abs(a)) - e
         moduli.remove(min(moduli, key=lambda m: abs(m - size)))
     for k, size in enumerate(sorted(moduli)[::2]):
-        angle = math.pi * (k + 0.6) / (pairs + 0.2)
+        angle = math.pi * (k + 0.6) / (pairs + 0.5)
         unit, shift = 2 ** (size % 1 + 52), f + math.floor(size) - 52
         x, y = (_times_power(round(unit * t), shift) for t in (math.cos(angle), math.sin(angle)))
         points.append((x, y))

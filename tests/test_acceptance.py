@@ -24,12 +24,11 @@ from baryzeros import (
     complexes,
     descent_matrix,
     eigen_rationals,
-    first_negative_euler,
     limit_h_coefficients,
-    run_suite,
     trajectory,
     transfer_matrix,
 )
+from baryzeros.checks import first_negative_euler, run_suite
 from reference_tables import (
     ALPHA_DISCREPANCIES,
     ALPHA_REFERENCE,

@@ -390,6 +390,31 @@ def test_limit_table_bytes_at_full_size(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("zeros", "--n", "37", "--k", "4"),
+            "2005affa64a6b7b45833170a28d83aa44f9921d68afaea055b0d1bbd4c469955",
+        ),
+        (
+            ("zeros", "--n", "2310", "--k", "8", "--precision-bits", "1024"),
+            "a63650700fbf4bf80743f8ebf1c38a25423f37d8f082860b9b52313d9fafc04c",
+        ),
+        (
+            ("zeros", "--n", "30", "--k", "12", "--precision-bits", "512", "--format", "json"),
+            "8d8a88295bbb84c2f17d106e163f8b6b8f96d29c8873e7943e73d6e05c1f2a68",
+        ),
+    ],
+    ids=["non-real", "dim4-1024", "dim2-json"],
+)
+def test_zeros_bytes(capsys, argv, digest):
+    """The sha256 of zeros tables that no golden holds: non-real roots at
+    k = 2 and 3 (n = 37), dimension 4 at 1024 bits, and the JSON form."""
+    out = run_cli(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_zeros_rows(capsys):
     out = run_cli(capsys, "zeros", "--n", "6", "--k", "4")
     rows = list(csv.reader(out.splitlines()))
@@ -664,13 +689,26 @@ sys.stderr.write(json.dumps([code, heavy]))
         (("alpha", "--n", "50"), []),
         (("tables", "--kind", "f", "--max-d", "3"), []),
         (("zeros", "--n", "30", "--k", "2"), ["mpmath"]),
-        (("verify", "--suite", "core"), ["mpmath", "baryzeros.checks"]),
+        (("verify", "--suite", "core"), ["baryzeros.checks"]),
+        (("verify", "--suite", "complex"), ["baryzeros.checks"]),
+        (("verify", "--suite", "zeros"), ["mpmath", "baryzeros.checks"]),
     ],
-    ids=["import", "chi", "alpha-to", "alpha-n", "tables", "zeros", "verify"],
+    ids=[
+        "import",
+        "chi",
+        "alpha-to",
+        "alpha-n",
+        "tables",
+        "zeros",
+        "verify",
+        "verify-complex",
+        "verify-zeros",
+    ],
 )
 def test_commands_load_only_what_they_run(argv, loaded):
-    """mpmath loads only for zeros and verify, the verify suites for no
-    command but verify, and dataclasses and inspect for none."""
+    """mpmath loads only for the commands that compute zeros, the verify
+    suites for no command but verify, and dataclasses and inspect for
+    none."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, *argv],
         capture_output=True,
@@ -680,12 +718,38 @@ def test_commands_load_only_what_they_run(argv, loaded):
     assert json.loads(proc.stderr.splitlines()[-1]) == [0, loaded], proc.stderr
 
 
+# Names that only verify and the tests use, each with the module that
+# defines it; the package root does not export them.
+_HOME_ONLY = {
+    "subdivision": (
+        "descent_matrix_bruteforce",
+        "det_sign_check",
+        "eigen_rationals_direct",
+        "shift_matrix_inverse",
+        "subdivision_count_recurrence",
+    ),
+    "complexes": ("SimplicialComplex", "barycentric_subdivide", "explicit_complex"),
+    "checks": (
+        "CheckResult",
+        "complex_suite",
+        "core_suite",
+        "first_negative_euler",
+        "run_suite",
+        "zeros_suite",
+    ),
+}
+
+
 def test_package_names_resolve():
-    "Every public name resolves, the checks names through the lazy hook."
+    """Every public name resolves, and each oracle and suite name resolves
+    in the module that defines it and nowhere in the package root."""
     for name in baryzeros.__all__:
         assert getattr(baryzeros, name) is not None, name
     assert set(baryzeros.__all__) <= set(dir(baryzeros))
-    assert baryzeros.run_suite is baryzeros.checks.run_suite
-    assert baryzeros.CheckResult is baryzeros.checks.CheckResult
+    for home, names in _HOME_ONLY.items():
+        module = importlib.import_module(f"baryzeros.{home}")
+        for name in names:
+            assert getattr(module, name).__module__ == module.__name__, name
+            assert not hasattr(baryzeros, name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         baryzeros.no_such_name

@@ -10,20 +10,22 @@ from baryzeros import (
     ConsistencyError,
     FVector,
     ResourceLimitError,
-    SimplicialComplex,
-    barycentric_subdivide,
     build_sieve,
     chi_profile,
     complexes,
     dim_of,
-    explicit_complex,
-    first_negative_euler,
     h_poly,
     mertens,
     shared_sieve,
     summary,
 )
-from baryzeros.complexes import dimension_runs
+from baryzeros.checks import first_negative_euler
+from baryzeros.complexes import (
+    SimplicialComplex,
+    barycentric_subdivide,
+    dimension_runs,
+    explicit_complex,
+)
 from reference_tables import CHI_REFERENCE
 
 

@@ -22,7 +22,6 @@ from baryzeros import (
     dim_of,
     eigen_rationals,
     find_roots,
-    first_negative_euler,
     growth_expansion,
     h_poly,
     shared_sieve,
@@ -32,6 +31,7 @@ from baryzeros import (
     trajectory_precision,
 )
 from baryzeros import checks, dynamics, rootfinding
+from baryzeros.checks import first_negative_euler
 from baryzeros.cli import main
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational
@@ -226,6 +226,15 @@ pair_roots = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
+# an even polynomial whose pairs share a modulus: starts mirror-symmetric
+# about the imaginary axis would never separate the cluster on it
+@example(
+    reals=[Fraction(1), Fraction(-1)],
+    pairs=[(Fraction(0), Fraction(1))],
+    layout="cluster",
+    bits=16,
+    repeats=(1, 1),
+)
 @given(
     st.lists(real_roots, max_size=3, unique=True),
     st.lists(pair_roots, min_size=1, max_size=3, unique=True),

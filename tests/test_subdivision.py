@@ -7,10 +7,7 @@ import pytest
 
 from baryzeros import (
     descent_matrix,
-    descent_matrix_bruteforce,
-    det_sign_check,
     eigen_rationals,
-    eigen_rationals_direct,
     limit_h_coefficients,
     shift_matrix,
     stirling2,
@@ -18,6 +15,11 @@ from baryzeros import (
     transfer_matrix,
 )
 from baryzeros.checks import _descent_snake
+from baryzeros.subdivision import (
+    descent_matrix_bruteforce,
+    det_sign_check,
+    eigen_rationals_direct,
+)
 from reference_tables import (
     DESCENT_REFERENCE,
     F_COUNT_REFERENCE,
