@@ -35,6 +35,7 @@ from .dynamics import (
 )
 from .subdivision import (
     BRUTE_FORCE_DIMENSION_CAP,
+    _common_numerators,
     descent_matrix,
     descent_matrix_bruteforce,
     det_sign_check,
@@ -115,9 +116,10 @@ def _check_transfer_structure() -> CheckResult:
 
 
 def _check_transfer_eigenvector() -> CheckResult:
+    """T w = (d+1)! w, on the integer numerators of w over one denominator."""
     bad = []
     for d in range(0, CORE_MAX_DIM + 1):
-        vec = eigen_rationals(d)
+        vec, _ = _common_numerators(eigen_rationals(d))
         scaled = tuple(math.factorial(d + 1) * x for x in vec)
         if transfer_matrix(d).apply(vec) != scaled:
             bad.append(f"d={d}")
@@ -246,9 +248,10 @@ def _check_limit_h_structure() -> CheckResult:
 
 
 def _check_limit_h_eigenvector() -> CheckResult:
+    """D h = (d+1)! h, on the integer numerators of h over one denominator."""
     bad = []
     for d in range(0, CORE_MAX_DIM + 1):
-        coeffs = limit_h_coefficients(d)
+        coeffs, _ = _common_numerators(limit_h_coefficients(d))
         scaled = tuple(math.factorial(d + 1) * c for c in coeffs)
         if descent_matrix(d).apply(coeffs) != scaled:
             bad.append(f"d={d}")
@@ -272,21 +275,28 @@ def _check_limit_h_first_bounds() -> CheckResult:
 
 
 def _random_sign_matrix(rng: random.Random, n: int, replace_one: bool, integral: bool):
+    """A column-dominant matrix, with one all-negative column if replace_one.
+    Entries are ints in 1..12, or fractions p/q with q in 1..4, drawn and
+    summed as integer numerators over 12 and made Fractions at the end."""
+    scale = 12
+
     def positive():
         if integral:
             return rng.randint(1, 12)
-        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        return rng.randint(1, 12) * scale // rng.randint(1, 4)
 
     columns = []
     for j in range(n):
         entries = [positive() for _ in range(n)]
-        off_sum = sum(entries[i] for i in range(n) if i != j)
+        off_sum = sum(entries) - entries[j]
         entries[j] = -(off_sum + positive())
         columns.append(entries)
     if replace_one:
         j = rng.randrange(n)
         columns[j] = [-positive() for _ in range(n)]
-    return [[columns[j][i] for j in range(n)] for i in range(n)]
+    if integral:
+        return [list(row) for row in zip(*columns)]
+    return [[Fraction(x, scale) for x in row] for row in zip(*columns)]
 
 
 def _check_det_sign_random() -> CheckResult:

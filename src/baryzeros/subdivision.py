@@ -10,7 +10,9 @@ exposed through an ``entry(i, j)`` accessor taking the -1-based indices.
 ``limit_h_coefficients`` both apply it, and it is the S of the
 similarity S T S^-1 that ``verify`` checks.
 
-Everything is exact: entries are Python ints or ``Fraction`` values.
+Everything is exact: entries are Python ints or ``Fraction`` values.  The
+rational routes run on integer numerators over a common denominator and
+make each ``Fraction`` once, at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm, prod
+from operator import add, gt, mul
 from typing import NamedTuple, Sequence
 
 BRUTE_FORCE_DIMENSION_CAP = 5
@@ -80,20 +83,29 @@ def eigen_rationals(d: int) -> tuple[Fraction, ...]:
         w_i = (sum_{j>i} count(i, j) * w_j) / ((d+1)! - (i+1)!)
     for 0 <= i < d, with w_{-1} = 0 for d >= 0 (and 1 for d = -1).
     The resulting vector is the (d+1)!-eigenvector of the transfer matrix.
+
+    The recurrence runs on integer numerators over one common denominator,
+    the product of the divisors so far; each weight becomes a ``Fraction``
+    once, at the end.
     """
     if d < -1:
         raise ValueError("d must be at least -1")
     if d == -1:
         return (Fraction(1),)
-    values: dict[int, Fraction] = {d: Fraction(1)}
     top = factorial(d + 1)
+    numerators = [1]  # w_d, w_{d-1}, ... over the common denominator
+    denominator = 1
     for i in range(d - 1, -1, -1):
-        acc = Fraction(0)
-        for j in range(i + 1, d + 1):
-            acc += subdivision_count(i, j) * values[j]
-        values[i] = acc / (top - factorial(i + 1))
-    values[-1] = Fraction(0)
-    return tuple(values[i] for i in range(-1, d + 1))
+        counts = (subdivision_count(i, j) for j in range(d, i, -1))
+        acc = sum(map(mul, counts, numerators))
+        divisor = top - factorial(i + 1)
+        numerators = [n * divisor for n in numerators]
+        numerators.append(acc)
+        denominator *= divisor
+    return (
+        Fraction(0),
+        *(Fraction(n, denominator) for n in reversed(numerators)),
+    )
 
 
 def eigen_rationals_direct(d: int, i: int) -> Fraction:
@@ -105,20 +117,24 @@ def eigen_rationals_direct(d: int, i: int) -> Fraction:
     exists as an independent cross-check of :func:`eigen_rationals`,
     which also covers the boundary entries i = -1 and i = d that the
     chain formula leaves out.
+
+    Each chain's term is an integer numerator over an integer denominator,
+    and the terms add up over the product of all the divisors of i..d-1.
     """
     if not (0 <= i < d):
         raise ValueError(f"the chain-sum formula needs 0 <= i < d, got ({i}, {d})")
     top = factorial(d + 1)
-    total = Fraction(0)
+    divisors = {a: top - factorial(a + 1) for a in range(i, d)}
+    common = prod(divisors.values())
+    total = 0
     middle = range(i + 1, d)
     for r in range(0, len(middle) + 1):
         for chosen in itertools.combinations(middle, r):
             nodes = (i, *chosen, d)
-            term = Fraction(1)
-            for a, b in zip(nodes, nodes[1:]):
-                term *= Fraction(subdivision_count(a, b), top - factorial(a + 1))
-            total += term
-    return total
+            numerator = prod(map(subdivision_count, nodes, nodes[1:]))
+            denominator = prod(map(divisors.__getitem__, nodes[:-1]))
+            total += numerator * (common // denominator)
+    return Fraction(total, common)
 
 
 @cache
@@ -129,10 +145,22 @@ def limit_h_coefficients(d: int) -> tuple[Fraction, ...]:
     highest degree first.  Entry index i runs 0..d+1, with index 0 the
     (always zero) z^(d+1) coefficient so the tuple lines up with the
     -1..d table convention.
+
+    The shift runs on integer numerators over the least common denominator
+    of the eigen weights, and each coefficient becomes a ``Fraction`` once.
     """
     if d < 0:
         raise ValueError("d must be at least 0")
-    return shift_matrix(d).apply(eigen_rationals(d))[::-1]
+    numerators, common = _common_numerators(eigen_rationals(d))
+    shifted = shift_matrix(d).apply(numerators)
+    return tuple(Fraction(n, common) for n in reversed(shifted))
+
+
+def _common_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator,
+    and that denominator."""
+    common = lcm(*(x.denominator for x in values))
+    return [x.numerator * (common // x.denominator) for x in values], common
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +192,16 @@ class SimplexMatrix(NamedTuple("SimplexMatrix", [("d", int), ("rows", tuple)])):
         if self.d != other.d:
             raise ValueError("dimension mismatch")
         cols = list(zip(*other.rows))
-        prod = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
+        product = tuple(
+            tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows
         )
-        return SimplexMatrix(self.d, prod)
+        return SimplexMatrix(self.d, product)
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; the vector is indexed -1..d as well."""
         if len(vector) != self.size:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.rows)
+        return tuple(sum(map(mul, row, vector)) for row in self.rows)
 
 
 def identity_matrix(d: int) -> SimplexMatrix:
@@ -240,27 +267,23 @@ def descent_matrix(d: int) -> SimplexMatrix:
 
     Entry (i, j) counts permutations of d+2 letters with i+1 descents and
     first letter j+2.  Base case d = 0 is the 2x2 identity; each larger
-    matrix is assembled from partial-sum pairs of the previous one.
+    matrix is assembled from partial-sum pairs of the previous one: entry
+    (i, j) is the sum of row i-1 of the previous matrix over the columns
+    before j plus the sum of its row i over the columns from j on (rows
+    outside -1..d-1 read as zero).  Both are running sums, so a level
+    costs O(d^2) additions.
     """
     if d < 0:
         raise ValueError("d must be at least 0")
     if d == 0:
         return identity_matrix(0)
-    prev = descent_matrix(d - 1)
-
-    def prev_entry(i: int, j: int) -> int:
-        if -1 <= i <= d - 1 and -1 <= j <= d - 1:
-            return prev.entry(i, j)
-        return 0
-
+    prev = descent_matrix(d - 1).rows
+    zero = (0,) * (d + 1)
     rows = []
-    for i in range(-1, d + 1):
-        row = []
-        for j in range(-1, d + 1):
-            acc = sum(prev_entry(i - 1, l) for l in range(-1, j))
-            acc += sum(prev_entry(i, l) for l in range(j, d))
-            row.append(acc)
-        rows.append(tuple(row))
+    for upper, lower in zip((zero, *prev), (*prev, zero)):
+        head = itertools.accumulate(upper, initial=0)
+        tail = list(itertools.accumulate(reversed(lower), initial=0))
+        rows.append(tuple(map(add, head, reversed(tail))))
     return SimplexMatrix(d, tuple(rows))
 
 
@@ -281,8 +304,7 @@ def descent_matrix_bruteforce(d: int) -> SimplexMatrix:
     size = d + 2
     grid = [[0] * size for _ in range(size)]
     for perm in itertools.permutations(range(1, n + 1)):
-        descents = sum(1 for t in range(n - 1) if perm[t] > perm[t + 1])
-        i = descents - 1
+        i = sum(map(gt, perm, perm[1:])) - 1
         j = perm[0] - 2
         grid[i + 1][j + 1] += 1
     return SimplexMatrix(d, tuple(tuple(r) for r in grid))
@@ -292,13 +314,12 @@ def descent_matrix_bruteforce(d: int) -> SimplexMatrix:
 # determinant sign for column-dominant matrices
 
 
-def _column_kind(rows: Sequence[Sequence], j: int) -> str:
-    n = len(rows)
-    diag = rows[j][j]
-    off = [rows[i][j] for i in range(n) if i != j]
+def _column_kind(column: Sequence, j: int) -> str:
+    diag = column[j]
+    off = [*column[:j], *column[j + 1 :]]
     if diag < 0 and all(x > 0 for x in off) and sum(off) < -diag:
         return "dominant"
-    if all(rows[i][j] < 0 for i in range(n)):
+    if all(x < 0 for x in column):
         return "negative"
     return "invalid"
 
@@ -310,17 +331,24 @@ def det_sign_check(rows: Sequence[Sequence]) -> int:
     every column has a negative diagonal entry, positive off-diagonal
     entries, and off-diagonal column sum strictly below the diagonal's
     absolute value; at most one column may instead be entirely negative
-    (the replaced-column variant).  Entries may be ints or Fractions.
+    (the replaced-column variant).  Entries may be ints, Fractions or
+    floats, a float taken at its exact binary value.
 
-    The sign is computed by fraction-free Bareiss elimination after
-    clearing denominators row by row, so the answer is exact.
+    The whole matrix is first scaled by the least common denominator of
+    its entries.  A uniform positive scale keeps every column's shape and
+    the determinant's sign, so both the validation and the fraction-free
+    Bareiss elimination run on integers, and the answer is exact.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("need a nonempty square matrix")
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = lcm(*(q for row in ratios for _, q in row))
+    work = [[p * (scale // q) for p, q in row] for row in ratios]
+
     replaced = 0
-    for j in range(n):
-        kind = _column_kind(rows, j)
+    for j, column in enumerate(zip(*work)):
+        kind = _column_kind(column, j)
         if kind == "invalid":
             raise ValueError(f"column {j} is neither dominant-form nor all-negative")
         if kind == "negative":
@@ -328,29 +356,24 @@ def det_sign_check(rows: Sequence[Sequence]) -> int:
     if replaced > 1:
         raise ValueError("more than one replaced (all-negative) column")
 
-    # clear denominators: scale each row by a positive integer
-    work: list[list[int]] = []
-    for row in rows:
-        m = 1
-        for x in row:
-            q = Fraction(x).denominator
-            m = m * q // gcd(m, q)
-        work.append([int(Fraction(x) * m) for x in row])
-
     sign = 1
     prev = 1
     for k in range(n - 1):
         if work[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if pivot is None:
+            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
+            if swap is None:
                 return 0
-            work[k], work[pivot] = work[pivot], work[k]
+            work[k], work[swap] = work[swap], work[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
-        prev = work[k][k]
+        top = work[k]
+        pivot = top[k]
+        for row in work[k + 1 :]:
+            factor = row[k]
+            row[k + 1 :] = [
+                (x * pivot - factor * y) // prev
+                for x, y in zip(row[k + 1 :], top[k + 1 :])
+            ]
+        prev = pivot
     det = work[n - 1][n - 1]
     if det == 0:
         return 0

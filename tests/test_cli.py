@@ -380,12 +380,29 @@ def test_scan_bytes_at_benchmark_scale(capsys, monkeypatch, argv, digest):
             ("tables", "--kind", "F", "--max-d", "16", "--format", "json"),
             "0c1dd9679d74b64f69b4b8b3aa0dde498002bab0141b938c55febb0a83ad099e",
         ),
+        (
+            ("tables", "--kind", "f", "--max-d", "16"),
+            "6937cabf65d3145ba163d2ca468d5e67a03e9f39d7702d5dfdfc4bd755a07757",
+        ),
+        (
+            ("tables", "--kind", "f", "--max-d", "16", "--format", "json"),
+            "021575194d160aa62b89771c176b916aa4e5bbfb2d2f0d89a1a6895fe74771e2",
+        ),
+        (
+            ("tables", "--kind", "Hmatrix", "--max-d", "16"),
+            "6590a2abda35890fdcef05c8177d062232e9477fb749dbd30c38a2828afc8cc3",
+        ),
+        (
+            ("tables", "--kind", "Hmatrix", "--max-d", "16", "--format", "json"),
+            "234ff6ba30e4a0ec3df003b366769923779ecde632aa8e91639c645e4cc0adc6",
+        ),
     ],
-    ids=["H-csv", "H-json", "F-csv", "F-json"],
+    ids=["H-csv", "H-json", "F-csv", "F-json", "f-csv", "f-json", "Hmatrix-csv", "Hmatrix-json"],
 )
 def test_limit_table_bytes_at_full_size(capsys, argv, digest):
-    """The sha256 of the limit tables at the largest accepted max-d, where
-    the goldens stop at d = 7: every h-coefficient the shift matrix builds."""
+    """The sha256 of the tables at the largest accepted max-d, where the
+    goldens stop at d = 7: every face count, eigen weight, h-coefficient and
+    descent entry the subdivision routes build up to d = 16."""
     out = run_cli(capsys, *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,9 +1,13 @@
 """Subdivision counts, eigen weights, and the structured matrices."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baryzeros import (
     descent_matrix,
@@ -14,7 +18,7 @@ from baryzeros import (
     subdivision_count,
     transfer_matrix,
 )
-from baryzeros.checks import _descent_snake
+from baryzeros.checks import _descent_snake, _random_sign_matrix
 from baryzeros.subdivision import (
     descent_matrix_bruteforce,
     det_sign_check,
@@ -84,6 +88,25 @@ def test_eigen_rationals_table():
         assert columns[d][i + 1] == expected, (i, d)
 
 
+def eigen_rationals_by_fractions(d: int) -> tuple[Fraction, ...]:
+    "The descending recurrence, one Fraction division per weight."
+    if d == -1:
+        return (Fraction(1),)
+    values = {d: Fraction(1)}
+    top = math.factorial(d + 1)
+    for i in range(d - 1, -1, -1):
+        acc = sum(subdivision_count(i, j) * values[j] for j in range(i + 1, d + 1))
+        values[i] = acc / (top - math.factorial(i + 1))
+    values[-1] = Fraction(0)
+    return tuple(values[i] for i in range(-1, d + 1))
+
+
+def test_eigen_rationals_match_fraction_recurrence():
+    "The common-denominator recurrence against the Fraction one, d <= 16."
+    for d in range(-1, 17):
+        assert eigen_rationals(d) == eigen_rationals_by_fractions(d), d
+
+
 def test_eigen_rationals_direct_rejects_boundary_indices():
     for i in (-1, 3, 5):
         with pytest.raises(ValueError):
@@ -103,6 +126,14 @@ def test_limit_h_disputed_cell():
     assert printed == 0
     assert computed == 1
     assert limit_h_coefficients(0) == (Fraction(0), Fraction(1))
+
+
+def test_limit_h_matches_shift_of_fractions():
+    "The integer shift against the shift matrix applied to the Fractions."
+    for d in range(0, 17):
+        expected = shift_matrix(d).apply(eigen_rationals(d))[::-1]
+        assert all(isinstance(x, Fraction) for x in expected)
+        assert limit_h_coefficients(d) == expected, d
 
 
 def test_limit_polys_related_by_shift():
@@ -127,6 +158,34 @@ def test_shift_matrix_carries_f_to_reversed_h():
 def test_descent_matrix_displays():
     for d, rows in DESCENT_REFERENCE.items():
         assert descent_matrix(d).rows == rows
+
+
+def descent_levels_by_entries(max_d: int):
+    "Each level entry by entry from the previous one, zero outside -1..d-1."
+    prev = ((1, 0), (0, 1))
+    yield prev
+    for d in range(1, max_d + 1):
+
+        def prev_entry(i: int, j: int) -> int:
+            if -1 <= i <= d - 1 and -1 <= j <= d - 1:
+                return prev[i + 1][j + 1]
+            return 0
+
+        prev = tuple(
+            tuple(
+                sum(prev_entry(i - 1, l) for l in range(-1, j))
+                + sum(prev_entry(i, l) for l in range(j, d))
+                for j in range(-1, d + 1)
+            )
+            for i in range(-1, d + 1)
+        )
+        yield prev
+
+
+def test_descent_matrix_matches_entrywise_recurrence():
+    "The running-sum levels against the entry-by-entry recurrence, d <= 16."
+    for d, rows in enumerate(descent_levels_by_entries(16)):
+        assert descent_matrix(d).rows == rows, d
 
 
 def test_descent_bruteforce_capped():
@@ -166,11 +225,123 @@ def test_det_sign_accepts_fractions():
 
 
 def test_det_sign_rejects_bad_structure():
+    "Each shape error is a ValueError with its message word for word."
+    cases = [
+        ([(5,)], "column 0 is neither dominant-form nor all-negative"),
+        ([(-1, 3), (3, -1)], "column 0 is neither dominant-form nor all-negative"),
+        (
+            [(-3, 1), (Fraction(7, 2), -2)],
+            "column 0 is neither dominant-form nor all-negative",
+        ),
+        ([(-2, 1), (1, -1)], "column 1 is neither dominant-form nor all-negative"),
+        ([(-1, -1), (-1, -1)], "more than one replaced (all-negative) column"),
+        ([(-1, 1), (1, -1), (1, 1)], "need a nonempty square matrix"),
+        ([], "need a nonempty square matrix"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ValueError) as err:
+            det_sign_check(rows)
+        assert str(err.value) == message, rows
+
+
+def test_det_sign_mixed_denominators_in_a_column():
+    "Column entries 1/3 and 1/4 share no denominator, nor do the rows."
+    rows = [
+        (Fraction(-7, 6), Fraction(1, 4)),
+        (Fraction(1, 3), Fraction(-5, 4)),
+    ]
+    assert leibniz_det(rows) > 0
+    assert det_sign_check(rows) == 1
+    replaced = [
+        (Fraction(-1, 3), Fraction(-1, 5)),
+        (Fraction(1, 4), Fraction(-1, 7)),
+    ]
+    assert leibniz_det(replaced) > 0
+    assert det_sign_check(replaced) == 1
+
+
+def test_det_sign_takes_floats_at_their_binary_value():
+    "A float entry is read exactly, as Fraction(x) reads it."
+    floats = [(-1.5, 0.25), (0.5, -2.0)]
+    exact = [tuple(map(Fraction, row)) for row in floats]
+    assert det_sign_check(floats) == det_sign_check(exact) == 1
+    assert det_sign_check([(-0.1, -0.3), (0.05, -0.2)]) == 1
+    with pytest.raises(ValueError) as err:
+        det_sign_check([(-1.0, 1.0), (1.0, -1.0)])
+    assert str(err.value) == "column 0 is neither dominant-form nor all-negative"
     with pytest.raises(ValueError):
-        det_sign_check([(5,)])
-    with pytest.raises(ValueError):
-        det_sign_check([(-1, 3), (3, -1)])
-    with pytest.raises(ValueError):
-        det_sign_check([(-1, -1), (-1, -1)])
-    with pytest.raises(ValueError):
-        det_sign_check([(-1, 1), (1, -1), (1, 1)])
+        det_sign_check([(float("nan"),)])
+
+
+def leibniz_det(rows) -> Fraction:
+    "Determinant as the signed sum over all permutations, in Fractions."
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+positive_fractions = st.builds(Fraction, st.integers(1, 30), st.integers(1, 12))
+
+
+@st.composite
+def column_dominant_matrices(draw):
+    "Rows of a column-dominant matrix, one column maybe all negative."
+    n = draw(st.integers(1, 4))
+    columns = []
+    for j in range(n):
+        column = draw(st.lists(positive_fractions, min_size=n, max_size=n))
+        column[j] = -(sum(column) - column[j] + draw(positive_fractions))
+        columns.append(column)
+    replaced = draw(st.none() | st.integers(0, n - 1))
+    if replaced is not None:
+        negated = draw(st.lists(positive_fractions, min_size=n, max_size=n))
+        columns[replaced] = [-x for x in negated]
+    return [tuple(row) for row in zip(*columns)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_dominant_matrices())
+def test_det_sign_against_leibniz(rows):
+    det = leibniz_det(rows)
+    expected = (det > 0) - (det < 0)
+    assert det_sign_check(rows) == expected
+    assert expected == (-1) ** len(rows)
+
+
+def random_sign_matrix_by_fractions(rng, n, replace_one, integral):
+    "The reference for _random_sign_matrix: the same draws, summed as Fractions."
+
+    def positive():
+        if integral:
+            return rng.randint(1, 12)
+        return Fraction(rng.randint(1, 12), rng.randint(1, 4))
+
+    columns = []
+    for j in range(n):
+        entries = [positive() for _ in range(n)]
+        off_sum = sum(entries[i] for i in range(n) if i != j)
+        entries[j] = -(off_sum + positive())
+        columns.append(entries)
+    if replace_one:
+        j = rng.randrange(n)
+        columns[j] = [-positive() for _ in range(n)]
+    return [[columns[j][i] for j in range(n)] for i in range(n)]
+
+
+def test_random_sign_matrices_match_fraction_draws():
+    "Same draws, same matrices and entry types, same generator state after."
+    for seed in (94, 7):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for idx in range(200):
+            args = (1 + idx % 8, idx % 2 == 1, idx % 3 == 0)
+            got = _random_sign_matrix(ours, *args)
+            want = random_sign_matrix_by_fractions(theirs, *args)
+            assert got == want, (seed, idx)
+            assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+        assert ours.random() == theirs.random()
