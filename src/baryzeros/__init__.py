@@ -8,7 +8,8 @@ divisors).  It provides:
   matrices and their rational limit data (``subdivision``),
 - sieves, f-vectors and explicit complexes with the Euler
   characteristic / Mertens cross-check (``complexes``),
-- certified arbitrary-precision root finding (``rootfinding``),
+- certified root finding in exact dyadic arithmetic, and the decimal
+  text of its values (``rootfinding``),
 - root trajectories under repeated subdivision, the exact growth
   expansion of face counts and exact scaling limits (``dynamics``),
 - runnable invariant suites (``checks``) and a deterministic CLI
@@ -17,8 +18,8 @@ divisors).  It provides:
 The root exports what the commands compute.  The oracles that only
 ``verify`` checks them against, and the suites, are imported from their
 defining modules (``subdivision``, ``complexes``, ``checks``).  Importing
-the package loads neither mpmath nor ``checks``: the functions that
-compute with mpmath import it when called.
+the package does not load ``checks``.  The package needs nothing beyond
+the standard library.
 """
 
 from .complexes import (

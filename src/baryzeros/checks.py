@@ -443,11 +443,13 @@ def _check_random_subdivision_invariance() -> CheckResult:
             continue
         sub = barycentric_subdivide(cx)
         sub.validate()
-        if sub.dim != cx.dim:
+        # one scan of each complex; dim and chi follow from its face counts
+        fv, sub_fv = cx.f_vector(), sub.f_vector()
+        if sub_fv.dim != fv.dim:
             bad.append(f"instance {idx}: dimension changed")
-        if sub.euler_char() != cx.euler_char():
+        if sub_fv.euler_char() != fv.euler_char():
             bad.append(f"instance {idx}: Euler characteristic changed")
-        if sub.f_vector() != subdivided_f(cx.f_vector(), 1)[1]:
+        if sub_fv != subdivided_f(fv, 1)[1]:
             bad.append(f"instance {idx}: f-vector != transfer matrix product")
     return _verdict(
         "random-subdivision-invariance",
@@ -496,6 +498,12 @@ def _check_growth_expansion() -> CheckResult:
     )
 
 
+def _gap_squared(z) -> Fraction:
+    "|z + 1|^2 of the dyadic root z, exactly."
+    x, y, e = z
+    return Fraction((x + (1 << e)) ** 2 + y * y, 1 << (2 * e))
+
+
 def _check_trajectory_dim1() -> CheckResult:
     bad = []
     run = trajectory(6, range(17))
@@ -507,12 +515,12 @@ def _check_trajectory_dim1() -> CheckResult:
             continue
         tol = 8 * 2.0**-k
         if abs(entry.ratio_inf - 1) > tol:
-            bad.append(f"k={k}: largest-root ratio off by {abs(entry.ratio_inf - 1)}")
+            bad.append(f"k={k}: largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}")
         if abs(entry.scaled_rho0 - 1) > tol:
-            bad.append(f"k={k}: scaled smallest root off by {abs(entry.scaled_rho0 - 1)}")
+            bad.append(f"k={k}: scaled smallest root off by {float(abs(entry.scaled_rho0 - 1)):.6g}")
         if not entry.rho_inf_real:
             bad.append(f"k={k}: largest root not certified real")
-        if not entry.rho_inf.real < 0:
+        if not entry.rho_inf.x < 0:
             bad.append(f"k={k}: largest root not negative")
         if entry.ambiguous:
             bad.append(f"k={k}: extreme roots flagged ambiguous")
@@ -528,23 +536,19 @@ def _check_trajectory_dim2() -> CheckResult:
     run = trajectory(30, [12], precision_bits=512)
     entry = run.entries[0]
     if abs(entry.ratio_inf - 1) > 1e-3:
-        bad.append(f"largest-root ratio off by {abs(entry.ratio_inf - 1)}")
+        bad.append(f"largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}")
     if abs(entry.scaled_rho0 - 6) > 1e-2:
-        bad.append(f"scaled smallest root off by {abs(entry.scaled_rho0 - 6)}")
+        bad.append(f"scaled smallest root off by {float(abs(entry.scaled_rho0 - 6)):.6g}")
     if len(entry.interior) != 1:
         bad.append(f"expected one interior root, got {len(entry.interior)}")
     else:
-        gap = abs(entry.interior[0] + 1)
-        if gap > 1e-4:
-            bad.append(f"interior root {gap} away from -1")
-        product = 1
-        for z in entry.interior:
-            product *= z
-        if abs(product + 1) > 1e-4:
-            bad.append(f"interior product {abs(product + 1)} away from -1")
+        # the interior product is that one root
+        gap2 = _gap_squared(entry.interior[0])
+        if gap2 > Fraction(1e-4) ** 2:
+            bad.append(f"interior root and product {float(gap2) ** 0.5:.6g} away from -1")
     if not entry.rho_inf_real:
         bad.append("largest root not certified real")
-    if not entry.rho_inf.real < 0:
+    if not entry.rho_inf.x < 0:
         bad.append("largest root not negative")
     if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
         bad.append("coefficient identity error above 1e-9")
@@ -561,9 +565,9 @@ def _check_trajectory_dim2_deeper() -> CheckResult:
     bad = []
     run = trajectory(30, [16], precision_bits=512)
     entry = run.entries[0]
-    gap = abs(entry.interior[0] + 1)
-    if gap > 1e-6:
-        bad.append(f"interior root still {gap} away from -1 at k=16")
+    gap2 = _gap_squared(entry.interior[0])
+    if gap2 > Fraction(1e-6) ** 2:
+        bad.append(f"interior root still {float(gap2) ** 0.5:.6g} away from -1 at k=16")
     return _verdict(
         "trajectory-dim2-interior-deep",
         bad,

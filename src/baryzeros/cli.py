@@ -8,12 +8,11 @@ subdivision (``zeros``) and run the invariant suites (``verify``).
 Output is deterministic: identical invocations produce byte-identical
 bytes.  Rationals render canonically as ``p/q`` with positive reduced
 denominator; arbitrary-precision values render with a digit count tied
-to the working precision, which is itself recorded in the row.
+to the working precision, which is itself recorded in the row, in the
+decimal form of ``rootfinding.format_decimal``.
 
 A command loads only what it runs: ``verify`` imports the suites
-(``checks``) when it starts, and mpmath loads only where zeros are
-computed (``zeros``, ``verify --suite zeros`` or ``all``), so ``chi``,
-``alpha`` and ``tables`` load neither.
+(``checks``) when it starts, and no other command does.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .dynamics import (
     alpha_scan,
     trajectory,
 )
-from .rootfinding import RootFindingError
+from .rootfinding import RootFindingError, format_decimal
 from .subdivision import (
     descent_matrix,
     eigen_rationals,
@@ -348,8 +347,6 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    import mpmath as mp
-
     limit = _sieve_limit()
     if not (1 <= args.n <= limit):
         raise CliError(f"--n must be between 1 and the sieve limit {limit}")
@@ -377,24 +374,24 @@ def _cmd_zeros(args) -> int:
     ]
     rows = []
     for entry in run.entries:
-        digits = _digits(entry.precision_bits)
-        with mp.workprec(entry.precision_bits):
-            # entry.roots is rho_0, the interior roots, then rho_inf
-            texts = [mp.nstr(z, digits) for z in entry.roots]
-            tail = (
-                entry.precision_bits,
-                texts[0],
-                texts[-1],
-                mp.nstr(entry.ratio_inf, SUMMARY_DIGITS),
-                mp.nstr(entry.scaled_rho0, SUMMARY_DIGITS),
-                bool(entry.rho_inf_real),
-                bool(entry.ambiguous),
-                mp.nstr(entry.sum_rel_err, SUMMARY_DIGITS),
-                mp.nstr(entry.prod_rel_err, SUMMARY_DIGITS),
-                mp.nstr(max(entry.residuals), SUMMARY_DIGITS),
-                ";".join(texts[1:-1]),
-                ";".join(texts),
-            )
+        bits = entry.precision_bits
+        digits = _digits(bits)
+        # entry.roots is rho_0, the interior roots, then rho_inf
+        texts = [format_decimal(z, digits, bits) for z in entry.roots]
+        tail = (
+            bits,
+            texts[0],
+            texts[-1],
+            format_decimal(entry.ratio_inf, SUMMARY_DIGITS, bits),
+            format_decimal(entry.scaled_rho0, SUMMARY_DIGITS, bits),
+            bool(entry.rho_inf_real),
+            bool(entry.ambiguous),
+            format_decimal(entry.sum_rel_err, SUMMARY_DIGITS, bits),
+            format_decimal(entry.prod_rel_err, SUMMARY_DIGITS, bits),
+            format_decimal(max(entry.residuals), SUMMARY_DIGITS, bits),
+            ";".join(texts[1:-1]),
+            ";".join(texts),
+        )
         rows.append((entry.k, tail))
     metadata = {
         "n": args.n,

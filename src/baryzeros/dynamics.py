@@ -1,11 +1,12 @@
 """Behaviour of h-polynomial zeros under repeated barycentric subdivision.
 
 Face counts evolve by an exact integer transfer matrix, so every
-polynomial whose roots are studied here is known exactly; floating point
-enters only in the final root approximation, at a precision that grows
-with the subdivision depth.  The module also computes the exact closed
-form of the face counts as a sum of factorial powers, and the scaling
-limits of the smallest root across all squarefree-divisor complexes.
+polynomial whose roots are studied here is known exactly.  Its roots are
+certified dyadic approximations, at a precision that grows with the
+subdivision depth, and every diagnostic is computed exactly from them.
+The module also computes the exact closed form of the face counts as a
+sum of factorial powers, and the scaling limits of the smallest root
+across all squarefree-divisor complexes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .complexes import (
     shared_sieve,
     summary,
 )
-from .rootfinding import find_roots
+from .rootfinding import Dyadic, find_roots, rounded_sqrt
 from .subdivision import eigen_rationals, transfer_matrix
 
 DEFAULT_TRAJECTORY_PRECISION = 192
@@ -113,27 +114,32 @@ def growth_expansion(fv: FVector) -> GrowthExpansion:
 class TrajectoryEntry(NamedTuple):
     """Root data of the h-polynomial after k subdivision rounds.
 
-    rho_0 and rho_inf are the roots of smallest and largest modulus,
-    interior the rest.  ratio_inf compares |rho_inf| against the
-    predicted magnitude H1 * f_d * ((d+1)!)^k and tends to 1;
-    scaled_rho0 is |rho_0| * ((d+1)!)^k and tends to |alpha_n|.
-    sum_rel_err and prod_rel_err compare the numeric root sum and
-    product against the exact coefficient identities.
+    roots are the exact :class:`~baryzeros.rootfinding.Dyadic` values of
+    :func:`~baryzeros.rootfinding.find_roots` at precision_bits, and
+    residuals their backward residuals.  rho_0 and rho_inf are the roots
+    of smallest and largest modulus, interior the rest.  ratio_inf
+    compares |rho_inf| against the predicted magnitude H1 * f_d *
+    ((d+1)!)^k and tends to 1; scaled_rho0 is |rho_0| * ((d+1)!)^k and
+    tends to |alpha_n|; both are Fractions rounded to precision_bits.
+    ambiguous says an extreme root is less than twice as far out as its
+    neighbour, compared exactly.  sum_rel_err and prod_rel_err compare the
+    exact sum and product of the roots against the exact coefficient
+    identities, as Fractions.
     """
 
     k: int
     precision_bits: int
     roots: tuple
     residuals: tuple
-    rho_0: object
-    rho_inf: object
+    rho_0: Dyadic
+    rho_inf: Dyadic
     interior: tuple
-    ratio_inf: object
-    scaled_rho0: object
+    ratio_inf: Fraction
+    scaled_rho0: Fraction
     rho_inf_real: bool
     ambiguous: bool
-    sum_rel_err: object
-    prod_rel_err: object
+    sum_rel_err: Fraction
+    prod_rel_err: Fraction
 
 
 class ZeroTrajectory(NamedTuple):
@@ -148,27 +154,31 @@ class ZeroTrajectory(NamedTuple):
     entries: tuple
 
 
-def _identity_errors(h: tuple, roots) -> tuple:
-    import mpmath as mp
+def _identity_errors(h: tuple, roots: tuple) -> tuple:
+    """|sum - S| / max(1, |S|) and |product - P| / max(1, |P|) for the
+    exact sum and product of the roots against the Vieta values
+    S = -h_1 / h_0 and P = (-1)^n h_n / h_0.
 
-    exact_sum = Fraction(-h[1], h[0])
-    exact_prod = Fraction(h[-1], h[0])
-    if (len(h) - 1) % 2:
-        exact_prod = -exact_prod
-    # Real roots add and multiply in mpf: the same values, without the
-    # work on imaginary parts that stay zero.
-    if not any(z.imag for z in roots):
-        roots = [z.real for z in roots]
-    num_sum = sum(roots, mp.mpf(0))
-    num_prod = mp.mpf(1)
-    for z in roots:
-        num_prod *= z
+    The non-real roots come in exact conjugate pairs, so their imaginary
+    parts cancel from the sum, and each pair adds the factor x^2 + y^2
+    to the product through its upper half.
+    """
+    top = max(e for _, _, e in roots)
+    total = sum(x << (top - e) for x, _, e in roots)
+    product, scale = 1, 0
+    for x, y, e in roots:
+        if y == 0:
+            product, scale = product * x, scale + e
+        elif y > 0:
+            product, scale = product * (x * x + y * y), scale + 2 * e
+    vieta_prod = h[-1] if (len(h) - 1) % 2 == 0 else -h[-1]
 
-    def rel(numeric, exact: Fraction):
-        target = mp.mpf(exact.numerator) / mp.mpf(exact.denominator)
-        return abs(numeric - target) / max(1, abs(target))
+    def rel(num: int, shift: int, exact: int) -> Fraction:
+        # |num / 2^shift - exact / h_0| / max(1, |exact / h_0|)
+        diff = num * h[0] - (exact << shift)
+        return Fraction(abs(diff), max(abs(h[0]), abs(exact)) << shift)
 
-    return rel(num_sum, exact_sum), rel(num_prod, exact_prod)
+    return rel(total, top, -h[1]), rel(product, scale, vieta_prod)
 
 
 def trajectory_precision(dim: int, k: int, requested: int) -> int:
@@ -191,10 +201,9 @@ def trajectory(
     Precision is raised automatically with k.  One :func:`subdivided_f`
     orbit to depths[-1] gives the exact face counts before the first root
     search, so a depth above the cap fails at once, and depths out of
-    order fail next.
+    order fail next.  Every value an entry holds is exact, or rounded
+    once from an exact value at the entry's precision.
     """
-    import mpmath as mp
-
     rule = "depths must be nonempty, strictly ascending and nonnegative"
     if not depths or depths[0] < 0:
         raise ValueError(rule)
@@ -215,36 +224,32 @@ def trajectory(
         bits = trajectory_precision(d, k, precision_bits)
         h = h_poly(orbit[k])
         rootset = find_roots(h, precision_bits=bits)
-        with mp.workprec(bits):
-            roots = rootset.roots
-            rho_0 = roots[0]
-            rho_inf = roots[-1]
-            interior = tuple(roots[1:-1])
-            growth = mp.mpf(fac) ** k
-            predicted = (
-                mp.mpf(h1.numerator) / mp.mpf(h1.denominator) * f_top * growth
-            )
-            ratio_inf = abs(rho_inf) / predicted
-            scaled_rho0 = abs(rho_0) * growth
-            sep_low = abs(roots[1]) / abs(rho_0) if abs(rho_0) > 0 else mp.inf
-            sep_high = (
-                abs(rho_inf) / abs(roots[-2]) if abs(roots[-2]) > 0 else mp.inf
-            )
-            ambiguous = bool(sep_low < 2 or sep_high < 2)
-            sum_err, prod_err = _identity_errors(h, roots)
+        roots = rootset.roots
+        growth = fac**k
+        # squared moduli of rho_0, its neighbour, rho_inf's and rho_inf,
+        # all in units of 4^-top
+        top = max(z.e for z in roots)
+        low, second, penultimate, high = (
+            (x * x + y * y) << 2 * (top - e)
+            for x, y, e in (roots[0], roots[1], roots[-2], roots[-1])
+        )
+        predicted = h1.numerator * f_top * growth
+        sum_err, prod_err = _identity_errors(h, roots)
         entries.append(
             TrajectoryEntry(
                 k=k,
                 precision_bits=bits,
                 roots=roots,
                 residuals=rootset.residuals,
-                rho_0=rho_0,
-                rho_inf=rho_inf,
-                interior=interior,
-                ratio_inf=ratio_inf,
-                scaled_rho0=scaled_rho0,
+                rho_0=roots[0],
+                rho_inf=roots[-1],
+                interior=roots[1:-1],
+                ratio_inf=rounded_sqrt(
+                    high * h1.denominator**2, predicted**2 << 2 * top, bits
+                ),
+                scaled_rho0=rounded_sqrt(low * growth**2, 1 << 2 * top, bits),
                 rho_inf_real=rootset.real_certified[-1],
-                ambiguous=ambiguous,
+                ambiguous=second < 4 * low or high < 4 * penultimate,
                 sum_rel_err=sum_err,
                 prod_rel_err=prod_err,
             )

@@ -30,20 +30,26 @@ take one of two routes, recorded in ``RootSet.method``:
 
 Floating point only picks the iteration's starting points; every
 certificate is exact, and precision_bits sets only the certified widths
-and the precision of the returned numbers.  Either way a solution is
-accepted only when every backward residual is tiny.
+and the precision of the returned numbers.  The roots come back as exact
+``Dyadic`` values (x + iy) / 2^e, each part rounded to nearest at
+precision_bits.  Either way a solution is accepted only when every
+backward residual, computed in integers from those values, is tiny.
+
+``format_decimal`` renders a dyadic or a rational as the decimal text the
+``zeros`` tables print.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 DEFAULT_PRECISION_BITS = 128
 # Sign bisection narrows an isolated root to this relative width before
 # Newton steps take over; Newton then works this many bits past the
 # certified width.
-_BISECT_BITS = 60
+_BISECT_BITS = 8
 _GUARD_BITS = 32
 # The Weierstrass iteration starts at this many bits and ends this many
 # past the certified width.  It takes at most _ENCLOSE_STEPS steps, and
@@ -59,17 +65,66 @@ class RootFindingError(RuntimeError):
     target."""
 
 
-class RootSet(NamedTuple):
-    """Roots of one polynomial, sorted by ascending modulus.
+class Dyadic(NamedTuple):
+    """The complex number (x + iy) / 2^e in lowest terms: e >= 0, and x
+    and y are not both even unless e == 0."""
 
-    A root of multiplicity m appears m times, with equal values.
-    residuals[i] bounds |p(z_i)| relative to sum |a_j||z_i|^j; exact
-    deflated zeros carry residual 0.  real_certified[i] is True exactly
-    when z_i is real: a real root's sign bracket and a non-real root's
-    disk, disjoint from its mirror image, prove which.  method is
-    ``"isolated"`` when the polynomial is squarefree with every root real
-    (or all roots are deflated zeros), ``"enclosed"`` when it has a
-    repeated or a non-real root.
+    x: int
+    y: int
+    e: int
+
+
+def _dyadic(x: int, y: int, e: int) -> Dyadic:
+    """(x + iy) / 2^e, e >= 0, in lowest terms."""
+    both = x | y
+    shift = min(e, (both & -both).bit_length() - 1) if both else e
+    return Dyadic(x >> shift, y >> shift, e - shift)
+
+
+def _round_mantissa(m: int, bits: int, sticky: bool = False, up: bool = False) -> tuple:
+    """(r, shift) with r * 2^shift the integer m > 0 of more than bits bits
+    rounded to a bits-bit mantissa: to nearest with ties to even, or up.
+    sticky says the value lies strictly between m and m + 1."""
+    shift = m.bit_length() - bits
+    low = m & ((1 << shift) - 1)
+    m >>= shift
+    half = 1 << (shift - 1)
+    if up:
+        m += bool(low or sticky)
+    else:
+        m += low > half or (low == half and bool(sticky or m & 1))
+    return m, shift
+
+
+def _rounded_point(x: int, y: int, e: int, bits: int) -> Dyadic:
+    """(x + iy) / 2^e with x and y each rounded to a bits-bit mantissa, to
+    nearest with ties to even."""
+    parts = []
+    for v in (x, y):
+        if abs(v).bit_length() > bits:
+            m, shift = _round_mantissa(abs(v), bits)
+            v = (m if v > 0 else -m) << shift
+        parts.append(v)
+    return _dyadic(*parts, e)
+
+
+class RootSet(NamedTuple):
+    """Roots of one polynomial, sorted by ascending modulus, then real
+    part, then imaginary part.
+
+    Each root is a :class:`Dyadic`, exact, with its real and imaginary
+    parts rounded to nearest at precision_bits; a root of multiplicity m
+    appears m times, with equal values, and the non-real roots come in
+    exact conjugate pairs.  residuals[i] is a Fraction at least
+    |p(z_i)| / sum |a_j||z_i|^j, rounded up to precision_bits from the
+    exact value (real z_i) or from an upper bound within about
+    2^-(precision_bits + 30) of it, relatively (non-real z_i); exact
+    deflated zeros carry residual 0.
+    real_certified[i] is True exactly when z_i is real: a real root's sign
+    bracket and a non-real root's disk, disjoint from its mirror image,
+    prove which.  method is ``"isolated"`` when the polynomial is
+    squarefree with every root real (or all roots are deflated zeros),
+    ``"enclosed"`` when it has a repeated or a non-real root.
     """
 
     roots: tuple
@@ -77,20 +132,6 @@ class RootSet(NamedTuple):
     real_certified: tuple
     precision_bits: int
     method: str
-
-
-def _backward_residual(coeffs, abs_coeffs, z):
-    # A real root is evaluated in mpf: the same values, without the work
-    # on imaginary parts that stay zero.
-    if not z.imag:
-        z = z.real
-    p = scale = 0
-    az = abs(z)
-    for a, aa in zip(coeffs, abs_coeffs):
-        p = p * z + a
-        scale = scale * az + aa
-    # coeffs are zero-deflated: their nonzero constant keeps scale above 0
-    return abs(p) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +152,16 @@ def _value(coeffs: list, a: int, e: int) -> int:
         acc = acc * a + (c << shift)
         shift += e
     return acc
+
+
+def _gaussian_value(coeffs: list, x: int, y: int, e: int) -> tuple:
+    """2^(e*n) * p((x + iy) / 2^e) for p of degree n, as a (re, im) pair."""
+    re = im = 0
+    shift = 0
+    for c in coeffs:
+        re, im = re * x - im * y + (c << shift), re * y + im * x
+        shift += e
+    return re, im
 
 
 def _variations(seq: list, a: int, e: int) -> int:
@@ -396,11 +447,7 @@ def _weierstrass(p: list, points: list, f: int, count: int) -> list:
     out = []
     for i in range(count):
         x, y = points[i]
-        pr, pi = p[0], 0
-        shift = 0
-        for c in p[1:]:
-            shift += f
-            pr, pi = pr * x - pi * y + (c << shift), pr * y + pi * x
+        pr, pi = _gaussian_value(p, x, y, f)
         dr, di = 1, 0
         for j, (u, v) in enumerate(points):
             if j != i:
@@ -575,6 +622,26 @@ def _enclose(p: list, reals: list, bits: int):
     )
 
 
+def _residual(coeffs: list, abs_coeffs: list, z: Dyadic, guard: int) -> tuple:
+    """(num, den) with num / den at least the backward residual
+    |p(z)| / sum |a_j||z|^j of the nonzero z, and equal to it when z is
+    real.
+
+    For a non-real z, |p(z)| and |z| are square roots: |p(z)| is bounded
+    above and |z| below at guard bits past their integer parts, so the
+    bound is within about 2^-guard of the residual, relatively.
+    """
+    x, y, e = z
+    if not y:
+        return abs(_value(coeffs, x, e)), _value(abs_coeffs, abs(x), e)
+    pr, pi = _gaussian_value(coeffs, x, y, e)
+    square = (pr * pr + pi * pi) << (2 * guard)
+    top = math.isqrt(square)
+    top += top * top < square
+    size = math.isqrt((x * x + y * y) << (2 * guard))
+    return top << (guard * (len(coeffs) - 2)), _value(abs_coeffs, size, e + guard)
+
+
 def find_roots(
     coeffs,
     precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -592,15 +659,14 @@ def find_roots(
     squarefree polynomial, ``method == "isolated"``; otherwise
     (``method == "enclosed"``) each non-real root is the centre of a
     Weierstrass disk of relative radius at most 2^-precision_bits that
-    holds exactly that root, rounded to precision_bits.  precision_bits
-    sets only these widths and the precision of the returned values.
-    Every backward residual must also meet 2^(-precision_bits / 2).
+    holds exactly that root, its real and imaginary parts each rounded to
+    nearest at precision_bits.  precision_bits sets only these widths and
+    the precision of the returned values.  Every backward residual must
+    also meet 2^(-precision_bits // 2), compared exactly in integers.
     RootFindingError is raised when it does not, or when the disks fail
     to separate, which usually means the precision is too low for the
     polynomial.
     """
-    import mpmath as mp
-
     work = list(coeffs)
     for c in work:
         if not isinstance(c, int):
@@ -620,47 +686,159 @@ def find_roots(
     content = math.gcd(*work)
     ints = [c // content for c in work]
 
-    with mp.workprec(precision_bits):
-        found = [(mp.mpc(0), True)] * zero_roots
-        method = "isolated"
-        if len(ints) > 1:
-            seq = _sturm_sequence(ints)
-            factors = [(ints, 1)]
-            if len(seq[-1]) > 1:
-                factors = _squarefree_factors(ints, seq)
+    found = [(Dyadic(0, 0, 0), True)] * zero_roots
+    method = "isolated"
+    if len(ints) > 1:
+        seq = _sturm_sequence(ints)
+        factors = [(ints, 1)]
+        if len(seq[-1]) > 1:
+            factors = _squarefree_factors(ints, seq)
+            method = "enclosed"
+        for factor, multiplicity in factors:
+            if factor is not ints:
+                seq = _sturm_sequence(factor)
+            reals = [
+                _refine(factor, seq[1], lo, hi, e, precision_bits)
+                for lo, hi, e in _isolate(seq)
+            ]
+            roots = [(_rounded_point(a, 0, e, precision_bits), True) for a, e in reals]
+            if len(reals) < len(factor) - 1:
                 method = "enclosed"
-            for factor, multiplicity in factors:
-                if factor is not ints:
-                    seq = _sturm_sequence(factor)
-                reals = [
-                    _refine(factor, seq[1], lo, hi, e, precision_bits)
-                    for lo, hi, e in _isolate(seq)
+                f, disks = _enclose(factor, reals, precision_bits)
+                roots += [
+                    (_rounded_point(x, y, f, precision_bits), False)
+                    for x, y, _ in disks[len(reals):]
                 ]
-                roots = [(mp.mpc(mp.ldexp(mp.mpf(a), -e)), True) for a, e in reals]
-                if len(reals) < len(factor) - 1:
-                    method = "enclosed"
-                    f, disks = _enclose(factor, reals, precision_bits)
-                    roots += [
-                        (mp.mpc(mp.ldexp(mp.mpf(x), -f), mp.ldexp(mp.mpf(y), -f)), False)
-                        for x, y, _ in disks[len(reals):]
-                    ]
-                found += roots * multiplicity
-        found.sort(key=lambda pair: (abs(pair[0]), pair[0].real, pair[0].imag))
-        roots = tuple(z for z, _ in found)
-        certified = tuple(real for _, real in found)
+            found += roots * multiplicity
+    top = max(z.e for z, _ in found)
 
-        mp_coeffs = [mp.mpf(c) for c in work]
-        abs_coeffs = [abs(a) for a in mp_coeffs]
-        residuals = tuple(
-            _backward_residual(mp_coeffs, abs_coeffs, z) if z else mp.mpf(0)
-            for z in roots
+    def order(pair) -> tuple:
+        x, y, e = pair[0]
+        s = top - e
+        return (x * x + y * y) << (2 * s), x << s, y << s
+
+    found.sort(key=order)
+    roots = tuple(z for z, _ in found)
+    certified = tuple(real for _, real in found)
+
+    abs_work = [abs(c) for c in work]
+    bounds = [
+        _residual(work, abs_work, z, precision_bits + _GUARD_BITS) if z.x or z.y else (0, 1)
+        for z in roots
+    ]
+    residuals = tuple(rounded(num, den, precision_bits, up=True) for num, den in bounds)
+    half = precision_bits // 2
+    if any(num << half > den for num, den in bounds):
+        raise RootFindingError(
+            f"residual {format_decimal(max(residuals), 8, precision_bits)} missed "
+            f"target {format_decimal(Fraction(1, 1 << half), 8, precision_bits)} at "
+            f"{precision_bits} bits; retry with higher precision"
         )
-        target = mp.mpf(2) ** (-(precision_bits // 2))
-        worst = max(residuals)
-        if worst > target:
-            raise RootFindingError(
-                f"residual {mp.nstr(worst, 8)} missed target "
-                f"{mp.nstr(target, 8)} at {precision_bits} bits; retry with "
-                f"higher precision"
-            )
     return RootSet(roots, residuals, certified, precision_bits, method)
+
+
+# ---------------------------------------------------------------------------
+# rounding and decimal text
+#
+# A value rounded to a bits-bit mantissa is held as a Fraction whose
+# denominator is a power of two.  Its text keeps the digit rule the zeros
+# tables have always printed with, byte for byte (the tests hold it against
+# the library that first printed them), so rows read as they always have.
+
+
+def _fraction(m: int, s: int) -> Fraction:
+    """m * 2^s."""
+    return Fraction(m << s) if s >= 0 else Fraction(m, 1 << -s)
+
+
+def rounded(num: int, den: int, bits: int, up: bool = False) -> Fraction:
+    """num / den (den > 0) rounded to a bits-bit mantissa: to nearest with
+    ties to even, or with up away from zero."""
+    if not num:
+        return Fraction(0)
+    a = abs(num)
+    s = a.bit_length() - den.bit_length() - bits - 1
+    m, rest = divmod(a << -s, den) if s < 0 else divmod(a, den << s)
+    m, shift = _round_mantissa(m, bits, bool(rest), up)
+    return _fraction(m if num > 0 else -m, s + shift)
+
+
+def rounded_sqrt(num: int, den: int, bits: int) -> Fraction:
+    """The square root of num / den >= 0 rounded to nearest, ties to even,
+    at a bits-bit mantissa."""
+    if not num:
+        return Fraction(0)
+    # scale by 4^t so that the integer root has bits + 2 or more bits
+    t = bits + 3 - (num.bit_length() - den.bit_length()) // 2
+    n, rest = divmod(num << 2 * t, den) if t >= 0 else divmod(num, den << -2 * t)
+    root = math.isqrt(n)
+    root, shift = _round_mantissa(root, bits, bool(rest or root * root != n))
+    return _fraction(root, shift - t)
+
+
+# The digit budgets are sized with this float, as math.log(10, 2) gives
+# it: math.log2(10) differs in the last bit and would move some budgets.
+_LOG2_10 = math.log(10, 2)
+
+
+def _decimal_text(man: int, exp: int, dps: int) -> str:
+    """man * 2^exp with at most dps significant digits.
+
+    The digit string is the value floored to about dps + 3 digits, through
+    a fixed-point form of about that many bits, then rounded at digit dps
+    from the next digit alone; the point goes in fixed position when the
+    leading digit's exponent lies strictly between min(-(dps // 3), -5)
+    and dps, and trailing zeros go.  For |value| beyond 2^+-3500 the
+    tables' first printer divided by a rounded power of ten, so its last
+    digit can differ from this exact one there.
+    """
+    if not man:
+        return "0.0"
+    sign = "-" if man < 0 else ""
+    man = abs(man)
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    fixprec = max(bitprec - exp - man.bit_length(), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    offset = exp + fixprec
+    fixed = man << offset if offset >= 0 else man >> -offset
+    scaled = fixed * 10**fixdps >> fixprec
+    # a huge integer part: only its leading digits matter, and str() of an
+    # int past 4300 digits raises
+    drop = max(0, int(scaled.bit_length() * 0.30103) - dps - 10)
+    digits = str(scaled // 10**drop)
+    exponent = len(digits) + drop - fixdps - 1
+    if len(digits) > dps and digits[dps] in "56789":
+        up = str(int(digits[:dps]) + 1)
+        if len(up) > dps:
+            exponent += 1
+        digits = up[:dps]
+    else:
+        digits = digits[:dps]
+    split = 1
+    if min(-(dps // 3), -5) < exponent < dps:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        else:
+            split = exponent + 1
+        exponent = 0
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text[-1] == ".":
+        text += "0"
+    if exponent:
+        text += f"e{exponent:+d}"
+    return sign + text
+
+
+def format_decimal(value, digits: int, bits: int) -> str:
+    """value as decimal text with digits significant digits: a
+    :class:`Dyadic` as ``(a + bj)`` or ``(a - bj)``, anything else a
+    rational; each real number is first rounded to nearest at bits."""
+    if isinstance(value, Dyadic):
+        x, y, e = _rounded_point(*value, bits)
+        sign = "-" if y < 0 else "+"
+        return f"({_decimal_text(x, -e, digits)} {sign} {_decimal_text(abs(y), -e, digits)}j)"
+    num, den = value.numerator, value.denominator
+    if den & (den - 1) or abs(num).bit_length() > bits:
+        value = rounded(num, den, bits)
+        num, den = value.numerator, value.denominator
+    return _decimal_text(num, 1 - den.bit_length(), digits)

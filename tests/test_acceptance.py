@@ -29,6 +29,7 @@ from baryzeros import (
     transfer_matrix,
 )
 from baryzeros.checks import first_negative_euler, run_suite
+from mp_values import as_mp
 from reference_tables import (
     ALPHA_DISCREPANCIES,
     ALPHA_REFERENCE,
@@ -120,10 +121,10 @@ def test_c6_interior_root_tolerance_as_stated():
     "Red by design: 1e-6 at k=12 is off by a factor of about 41."
     e = snapshot_dim2(12)
     with mp.workprec(512):
-        gap = abs(e.interior[0] + 1)
+        gap = abs(as_mp(e.interior[0]) + 1)
         product = mp.mpc(1)
         for z in e.interior:
-            product *= z
+            product *= as_mp(z)
         prod_gap = abs(product + 1)
         ok = gap <= mp.mpf(1e-6) and prod_gap <= mp.mpf(1e-6)
         detail = (

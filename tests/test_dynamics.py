@@ -33,6 +33,7 @@ from baryzeros import (
 from baryzeros import checks, dynamics, rootfinding
 from baryzeros.checks import first_negative_euler
 from baryzeros.cli import main
+from mp_values import as_mp
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -123,9 +124,9 @@ def test_trajectory_structure():
     assert len(first.roots) == 2
     assert first.interior == ()
     with mp.workprec(first.precision_bits):
-        assert abs(first.rho_0 - (mp.sqrt(5) - 1) / 2) < mp.mpf(2) ** -60
-        assert abs(first.rho_inf + (mp.sqrt(5) + 1) / 2) < mp.mpf(2) ** -60
-        assert abs(first.scaled_rho0 - abs(first.rho_0)) == 0
+        assert abs(as_mp(first.rho_0) - (mp.sqrt(5) - 1) / 2) < mp.mpf(2) ** -60
+        assert abs(as_mp(first.rho_inf) + (mp.sqrt(5) + 1) / 2) < mp.mpf(2) ** -60
+        assert abs(as_mp(first.scaled_rho0) - abs(as_mp(first.rho_0))) == 0
     assert first.rho_inf_real
     assert not first.ambiguous
 
@@ -133,8 +134,8 @@ def test_trajectory_structure():
 def test_trajectory_vieta_errors_tiny():
     t = trajectory(6, range(7))
     for e in t.entries:
-        assert e.sum_rel_err < mp.mpf(1e-9), e.k
-        assert e.prod_rel_err < mp.mpf(1e-9), e.k
+        assert e.sum_rel_err < 1e-9, e.k
+        assert e.prod_rel_err < 1e-9, e.k
 
 
 def test_trajectory_convergence_direction():
@@ -143,6 +144,43 @@ def test_trajectory_convergence_direction():
     last = t.entries[-1]
     assert abs(float(last.scaled_rho0) - 1.0) < 1e-2
     assert abs(float(last.ratio_inf) - 1.0) < 1e-2
+
+
+def gaussian_fraction(z) -> tuple:
+    "A root (x + iy) / 2^e as a (real, imaginary) pair of Fractions."
+    x, y, e = z
+    return Fraction(x, 2**e), Fraction(y, 2**e)
+
+
+@pytest.mark.parametrize(
+    "n, k, bits", [(6, 6, 192), (30, 2, 16), (37, 3, 64), (210, 4, 192), (2310, 5, 1024)]
+)
+def test_trajectory_diagnostics_are_exact(n, k, bits):
+    """The identity errors are the exact relative errors of the roots' sum
+    and product, in Fractions (n = 37 and n = 30 have non-real roots at
+    these depths); ratio_inf and scaled_rho0 are the exact values rounded
+    to nearest at the entry's precision."""
+    t = trajectory(n, [k], bits)
+    (e,) = t.entries
+    h = h_poly(subdivided_f(t.base, k)[k])
+    roots = [gaussian_fraction(z) for z in e.roots]
+    total = (sum(re for re, _ in roots), sum(im for _, im in roots))
+    product = (Fraction(1), Fraction(0))
+    for re, im in roots:
+        product = (product[0] * re - product[1] * im, product[0] * im + product[1] * re)
+    assert total[1] == product[1] == 0
+    vieta_sum = Fraction(-h[1], h[0])
+    vieta_prod = Fraction((-1) ** (len(h) - 1) * h[-1], h[0])
+    assert e.sum_rel_err == abs(total[0] - vieta_sum) / max(1, abs(vieta_sum))
+    assert e.prod_rel_err == abs(product[0] - vieta_prod) / max(1, abs(vieta_prod))
+    growth = factorial(t.dim + 1) ** k
+    with mp.workprec(4 * e.precision_bits):
+        predicted = mp.mpf(t.h1.numerator) / t.h1.denominator * t.f_top * growth
+        ratio = abs(as_mp(e.rho_inf)) / predicted
+        scaled = abs(as_mp(e.rho_0)) * growth
+    with mp.workprec(e.precision_bits):
+        assert as_mp(e.ratio_inf) == +ratio
+        assert as_mp(e.scaled_rho0) == +scaled
 
 
 def sturm_count(poly) -> int:
@@ -182,7 +220,7 @@ def test_trajectory_certified_at_deep_depths(n, k):
     t = trajectory(n, [k])
     (e,) = t.entries
     assert e.rho_inf_real
-    assert max(e.residuals) <= mp.mpf(2) ** -(e.precision_bits // 2)
+    assert max(e.residuals) <= Fraction(1, 2 ** (e.precision_bits // 2))
     assert len(e.roots) == t.dim + 1
     h = h_poly(subdivided_f(t.base, k)[k])
     assert sum(find_roots(h, e.precision_bits).real_certified) == sturm_count(h)
@@ -297,7 +335,10 @@ def test_benchmark_zeros_round_to_nearest(monkeypatch):
             fine = find_roots(h, bits + 64)
             assert fine.method == "isolated"
             assert len(coarse.roots) == len(fine.roots) == fv.dim + 1
-            pairs = zip(sorted(z.real for z in coarse.roots), sorted(z.real for z in fine.roots))
+            pairs = zip(
+                sorted(as_mp(z).real for z in coarse.roots),
+                sorted(as_mp(z).real for z in fine.roots),
+            )
             for x, y in pairs:
                 if not x:
                     assert not y, (n, k)
@@ -309,16 +350,11 @@ def test_benchmark_zeros_round_to_nearest(monkeypatch):
 
 def test_benchmark_zeros_certify_every_root_without_polyroots(monkeypatch):
     """One benchmark zeros command per (dimension, bits) cell, and the k <= 3
-    probe set at 16, 64 and 192 bits, with mpmath.polyroots made to raise:
-    every h-polynomial's roots are certified, and the ones certified real
-    number its distinct real roots by an independent Sturm count (none of
-    these h-polynomials has a repeated root)."""
-    import mpmath
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("mpmath.polyroots called")
-
-    monkeypatch.setattr(mpmath, "polyroots", refuse)
+    probe set at 16, 64 and 192 bits: every h-polynomial's roots are
+    certified, and the ones certified real number its distinct real roots
+    by an independent Sturm count (none of these h-polynomials has a
+    repeated root).  No command loads mpmath at all
+    (test_commands_load_only_what_they_run), so no polyroots either."""
     probes = [
         (n, 3, bits)
         for n in (6, 7, 30, 31, 37, 210, 2310, 3090, 30030)

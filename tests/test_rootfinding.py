@@ -11,6 +11,9 @@ from mpmath import mp
 from mpmath.libmp import from_rational
 
 from baryzeros import RootFindingError, RootSet, find_roots, rootfinding
+from baryzeros.cli import SUMMARY_DIGITS, _digits
+from baryzeros.rootfinding import Dyadic, format_decimal
+from mp_values import as_mp
 
 
 def poly(*coeffs) -> tuple:
@@ -32,7 +35,7 @@ def assert_roots_match(rs, exact, bits):
     expected = sorted(exact, key=lambda r: (abs(r), r))
     assert len(rs.roots) == len(expected)
     with mp.workprec(2 * bits):
-        for z, r in zip(rs.roots, expected):
+        for z, r in zip(map(as_mp, rs.roots), expected):
             target = mp.mpf(r.numerator) / r.denominator
             assert mp.im(z) == 0
             assert abs(z - target) <= abs(target) * mp.mpf(2) ** -bits, (z, r)
@@ -45,24 +48,24 @@ def test_golden_ratio_roots():
     with mp.workprec(rs.precision_bits):
         small = (mp.sqrt(5) - 1) / 2
         large = -(mp.sqrt(5) + 1) / 2
-        assert abs(rs.roots[0] - small) < mp.mpf(2) ** -100
-        assert abs(rs.roots[1] - large) < mp.mpf(2) ** -100
+        assert abs(as_mp(rs.roots[0]) - small) < mp.mpf(2) ** -100
+        assert abs(as_mp(rs.roots[1]) - large) < mp.mpf(2) ** -100
     assert all(rs.real_certified)
-    assert rs.roots[0].real > 0 > rs.roots[1].real
+    assert as_mp(rs.roots[0]).real > 0 > as_mp(rs.roots[1]).real
 
 
 def test_silver_ratio_roots():
     "z^2 + 2z - 1 has roots -1 +/- sqrt(2)."
     rs = find_roots(poly(1, 2, -1))
     with mp.workprec(rs.precision_bits):
-        assert abs(rs.roots[0] - (mp.sqrt(2) - 1)) < mp.mpf(2) ** -100
-        assert abs(rs.roots[1] - (-mp.sqrt(2) - 1)) < mp.mpf(2) ** -100
+        assert abs(as_mp(rs.roots[0]) - (mp.sqrt(2) - 1)) < mp.mpf(2) ** -100
+        assert abs(as_mp(rs.roots[1]) - (-mp.sqrt(2) - 1)) < mp.mpf(2) ** -100
     assert all(rs.real_certified)
 
 
 def test_residual_bound_holds():
     rs = find_roots(poly(1, 7, -10, 3), precision_bits=192)
-    target = mp.mpf(2) ** -(192 // 2)
+    target = Fraction(1, 2 ** (192 // 2))
     assert all(r <= target for r in rs.residuals)
     assert rs.precision_bits == 192
 
@@ -71,16 +74,16 @@ def test_zero_roots_deflated_exactly():
     "z^3 + z^2 = z^2 (z + 1): two exact zeros, then -1."
     rs = find_roots(poly(1, 1, 0, 0))
     assert rs.method == "isolated"
-    assert rs.roots[0] == 0 and rs.roots[1] == 0
+    assert as_mp(rs.roots[0]) == 0 and as_mp(rs.roots[1]) == 0
     assert rs.residuals[0] == 0 and rs.residuals[1] == 0
     assert rs.real_certified[0] and rs.real_certified[1]
-    assert abs(rs.roots[2] + 1) < mp.mpf(2) ** -60
+    assert abs(as_mp(rs.roots[2]) + 1) < mp.mpf(2) ** -60
 
 
 def test_pure_monomial():
     rs = find_roots(poly(1, 0))
     assert rs.method == "isolated"
-    assert rs.roots == (0,)
+    assert tuple(map(as_mp, rs.roots)) == (0,)
     assert rs.residuals == (0,)
     assert rs.real_certified == (True,)
 
@@ -93,7 +96,7 @@ def test_complex_pair_not_certified_real():
     assert not any(rs.real_certified)
     assert rs.real_certified == (False, False)
     with mp.workprec(rs.precision_bits):
-        assert all(abs(abs(z) - 1) < mp.mpf(2) ** -100 for z in rs.roots)
+        assert all(abs(abs(as_mp(z)) - 1) < mp.mpf(2) ** -100 for z in rs.roots)
 
 
 def test_distinct_integer_roots_certified():
@@ -101,7 +104,7 @@ def test_distinct_integer_roots_certified():
     rs = find_roots(poly(1, -10, 35, -50, 24))
     assert rs.method == "isolated"
     assert rs.real_certified == (True,) * 4
-    seen = sorted(float(z.real) for z in rs.roots)
+    seen = sorted(float(as_mp(z).real) for z in rs.roots)
     assert all(abs(a - b) < 1e-25 for a, b in zip(seen, (1.0, 2.0, 3.0, 4.0)))
 
 
@@ -109,7 +112,7 @@ def test_exact_dyadic_roots():
     "(2z - 1)(z + 3): bisection lands on both roots exactly."
     rs = find_roots(poly(2, 5, -3), precision_bits=192)
     assert rs.method == "isolated"
-    assert rs.roots == (mp.mpf(0.5), mp.mpf(-3))
+    assert tuple(map(as_mp, rs.roots)) == (mp.mpf(0.5), mp.mpf(-3))
     assert rs.residuals == (0, 0)
     assert all(rs.real_certified)
 
@@ -119,7 +122,7 @@ def test_one_positive_root_among_negative_ones():
     rs = find_roots(product(*roots), precision_bits=256)
     assert rs.method == "isolated"
     assert all(rs.real_certified)
-    assert sum(1 for z in rs.roots if z.real > 0) == 1
+    assert sum(1 for z in rs.roots if as_mp(z).real > 0) == 1
     assert_roots_match(rs, roots, 256)
 
 
@@ -129,7 +132,7 @@ def test_roots_far_apart():
     rs = find_roots(product(*roots), precision_bits=128)
     assert rs.method == "isolated"
     assert_roots_match(rs, roots, 128)
-    target = mp.mpf(2) ** -64
+    target = Fraction(1, 2**64)
     assert all(r <= target for r in rs.residuals)
 
 
@@ -159,7 +162,7 @@ def test_clustered_roots_round_correctly(bits, base, gap):
     rs = find_roots(product(*roots), precision_bits=bits)
     assert rs.method == "isolated"
     with mp.workprec(bits):
-        for z, r in zip(rs.roots, sorted(roots, key=lambda r: (abs(r), r))):
+        for z, r in zip(map(as_mp, rs.roots), sorted(roots, key=lambda r: (abs(r), r))):
             assert z == mp.mpf(r.numerator) / mp.mpf(r.denominator), (z, r)
 
 
@@ -167,7 +170,7 @@ def test_repeated_root_gets_exact_multiplicity():
     "(z + 1)^2 (z - 2) is not squarefree: -1 twice and 2, each exact."
     rs = find_roots(product(-1, -1, 2))
     assert rs.method == "enclosed"
-    assert rs.roots == (-1, -1, 2)
+    assert tuple(map(as_mp, rs.roots)) == (-1, -1, 2)
     assert rs.real_certified == (True,) * 3
     assert rs.residuals == (0, 0, 0)
 
@@ -180,7 +183,7 @@ def test_powers_of_a_linear_factor_split_exactly(roots):
     """Where a gcd in the chain is a power of one linear factor, the Sturm
     sequence ends at that power's derivative, whose content is not 1."""
     rs = find_roots(product(*roots), precision_bits=64)
-    assert rs.roots == tuple(sorted(roots, key=lambda r: (abs(r), r)))
+    assert tuple(map(as_mp, rs.roots)) == tuple(sorted(roots, key=lambda r: (abs(r), r)))
     assert all(rs.real_certified)
 
 
@@ -276,7 +279,7 @@ def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
         rs = find_roots(p, bits)
     assert rs.method == "enclosed"
     assert len(rs.roots) == len(p) - 1
-    assert list(rs.real_certified) == [z.imag == 0 for z in rs.roots]
+    assert list(rs.real_certified) == [as_mp(z).imag == 0 for z in rs.roots]
     assert sum(rs.real_certified) == sum(real_mult.values())
 
     truth = {(r, 0): m for r, m in real_mult.items()}
@@ -297,7 +300,7 @@ def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
     assert {z for z in truth if z[1]} <= set(enclosed)
 
     # every root, with its multiplicity, near a returned value
-    found = [(exact(z.real), exact(z.imag)) for z in rs.roots]
+    found = [(exact(z.real), exact(z.imag)) for z in map(as_mp, rs.roots)]
     for (a, b), m in truth.items():
         near = [(a - x) ** 2 + (b - y) ** 2 <= (a * a + b * b) / 4 ** (bits - 2) for x, y in found]
         assert near.count(True) >= m, (a, b)
@@ -329,9 +332,9 @@ def test_isolation_agrees_with_polyroots(roots, bits):
         ref = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * bits)
         # by value: +-r tie in modulus, and the reference's error can break the tie
         ref = sorted(mp.re(w) for w in ref)
-        for z, w in zip(sorted(mp.re(z) for z in rs.roots), ref):
+        for z, w in zip(sorted(mp.re(as_mp(z)) for z in rs.roots), ref):
             assert abs(z - w) <= abs(w) * mp.mpf(2) ** -bits, (z, w)
-    for z, r in zip(rs.roots, sorted(roots, key=lambda r: (abs(r), r))):
+    for z, r in zip(map(as_mp, rs.roots), sorted(roots, key=lambda r: (abs(r), r))):
         nearest = from_rational(r.numerator, r.denominator, bits, "n")
         assert z.real._mpf_ == nearest and z.imag == 0, (z, r)
 
@@ -345,17 +348,17 @@ def test_near_tie_rounds_correctly():
         b = mp.mpf(2) ** 57
         exact = 2 / (b + mp.sqrt(b * b + 4))
     with mp.workprec(1024):
-        assert rs.roots[0] == +exact
+        assert as_mp(rs.roots[0]) == +exact
     # a hair below the tie between 1 - 2^-64 and 1, where the spacing doubles
     r = 1 - Fraction(1, 2**65) - Fraction(1, 2**164)
     rs = find_roots(product(r, -3), precision_bits=64)
     with mp.workprec(64):
-        assert rs.roots[0] == 1 - mp.mpf(2) ** -64 != 1
+        assert as_mp(rs.roots[0]) == 1 - mp.mpf(2) ** -64 != 1
 
 
 def test_modulus_sort_order():
     rs = find_roots(poly(1, 7, -10, 3))
-    mods = [abs(z) for z in rs.roots]
+    mods = [abs(as_mp(z)) for z in rs.roots]
     assert mods == sorted(mods)
 
 
@@ -377,12 +380,12 @@ def test_rejects_degenerate_inputs():
 def test_precision_floor_respected():
     rs = find_roots(poly(1, 1, -1), precision_bits=16)
     assert rs.precision_bits == 16
-    assert all(r <= mp.mpf(2) ** -8 for r in rs.residuals)
+    assert all(r <= Fraction(1, 2**8) for r in rs.residuals)
 
 
 def test_high_precision_tightens_residuals():
     rs = find_roots(poly(1, 15, -13, 3), precision_bits=512)
-    target = mp.mpf(2) ** -(512 // 2)
+    target = Fraction(1, 2 ** (512 // 2))
     assert all(r <= target for r in rs.residuals)
 
 
@@ -399,7 +402,7 @@ def test_assorted_rational_polynomials():
     for coeffs in cases:
         rs = find_roots(poly(*coeffs))
         assert len(rs.roots) == len(coeffs) - 1, coeffs
-        target = mp.mpf(2) ** -(rs.precision_bits // 2)
+        target = Fraction(1, 2 ** (rs.precision_bits // 2))
         assert all(r <= target for r in rs.residuals), coeffs
 
 
@@ -416,7 +419,7 @@ def test_error_type():
 
 def test_missed_residual_target_raises(monkeypatch):
     "The residual gate fires on a residual above 2^-(bits // 2)."
-    monkeypatch.setattr(rootfinding, "_backward_residual", lambda *args: mp.mpf(1))
+    monkeypatch.setattr(rootfinding, "_residual", lambda *args: (1, 1))
     message = (
         "residual 1.0 missed target 2.3283064e-10 at 64 bits; "
         "retry with higher precision"
@@ -424,3 +427,141 @@ def test_missed_residual_target_raises(monkeypatch):
     with pytest.raises(RootFindingError) as excinfo:
         find_roots((1, 1, -1), 64)
     assert str(excinfo.value) == message
+
+
+def exact_residual(p, z) -> Fraction:
+    "|p(z)| / sum |a_j| |z|^j of a real root z, in Fractions."
+    value = scale = Fraction(0)
+    for c in p:
+        value = value * z + c
+        scale = scale * abs(z) + abs(c)
+    return abs(value) / scale
+
+
+@pytest.mark.parametrize("bits", [16, 64, 192, 1024])
+def test_residuals_are_exact_upper_bounds(bits):
+    """A real root's residual is its exact backward residual rounded up at
+    bits.  A non-real root's integer bound lies above the residual mpmath
+    computes at 4 * bits + 512 bits, within 2^-(bits + 16) of it, and its
+    rounded residual within 2^(2 - bits)."""
+    p = with_pairs(product(Fraction(1, 3), Fraction(-7, 5)), [(Fraction(1, 3), Fraction(5, 7))])
+    rs = find_roots(p, bits)
+    assert rs.method == "enclosed" and sum(rs.real_certified) == 2
+    for z, r, real in zip(rs.roots, rs.residuals, rs.real_certified):
+        x, y, e = z
+        if real:
+            exact_value = exact_residual(p, Fraction(x, 2**e))
+        else:
+            with mp.workprec(4 * bits + 512):
+                w = as_mp(z)
+                value = abs(mp.polyval([mp.mpf(c) for c in p], w))
+                scale = mp.polyval([mp.mpf(abs(c)) for c in p], abs(w))
+                exact_value = exact(value / scale) * (1 - Fraction(1, 2 ** (4 * bits + 400)))
+            num, den = rootfinding._residual(p, [abs(c) for c in p], z, bits + 32)
+            bound = Fraction(num, den)
+            assert exact_value <= bound <= exact_value * (1 + Fraction(1, 2 ** (bits + 16)))
+        assert exact_value <= r <= exact_value * (1 + Fraction(4, 2**bits)), z
+    assert max(rs.residuals) <= Fraction(1, 2 ** (bits // 2))
+
+
+# ---------------------------------------------------------------------------
+# decimal text: format_decimal against mpmath's nstr
+
+
+def nstr_oracle(value, digits: int, bits: int) -> str:
+    "What mpmath prints for value at a bits-bit working precision."
+    with mp.workprec(bits):
+        if isinstance(value, Dyadic):
+            return mp.nstr(+as_mp(value), digits)
+        return mp.nstr(mp.make_mpf(from_rational(value.numerator, value.denominator, bits, "n")), digits)
+
+
+@st.composite
+def dyadic_reals(draw, bits: int, digits: int) -> tuple:
+    """(m, s) for the value m * 2^s: a random mantissa of up to bits bits, a
+    decimal rounding boundary at digits digits (or a string of nines) and
+    its neighbours one unit away, or a power of two and its neighbours;
+    either sign, or zero.  |m * 2^s| stays within 2^-3400 and 2^3400."""
+    kind = draw(st.sampled_from(["random", "boundary", "nines", "power", "zero"]))
+    if kind == "zero":
+        return 0, 0
+    if kind == "random":
+        m = draw(st.integers(1, 2**bits - 1))
+    elif kind == "power":
+        m = (1 << draw(st.integers(0, bits - 1))) + draw(st.sampled_from([-1, 0, 1]))
+    else:
+        if kind == "nines":
+            head = 10**digits - 1
+        else:
+            head = draw(st.integers(10 ** (digits - 1), 10**digits - 1))
+        tail = draw(st.sampled_from([5, 4, 6, 0, 9]))
+        ten = draw(st.integers(-300, 300))
+        q = Fraction(10 * head + tail) * Fraction(10) ** (ten - digits)
+        q = rootfinding.rounded(q.numerator, q.denominator, bits)
+        shift = q.denominator.bit_length() - 1
+        m = q.numerator + draw(st.sampled_from([-1, 0, 1]))
+        return m * draw(st.sampled_from([1, -1])), -shift
+    s = draw(st.integers(-3400, 3400)) - m.bit_length()
+    return m * draw(st.sampled_from([1, -1])), s
+
+
+@st.composite
+def formatted(draw, complex_values: bool):
+    bits = draw(st.sampled_from([16, 53, 64, 65, 192, 512, 1024, 8192]) | st.integers(16, 8192))
+    digits = draw(st.sampled_from([_digits(bits), SUMMARY_DIGITS, 8]))
+    x, s = draw(dyadic_reals(bits, digits))
+    if not complex_values:
+        return Fraction(x) * Fraction(2) ** s, digits, bits
+    y, t = draw(dyadic_reals(bits, digits))
+    e = max(0, -s, -t)
+    return Dyadic(x << (s + e), y << (t + e), e), digits, bits
+
+
+@settings(max_examples=400, deadline=None)
+@given(formatted(complex_values=False))
+def test_format_decimal_matches_nstr(case):
+    """Dyadic reals of 16 to 8192 bits, at the zeros table's digit counts
+    and the gate's 8: the same text as mpmath's nstr."""
+    value, digits, bits = case
+    assert format_decimal(value, digits, bits) == nstr_oracle(value, digits, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(formatted(complex_values=True))
+def test_format_decimal_matches_nstr_complex(case):
+    "Roots with either sign of each part print as mpmath prints an mpc."
+    value, digits, bits = case
+    assert format_decimal(value, digits, bits) == nstr_oracle(value, digits, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(max_denominator=10**30).filter(lambda q: q != 0) | st.just(Fraction(0)),
+    st.integers(16, 1024),
+    st.sampled_from([8, 10, 20]),
+)
+def test_format_decimal_rounds_rationals_once(q, bits, digits):
+    "A rational prints as mpmath prints the mpf it rounds to at bits."
+    assert format_decimal(q, digits, bits) == nstr_oracle(q, digits, bits)
+
+
+def test_format_decimal_fixed_forms():
+    "The gate's error line, zero, and the fixed and exponent forms."
+    assert format_decimal(1, 8, 192) == "1.0"
+    assert format_decimal(Fraction(1, 2**96), 8, 192) == "1.2621774e-29"
+    assert format_decimal(0, 20, 64) == "0.0"
+    assert format_decimal(Dyadic(-3, 0, 1), 8, 64) == "(-1.5 + 0.0j)"
+    assert format_decimal(Dyadic(1, -1, 0), 8, 64) == "(1.0 - 1.0j)"
+    assert format_decimal(Fraction(-1, 10**5), 20, 192) == "-0.00001"
+    assert format_decimal(Fraction(1, 10**7), 20, 192) == "1.0e-7"
+    assert format_decimal(Fraction(10**19 - 1), 20, 192) == "9999999999999999999.0"
+    assert format_decimal(Fraction(10**20), 20, 192) == "1.0e+20"
+
+
+@pytest.mark.parametrize("shift", [-8000, -3600, 3600, 8000, 15000])
+def test_format_decimal_beyond_mpmath_fixed_route(shift):
+    """Beyond 2^+-3500 mpmath divides by a rounded power of ten; away from a
+    rounding boundary the digits still agree."""
+    value = Fraction(3**40 + 1) * Fraction(2) ** shift
+    for digits in (8, 20):
+        assert format_decimal(value, digits, 192) == nstr_oracle(value, digits, 192)
