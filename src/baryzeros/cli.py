@@ -25,7 +25,7 @@ import io
 import json
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -89,15 +89,18 @@ def _digits(bits: int) -> int:
 # runs before its first byte goes out, so a rejected command writes
 # nothing and creates no --out file.
 #
-# A row reaches a writer as (first cell, key), and tail(key) gives the
-# cells after the first.  A scan's rows repeat a few thousand tails over
-# hundreds of thousands of n, so each writer renders the text after the
-# first cell once per distinct key and joins it to each row's own first
-# cell.  Every table keeps to one contract: the first cell is an int (n,
-# k, i or d) and renders with str, and each column holds one type in
-# every row.  So alpha keys on (dim, chi, f_top), the fields its tail is
-# derived from, and every other table on the tail itself: True == 1 as a
-# dict key, but no column holds both.
+# Rows reach a writer in blocks (firsts, keys, tail): a run of first
+# cells, one key per first cell, and the block's tail, where tail(key)
+# gives the cells after the first.  A scan's rows repeat a few thousand
+# tails over hundreds of thousands of n, so each block renders the text
+# after the first cell once per distinct key, on the key's first row, and
+# each batch of up to _BATCH_ROWS rows is one %-format of a repeated row
+# template over (first cell, text) pairs.  Every table keeps to one
+# contract: the first cell is an int (n, k, i or d) and renders as %d
+# does, and each column holds one type in every row.  So chi keys on chi
+# and alpha on chi within a run of one (dim, f_top), the fields their
+# tails are derived from, and every other table on the tail itself: True
+# == 1 as a dict key, but no column holds both.
 
 _BATCH_ROWS = 4096
 
@@ -111,26 +114,36 @@ def _output(out: str | None) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _row_batches(
-    rows: Iterable[tuple], tail: Callable, first_text: Callable, tail_text: Callable
-) -> Iterator[str]:
-    """first_text(first) + tail_text(tail(key)) per row, tail_text called
-    once per distinct key, joined into one string per _BATCH_ROWS rows."""
-    texts: dict = {}
-    batch = []
-    for first, key in rows:
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = tail_text(tail(key))
-        batch.append(first_text(first) + text)
-        if len(batch) == _BATCH_ROWS:
-            yield "".join(batch)
-            batch.clear()
-    if batch:
-        yield "".join(batch)
+class _Texts(dict):
+    """render(key) by key, each rendered on its first lookup."""
+
+    def __init__(self, render: Callable):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
 
 
-def _write_csv(handle: TextIO, header: list[str], rows: Iterable, tail: Callable) -> None:
+def _row_batches(blocks: Iterable[tuple], lead: str, tail_text: Callable) -> Iterator[str]:
+    """lead + str(first) + tail_text(tail(key)) per row.  tail_text runs
+    once per distinct key of each block, and each batch of up to
+    _BATCH_ROWS rows of a block is one string, formatted by one % in C.
+    keys may be any iterable; each batch reads its share in order."""
+    row = lead.replace("%", "%%") + "%d%s"
+    for firsts, keys, tail in blocks:
+        texts = _Texts(lambda key: tail_text(tail(key)))
+        keys = iter(keys)
+        for at in range(0, len(firsts), _BATCH_ROWS):
+            part = firsts[at : at + _BATCH_ROWS]
+            # interleaved by slice assignment: faster than chaining zip pairs
+            cells = [None] * (2 * len(part))
+            cells[::2] = part
+            cells[1::2] = map(texts.__getitem__, islice(keys, len(part)))
+            yield row * len(part) % tuple(cells)
+
+
+def _write_csv(handle: TextIO, header: list[str], blocks: Iterable) -> None:
     """csv.writer rows: None is an empty cell, a boolean reads true/false.
 
     A field's quoting depends on the row only when it is the row's one
@@ -149,7 +162,7 @@ def _write_csv(handle: TextIO, header: list[str], rows: Iterable, tail: Callable
         return line([0, *cells])[1:]
 
     handle.write(line(header))
-    handle.writelines(_row_batches(rows, tail, str, tail_text))
+    handle.writelines(_row_batches(blocks, "", tail_text))
 
 
 _JSON_VALUE = {
@@ -161,12 +174,7 @@ _JSON_VALUE = {
 
 
 def _write_json(
-    handle: TextIO,
-    command: str,
-    metadata: dict,
-    header: list[str],
-    rows: Iterable,
-    tail: Callable,
+    handle: TextIO, command: str, metadata: dict, header: list[str], blocks: Iterable
 ) -> None:
     """The bytes of json.dumps(payload, indent=2) + "\n", written in batches.
 
@@ -178,15 +186,11 @@ def _write_json(
     head = json.dumps(payload, indent=2)
     handle.write(head[: -len("[]\n}")] + "[")
     keys = [f',\n      {encode_basestring_ascii(key)}: ' for key in header]
-    first_key = ",\n    {" + keys[0][1:]
-
-    def first_text(value: int) -> str:
-        return first_key + str(value)
 
     def tail_text(cells: Sequence) -> str:
         return "".join([k + _JSON_VALUE[type(v)](v) for k, v in zip(keys[1:], cells)]) + "\n    }"
 
-    batches = _row_batches(rows, tail, first_text, tail_text)
+    batches = _row_batches(blocks, ",\n    {" + keys[0][1:], tail_text)
     first = next(batches, None)
     if first is None:
         # json.dumps closes an empty list at once and a full one on its own line
@@ -197,15 +201,13 @@ def _write_json(
     handle.write("\n  ]\n}\n")
 
 
-def _emit_table(
-    args, command: str, metadata: dict, header: list[str], rows: Iterable, tail: Callable
-) -> None:
+def _emit_table(args, command: str, metadata: dict, header: list[str], blocks: Iterable) -> None:
     with _output(args.out) as handle:
         if args.format == "json":
             metadata = {"version": __version__, **metadata}
-            _write_json(handle, command, metadata, header, rows, tail)
+            _write_json(handle, command, metadata, header, blocks)
         else:
-            _write_csv(handle, header, rows, tail)
+            _write_csv(handle, header, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +256,8 @@ def _cmd_tables(args) -> int:
         raise CliError(f"--max-d must be between 0 and {MAX_TABLE_DIM}")
     header, rows = _tables_payload(args.kind, args.max_d)
     metadata = {"kind": args.kind, "max_d": args.max_d}
-    rows = [(first, tuple(rest)) for first, *rest in rows]
-    _emit_table(args, "tables", metadata, header, rows, tuple)
+    block = [row[0] for row in rows], [tuple(row[1:]) for row in rows], tuple
+    _emit_table(args, "tables", metadata, header, [block])
     return 0
 
 
@@ -266,10 +268,9 @@ def _cmd_chi(args) -> int:
     if args.stop > limit:
         raise CliError(f"--to {args.stop} exceeds the sieve limit {limit}")
     chi = chi_profile(args.stop)
-    mm = shared_sieve(args.stop).mertens_prefix
-    # one dimension run at a time; the key is the tail itself: three ints
-    rows = chain.from_iterable(
-        zip(range(lo, hi), zip(islice(chi, lo, hi), islice(mm, lo, hi), repeat(d)))
+    # one block per dimension run, keyed on chi; the Mertens value is -chi
+    blocks = (
+        (range(lo, hi), islice(chi, lo, hi), lambda c, d=d: (c, -c, d))
         for d, lo, hi in dimension_runs(args.start, args.stop + 1)
     )
     _emit_table(
@@ -277,8 +278,7 @@ def _cmd_chi(args) -> int:
         "chi",
         {"from": args.start, "to": args.stop, "sieve_limit": limit},
         ["n", "chi", "mertens", "dim"],
-        rows,
-        tuple,
+        blocks,
     )
     return 0
 
@@ -309,13 +309,13 @@ def _alpha_tail(key: tuple) -> list:
     ]
 
 
-def _skipped_alpha_row(n: int) -> tuple:
-    return n, (dim_of(n), -mertens(n), None)
+def _skipped_alpha_key(n: int) -> tuple:
+    return dim_of(n), -mertens(n), None
 
 
-def _alpha_run_rows(run) -> Iterator[tuple]:
+def _alpha_run_block(run) -> tuple:
     d, f_top, lo, chi = run
-    return zip(range(lo, lo + len(chi)), zip(repeat(d), chi, repeat(f_top)))
+    return range(lo, lo + len(chi)), chi, lambda c: _alpha_tail((d, c, f_top))
 
 
 def _cmd_alpha(args) -> int:
@@ -325,9 +325,10 @@ def _cmd_alpha(args) -> int:
         if not (1 <= args.n <= limit):
             raise CliError(f"--n must be between 1 and the sieve limit {limit}")
         if dim_of(args.n) < 1:
-            rows = [_skipped_alpha_row(args.n)]
+            key = _skipped_alpha_key(args.n)
         else:
-            rows = [(args.n, alpha(args.n)[1:4])]
+            key = alpha(args.n)[1:4]
+        blocks = [([args.n], [key], _alpha_tail)]
         metadata["n"] = args.n
     else:
         if not (1 <= args.stop <= limit):
@@ -337,12 +338,12 @@ def _cmd_alpha(args) -> int:
         shared_sieve(args.stop)
         runs = alpha_scan(args.stop).runs if args.stop >= 6 else ()
         skipped = range(1, min(args.stop, 5) + 1)
-        rows = chain(
-            map(_skipped_alpha_row, skipped),
-            chain.from_iterable(map(_alpha_run_rows, runs)),
+        blocks = chain(
+            [(skipped, map(_skipped_alpha_key, skipped), _alpha_tail)],
+            map(_alpha_run_block, runs),
         )
         metadata["to"] = args.stop
-    _emit_table(args, "alpha", metadata, _ALPHA_HEADER, rows, _alpha_tail)
+    _emit_table(args, "alpha", metadata, _ALPHA_HEADER, blocks)
     return 0
 
 
@@ -372,7 +373,7 @@ def _cmd_zeros(args) -> int:
         "interior",
         "roots",
     ]
-    rows = []
+    tails = []
     for entry in run.entries:
         bits = entry.precision_bits
         digits = _digits(bits)
@@ -392,7 +393,7 @@ def _cmd_zeros(args) -> int:
             ";".join(texts[1:-1]),
             ";".join(texts),
         )
-        rows.append((entry.k, tail))
+        tails.append(tail)
     metadata = {
         "n": args.n,
         "dim": run.dim,
@@ -402,7 +403,8 @@ def _cmd_zeros(args) -> int:
         "f_top": run.f_top,
         "chi": run.chi,
     }
-    _emit_table(args, "zeros", metadata, header, rows, tuple)
+    blocks = [([entry.k for entry in run.entries], tails, tuple)]
+    _emit_table(args, "zeros", metadata, header, blocks)
     return 0
 
 

@@ -722,13 +722,15 @@ def find_roots(
     certified = tuple(real for _, real in found)
 
     abs_work = [abs(c) for c in work]
-    bounds = [
-        _residual(work, abs_work, z, precision_bits + _GUARD_BITS) if z.x or z.y else (0, 1)
-        for z in roots
-    ]
-    residuals = tuple(rounded(num, den, precision_bits, up=True) for num, den in bounds)
+    # one bound per distinct root; a root of multiplicity m appears m times
+    bounds = {
+        z: _residual(work, abs_work, z, precision_bits + _GUARD_BITS) if z.x or z.y else (0, 1)
+        for z in dict.fromkeys(roots)
+    }
+    residual = {z: rounded(num, den, precision_bits, up=True) for z, (num, den) in bounds.items()}
+    residuals = tuple(map(residual.__getitem__, roots))
     half = precision_bits // 2
-    if any(num << half > den for num, den in bounds):
+    if any(num << half > den for num, den in bounds.values()):
         raise RootFindingError(
             f"residual {format_decimal(max(residuals), 8, precision_bits)} missed "
             f"target {format_decimal(Fraction(1, 1 << half), 8, precision_bits)} at "

@@ -23,6 +23,7 @@ from baryzeros import (
     RootFindingError,
     __version__,
     checks,
+    cli,
     complexes,
     eigen_rationals,
     rootfinding,
@@ -133,10 +134,23 @@ def _tables(draw):
     return header, rows
 
 
-def _keyed(rows):
-    "Rows as the writers take them: (first cell, the tail as its own key)."
-    return iter([(first, tuple(rest)) for first, *rest in rows])
+def _blocks(rows, cuts):
+    """Rows as the writers take them: blocks of (first cells, keys, tail)
+    split at the cuts, some of them empty, each tail its own key."""
+    edges = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+    return iter(
+        [
+            ([row[0] for row in rows[lo:hi]], iter([tuple(row[1:]) for row in rows[lo:hi]]), tuple)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+    )
 
+
+# Where blocks end (cuts may repeat, giving empty blocks) and where
+# batches end: every row its own batch, a few rows a batch, or the CLI's
+# own size.
+_CUTS = st.lists(st.integers(0, 6), max_size=4)
+_BATCHES = st.sampled_from([1, 2, 3, cli._BATCH_ROWS])
 
 # True and 1 are equal dict keys with one hash, but render apart; they
 # meet only in different columns.
@@ -144,16 +158,22 @@ _FLAG_COUNTS = (
     ["n", "flag", "count"],
     [(7, True, 1), (8, False, 0), (9, False, 1), (10, True, 1)],
 )
+# A % in a header is a literal in the writers' row templates.
+_PERCENT = (["%d%s", "%%", "a%"], [(-3, 5, "%s"), (4, 5, "%d"), (12, -1, "")])
 
 
 @given(
     table=_tables(),
+    cuts=_CUTS,
+    batch_rows=_BATCHES,
     command=st.text(),
     metadata=st.dictionaries(st.text(), st.one_of(st.integers(), st.text(), st.none())),
 )
-@example(table=_FLAG_COUNTS, command="c", metadata={})
-@example(table=(["n", "flag"], []), command="c", metadata={})
-def test_streamed_json_equals_json_dumps(table, command, metadata):
+@example(table=_FLAG_COUNTS, cuts=[], batch_rows=4096, command="c", metadata={})
+@example(table=(["n", "flag"], []), cuts=[], batch_rows=4096, command="c", metadata={})
+@example(table=(["n", "flag"], []), cuts=[0, 0], batch_rows=1, command="c", metadata={})
+@example(table=_PERCENT, cuts=[0, 1, 1, 3], batch_rows=2, command="%d", metadata={"%": "%s"})
+def test_streamed_json_equals_json_dumps(table, cuts, batch_rows, command, metadata):
     header, rows = table
     payload = {
         "command": command,
@@ -162,14 +182,17 @@ def test_streamed_json_equals_json_dumps(table, command, metadata):
         "rows": [dict(zip(header, row)) for row in rows],
     }
     handle = io.StringIO()
-    _write_json(handle, command, metadata, header, _keyed(rows), tuple)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BATCH_ROWS", batch_rows)
+        _write_json(handle, command, metadata, header, _blocks(rows, cuts))
     assert handle.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
-@given(table=_tables())
-@example(table=_FLAG_COUNTS)
-@example(table=(["n", "flag"], []))
-def test_streamed_csv_equals_buffered_writer(table):
+@given(table=_tables(), cuts=_CUTS, batch_rows=_BATCHES)
+@example(table=_FLAG_COUNTS, cuts=[], batch_rows=4096)
+@example(table=(["n", "flag"], []), cuts=[], batch_rows=4096)
+@example(table=_PERCENT, cuts=[2, 0, 2], batch_rows=1)
+def test_streamed_csv_equals_buffered_writer(table, cuts, batch_rows):
     header, rows = table
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
@@ -185,8 +208,28 @@ def test_streamed_csv_equals_buffered_writer(table):
                 cells.append(value)
         writer.writerow(cells)
     handle = io.StringIO()
-    _write_csv(handle, header, _keyed(rows), tuple)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BATCH_ROWS", batch_rows)
+        _write_csv(handle, header, _blocks(rows, cuts))
     assert handle.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--from", "29990", "--to", "30100"),
+        ("chi", "--from", "29990", "--to", "30100", "--format", "json"),
+        ("alpha", "--to", "2310"),
+        ("alpha", "--to", "2310", "--format", "json"),
+    ],
+)
+def test_scan_bytes_across_batch_edges(capsys, monkeypatch, argv):
+    """Batches of 7 rows end inside every block and at neither end of most:
+    chi crosses dimension 4 to 5 at 30030, alpha has a run per top face
+    count, and both print what the CLI's own batch size prints."""
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_BATCH_ROWS", 7)
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_json_payload_shape(capsys):
@@ -350,12 +393,22 @@ def test_range_rows_equal_point_rows(capsys, monkeypatch):
             ("alpha", "--to", "100000", "--format", "json"),
             "956224106b56e261757a9e9c7845ca66b2cfc0edbbf470c09c6ea59fc109d3a9",
         ),
+        (
+            ("alpha", "--to", "1000000"),
+            "f5a846547419078bdeb75bb5555bf6b12a7308fbbc6944e2ca6734581329497a",
+        ),
+        (
+            ("chi", "--to", "1000000", "--format", "json"),
+            "5fa80b0bbfb078370d7816d9fedb28d2e94aefab91f5f3ebecb8483aefa94873",
+        ),
     ],
-    ids=["chi-csv", "chi-json", "alpha-csv", "alpha-json"],
+    ids=["chi-csv", "chi-json", "alpha-csv", "alpha-json", "alpha-cap-csv", "chi-cap-json"],
 )
 def test_scan_bytes_at_benchmark_scale(capsys, monkeypatch, argv, digest):
     """The sha256 of a full scan at the benchmark's N, where the goldens
-    stop at 219: every dimension up to 5 and every tail a scan repeats."""
+    stop at 219: every dimension up to 5 and every tail a scan repeats.
+    At the default sieve limit, 10^6, dimension 6 appears and the runs
+    are at their longest."""
     monkeypatch.delenv("BARYZEROS_SIEVE_LIMIT", raising=False)
     out = run_cli(capsys, *argv)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

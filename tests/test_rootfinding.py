@@ -176,6 +176,34 @@ def test_repeated_root_gets_exact_multiplicity():
 
 
 @pytest.mark.parametrize(
+    "p, distinct",
+    [
+        ((1, 0, -3, -2), 2),  # (z + 1)^2 (z - 2)
+        ((1, -1, -4, 4, 4, -4), 3),  # (z^2 - 2)^2 (z - 1)
+        ((1, 2, 3, 2, 1), 2),  # (z^2 + z + 1)^2
+    ],
+)
+def test_residual_evaluated_once_per_distinct_root(monkeypatch, p, distinct):
+    """A root of multiplicity m is one residual evaluation, and each of its
+    m entries in residuals is that root's own bound rounded up."""
+    calls = []
+    residual = rootfinding._residual
+
+    def counted(*args):
+        calls.append(args[2])
+        return residual(*args)
+
+    monkeypatch.setattr(rootfinding, "_residual", counted)
+    rs = find_roots(p, 64)
+    assert len(calls) == len(set(calls)) == distinct
+    assert len(rs.roots) == len(p) - 1 > distinct
+    abs_p = [abs(c) for c in p]
+    for z, r in zip(rs.roots, rs.residuals):
+        num, den = residual(p, abs_p, z, 64 + rootfinding._GUARD_BITS)
+        assert r == rootfinding.rounded(num, den, 64, up=True), z
+
+
+@pytest.mark.parametrize(
     "roots",
     [(-1, -1), (Fraction(1, 2),) * 3, (-1, -1, -1, 2), (3, 3, 3, 3, -2, -2), (0, -1, -1)],
 )
