@@ -25,7 +25,7 @@ import io
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
@@ -214,50 +214,34 @@ def _emit_table(args, command: str, metadata: dict, header: list[str], blocks: I
 # subcommands
 
 
-def _tables_payload(kind: str, max_d: int) -> tuple[list[str], list[list]]:
-    if kind == "f":
-        header = ["i"] + [f"d={d}" for d in range(-1, max_d + 1)]
-        matrix = transfer_matrix(max_d)
-        rows = [
-            [i] + [matrix.entry(i, d) for d in range(-1, max_d + 1)]
-            for i in range(-1, max_d + 1)
-        ]
-    elif kind == "F":
-        header = ["i"] + [f"d={d}" for d in range(-1, max_d + 1)]
-        columns = {d: eigen_rationals(d) for d in range(-1, max_d + 1)}
-        rows = []
-        for i in range(-1, max_d + 1):
-            row: list = [i]
-            for d in range(-1, max_d + 1):
-                row.append(str(columns[d][i + 1]) if i <= d else None)
-            rows.append(row)
-    elif kind == "H":
-        header = ["i"] + [f"d={d}" for d in range(0, max_d + 1)]
-        columns = {d: limit_h_coefficients(d) for d in range(0, max_d + 1)}
-        rows = []
-        for i in range(0, max_d + 2):
-            row = [i]
-            for d in range(0, max_d + 1):
-                row.append(str(columns[d][i]) if i <= d + 1 else None)
-            rows.append(row)
-    else:
-        header = ["d", "i", "j", "value"]
-        rows = []
+def _tables_payload(kind: str, max_d: int) -> tuple[list[str], Sequence[int], list[tuple]]:
+    """The header, first cells and tails of a table.  f, F and H read one
+    column per d row by row, a short column giving empty cells; Hmatrix
+    has one (d, i, j, value) row per descent_matrix(d) entry."""
+    if kind == "Hmatrix":
+        firsts, tails = [], []
         for d in range(0, max_d + 1):
-            matrix = descent_matrix(d)
-            for i in range(-1, d + 1):
-                for j in range(-1, d + 1):
-                    rows.append([d, i, j, matrix.entry(i, j)])
-    return header, rows
+            rows = enumerate(descent_matrix(d).rows, -1)
+            tails += [(i, j, value) for i, row in rows for j, value in enumerate(row, -1)]
+            firsts += [d] * (d + 2) ** 2
+        return ["d", "i", "j", "value"], firsts, tails
+    low = 0 if kind == "H" else -1
+    dims = range(low, max_d + 1)
+    if kind == "f":
+        columns = zip(*transfer_matrix(max_d).rows)
+    else:
+        values = eigen_rationals if kind == "F" else limit_h_coefficients
+        columns = [map(str, values(d)) for d in dims]
+    tails = list(zip_longest(*columns))
+    return ["i", *(f"d={d}" for d in dims)], range(low, low + len(tails)), tails
 
 
 def _cmd_tables(args) -> int:
     if not (0 <= args.max_d <= MAX_TABLE_DIM):
         raise CliError(f"--max-d must be between 0 and {MAX_TABLE_DIM}")
-    header, rows = _tables_payload(args.kind, args.max_d)
+    header, firsts, tails = _tables_payload(args.kind, args.max_d)
     metadata = {"kind": args.kind, "max_d": args.max_d}
-    block = [row[0] for row in rows], [tuple(row[1:]) for row in rows], tuple
-    _emit_table(args, "tables", metadata, header, [block])
+    _emit_table(args, "tables", metadata, header, [(firsts, tails, tuple)])
     return 0
 
 

@@ -325,21 +325,20 @@ def _rounded(p: list, a: int, e: int, lo: int, hi: int, le: int, s_hi: int, bits
     """The root near a / 2^e rounded to nearest with a bits-bit mantissa.
 
     The root is the only one in the isolating interval (lo / 2^le,
-    hi / 2^le], and p has the sign s_hi right of it there.  The candidate
-    is certified by one exact sign bracket: an interval of reals that all
-    round to it, of half-width at most 2^-bits of its modulus, whose ends
-    inside the isolating interval have p's signs on either side of the
-    root.  A candidate whose bracket misses the root gives way once to its
-    neighbour.  Returns (c, e), or None.
+    hi / 2^le], and p has the sign s_hi right of it there.  The candidate,
+    a / 2^e rounded by ``_round_mantissa``, is certified by one exact sign
+    bracket: an interval of reals that all round to it, of half-width at
+    most 2^-bits of its modulus, whose ends inside the isolating interval
+    have p's signs on either side of the root.  A candidate whose bracket
+    misses the root gives way once to its neighbour.  Returns a real
+    :class:`Dyadic`, or None; a root on a bracket's end goes through
+    ``_rounded_point``.
     """
+    # a has about bits + _GUARD_BITS bits unless Newton's last step cancelled it
+    if abs(a).bit_length() < bits + 2:
+        return None
     for _ in range(2):
-        if a == 0:
-            return None
-        grow = bits + 3 - abs(a).bit_length()
-        if grow > 0:
-            a, e = a << grow, e + grow
-        shift = abs(a).bit_length() - bits
-        mantissa = (abs(a) + (1 << (shift - 1))) >> shift
+        mantissa, shift = _round_mantissa(abs(a), bits)
         half = 1 << (shift - 1)
         # Below a power of two the spacing halves.  A mantissa rounded up
         # to 2^bits keeps the finer spacing on both sides: a narrower
@@ -354,35 +353,37 @@ def _rounded(p: list, a: int, e: int, lo: int, hi: int, le: int, s_hi: int, bits
         if left << (common - e) > lo << (common - le):
             v = _value(p, left, e)
             if v == 0:
-                return left, e
+                return _rounded_point(left, 0, e, bits)
             below = (v > 0) == (s_hi > 0)
         if right << (common - e) < hi << (common - le):
             v = _value(p, right, e)
             if v == 0:
-                return right, e
+                return _rounded_point(right, 0, e, bits)
             above = (v > 0) != (s_hi > 0)
         if not (below or above):
-            return c, e
+            return _dyadic(c, 0, e)
         a = left - 1 if below else right + 1
     return None
 
 
-def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int):
-    """The root in (lo / 2^e, hi / 2^e] as a dyadic (a, e), correctly
-    rounded to bits when a sign bracket inside the interval proves it.
+def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int) -> Dyadic:
+    """The root in (lo / 2^e, hi / 2^e] as a real :class:`Dyadic`,
+    correctly rounded to bits: found exactly, or proven by a sign bracket
+    inside the interval.
 
     Newton starts once from a bracket of _BISECT_BITS relative bits.  Near
     another root it may fall short of a certified rounding; bisection then
-    runs all the way to bits + _GUARD_BITS.
+    runs all the way to bits + _GUARD_BITS, and RootFindingError is raised
+    when even that bracket does not certify the rounding.
     """
     v = _value(p, hi, e)
     if v == 0:
-        return hi, e
+        return _rounded_point(hi, 0, e, bits)
     s_hi = 1 if v > 0 else -1
     final = bits + _GUARD_BITS
     near = _bisect(p, lo, hi, e, s_hi, _BISECT_BITS)
     if near[0] == near[1]:
-        return near[1:]
+        return _rounded_point(near[1], 0, near[2], bits)
     guess = _newton(p, dp, near[0] + near[1], near[2] + 1, final)
     if guess is not None:
         rounded = _rounded(p, *guess, lo, hi, e, s_hi, bits)
@@ -391,8 +392,13 @@ def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int):
     # Newton left the bracket or fell short: bisection keeps the sign change.
     n_lo, n_hi, n_e = _bisect(p, *near, s_hi, final)
     if n_lo == n_hi:
-        return n_hi, n_e
-    return _rounded(p, n_hi, n_e, lo, hi, e, s_hi, bits) or (n_hi, n_e)
+        return _rounded_point(n_hi, 0, n_e, bits)
+    rounded = _rounded(p, n_hi, n_e, lo, hi, e, s_hi, bits)
+    if rounded is None:
+        raise RootFindingError(
+            f"a real root's rounding to {bits} bits was not certified; retry with higher precision"
+        )
+    return rounded
 
 
 def _quotient(a: list, b: list) -> list:
@@ -516,8 +522,8 @@ def _polygon_moduli(p: list) -> list:
 
 def _enclose(p: list, reals: list, bits: int):
     """Disks that each hold one root of the squarefree p, whose real roots
-    are near the dyadics reals (a, e) and whose other roots come in
-    conjugate pairs.
+    are near the real :class:`Dyadic` values reals and whose other roots
+    come in conjugate pairs.
 
     Returns (f, disks), each disk (x, y, r) the centre (x + iy) / 2^f and a
     radius at most r / 2^f, at most 2^-bits of the centre's modulus: the
@@ -546,14 +552,14 @@ def _enclose(p: list, reals: list, bits: int):
     # and a scale that proves too coarse only costs a doubling.
     w = _ENCLOSE_BITS
     f = w + max(0, math.ceil(-min(moduli))) + n.bit_length()
-    points = [(_times_power(a, f - e), 0) for a, e in reals]
+    points = [(_times_power(x, f - e), 0) for x, _, e in reals]
     # Upper halves start spread over the upper half plane, off the
     # imaginary axis, at the moduli left after the real roots', one per
     # pair.  The angles are not symmetric about the imaginary axis: from a
     # mirror-symmetric start the iteration stays symmetric, and an even
     # polynomial's cluster on that axis would never separate.
-    for a, e in reals:
-        size = math.log2(abs(a)) - e
+    for x, _, e in reals:
+        size = math.log2(abs(x)) - e
         moduli.remove(min(moduli, key=lambda m: abs(m - size)))
     for k, size in enumerate(sorted(moduli)[::2]):
         angle = math.pi * (k + 0.6) / (pairs + 0.5)
@@ -663,9 +669,9 @@ def find_roots(
     nearest at precision_bits.  precision_bits sets only these widths and
     the precision of the returned values.  Every backward residual must
     also meet 2^(-precision_bits // 2), compared exactly in integers.
-    RootFindingError is raised when it does not, or when the disks fail
-    to separate, which usually means the precision is too low for the
-    polynomial.
+    RootFindingError is raised when it does not, when a real root's
+    rounding cannot be certified, or when the disks fail to separate,
+    which usually means the precision is too low for the polynomial.
     """
     work = list(coeffs)
     for c in work:
@@ -686,7 +692,7 @@ def find_roots(
     content = math.gcd(*work)
     ints = [c // content for c in work]
 
-    found = [(Dyadic(0, 0, 0), True)] * zero_roots
+    found = [Dyadic(0, 0, 0)] * zero_roots
     method = "isolated"
     if len(ints) > 1:
         seq = _sturm_sequence(ints)
@@ -697,29 +703,26 @@ def find_roots(
         for factor, multiplicity in factors:
             if factor is not ints:
                 seq = _sturm_sequence(factor)
-            reals = [
+            roots = [
                 _refine(factor, seq[1], lo, hi, e, precision_bits)
                 for lo, hi, e in _isolate(seq)
             ]
-            roots = [(_rounded_point(a, 0, e, precision_bits), True) for a, e in reals]
-            if len(reals) < len(factor) - 1:
+            real_count = len(roots)
+            if real_count < len(factor) - 1:
                 method = "enclosed"
-                f, disks = _enclose(factor, reals, precision_bits)
+                f, disks = _enclose(factor, roots, precision_bits)
                 roots += [
-                    (_rounded_point(x, y, f, precision_bits), False)
-                    for x, y, _ in disks[len(reals):]
+                    _rounded_point(x, y, f, precision_bits) for x, y, _ in disks[real_count:]
                 ]
             found += roots * multiplicity
-    top = max(z.e for z, _ in found)
+    top = max(z.e for z in found)
 
-    def order(pair) -> tuple:
-        x, y, e = pair[0]
+    def order(z: Dyadic) -> tuple:
+        x, y, e = z
         s = top - e
         return (x * x + y * y) << (2 * s), x << s, y << s
 
-    found.sort(key=order)
-    roots = tuple(z for z, _ in found)
-    certified = tuple(real for _, real in found)
+    roots = tuple(sorted(found, key=order))
 
     abs_work = [abs(c) for c in work]
     # one bound per distinct root; a root of multiplicity m appears m times
@@ -736,7 +739,7 @@ def find_roots(
             f"target {format_decimal(Fraction(1, 1 << half), 8, precision_bits)} at "
             f"{precision_bits} bits; retry with higher precision"
         )
-    return RootSet(roots, residuals, certified, precision_bits, method)
+    return RootSet(roots, residuals, tuple(not z.y for z in roots), precision_bits, method)
 
 
 # ---------------------------------------------------------------------------

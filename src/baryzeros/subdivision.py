@@ -4,6 +4,9 @@ The objects here all live over a fixed ambient dimension d and are
 indexed by simplex dimensions running from -1 (the empty simplex) to d.
 Matrices over that index range are stored 0-based with a +1 offset and
 exposed through an ``entry(i, j)`` accessor taking the -1-based indices.
+One builder makes every such matrix but the descent recurrence's from
+its entries over -1..d: the identity, transfer and shift matrices, the
+shift's inverse and the enumerated descent counts.
 
 ``shift_matrix`` is the one step from face counts to h-coefficients
 (composition with z - 1): ``complexes.h_poly`` and
@@ -18,11 +21,12 @@ make each ``Fraction`` once, at the end.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
 from operator import add, gt, mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 BRUTE_FORCE_DIMENSION_CAP = 5
 
@@ -204,11 +208,14 @@ class SimplexMatrix(NamedTuple("SimplexMatrix", [("d", int), ("rows", tuple)])):
         return tuple(sum(map(mul, row, vector)) for row in self.rows)
 
 
+def _matrix(d: int, entry: Callable[[int, int], object]) -> SimplexMatrix:
+    """The matrix of entry(i, j) for i and j in -1..d."""
+    span = range(-1, d + 1)
+    return SimplexMatrix(d, tuple(tuple(entry(i, j) for j in span) for i in span))
+
+
 def identity_matrix(d: int) -> SimplexMatrix:
-    n = d + 2
-    return SimplexMatrix(
-        d, tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-    )
+    return _matrix(d, lambda i, j: int(i == j))
 
 
 @cache
@@ -220,13 +227,7 @@ def transfer_matrix(d: int) -> SimplexMatrix:
     """
     if d < -1:
         raise ValueError("d must be at least -1")
-    return SimplexMatrix(
-        d,
-        tuple(
-            tuple(subdivision_count(i, j) if i <= j else 0 for j in range(-1, d + 1))
-            for i in range(-1, d + 1)
-        ),
-    )
+    return _matrix(d, lambda i, j: subdivision_count(i, j) if i <= j else 0)
 
 
 @cache
@@ -238,27 +239,15 @@ def shift_matrix(d: int) -> SimplexMatrix:
     """
     if d < 0:
         raise ValueError("d must be at least 0")
-    rows = []
-    for i in range(-1, d + 1):
-        row = []
-        for j in range(-1, d + 1):
-            sign = -1 if (d + 1 + i + j) % 2 else 1
-            row.append(sign * comb(d - j, i + 1))
-        rows.append(tuple(row))
-    return SimplexMatrix(d, tuple(rows))
+    # the sign (-1)^(d+1+i+j) as a parity test: the exponent is -1 at d = 0
+    return _matrix(d, lambda i, j: (-1 if (d + 1 + i + j) % 2 else 1) * comb(d - j, i + 1))
 
 
 def shift_matrix_inverse(d: int) -> SimplexMatrix:
     """Closed-form inverse of :func:`shift_matrix`."""
     if d < 0:
         raise ValueError("d must be at least 0")
-    return SimplexMatrix(
-        d,
-        tuple(
-            tuple(comb(j + 1, d - i) for j in range(-1, d + 1))
-            for i in range(-1, d + 1)
-        ),
-    )
+    return _matrix(d, lambda i, j: comb(j + 1, d - i))
 
 
 @cache
@@ -300,14 +289,12 @@ def descent_matrix_bruteforce(d: int) -> SimplexMatrix:
             f"brute force enumeration capped at d={BRUTE_FORCE_DIMENSION_CAP} "
             f"({factorial(BRUTE_FORCE_DIMENSION_CAP + 2)} permutations); got d={d}"
         )
-    n = d + 2
-    size = d + 2
-    grid = [[0] * size for _ in range(size)]
-    for perm in itertools.permutations(range(1, n + 1)):
-        i = sum(map(gt, perm, perm[1:])) - 1
-        j = perm[0] - 2
-        grid[i + 1][j + 1] += 1
-    return SimplexMatrix(d, tuple(tuple(r) for r in grid))
+    # (descents - 1, first letter - 2) of each permutation of d + 2 letters
+    counts = Counter(
+        (sum(map(gt, perm, perm[1:])) - 1, perm[0] - 2)
+        for perm in itertools.permutations(range(1, d + 3))
+    )
+    return _matrix(d, lambda i, j: counts[i, j])
 
 
 # ---------------------------------------------------------------------------

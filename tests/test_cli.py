@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 import baryzeros
 from baryzeros import (
     AlphaScan,
+    FVector,
     RootFindingError,
+    SimplexMatrix,
     __version__,
     checks,
     cli,
@@ -563,6 +565,85 @@ def test_euler_check_names_each_disagreeing_n(monkeypatch):
     assert not result.passed
 
 
+def _bumped(d, i, j):
+    "A matrix oracle whose d-dimensional matrix has entry (i, j) one too large."
+
+    def wrap(oracle):
+        def bumped(dim):
+            matrix = oracle(dim)
+            if dim != d:
+                return matrix
+            rows = [list(row) for row in matrix.rows]
+            rows[i + 1][j + 1] += 1
+            return SimplexMatrix(d, tuple(map(tuple, rows)))
+
+        return bumped
+
+    return wrap
+
+
+def _count_bumped(oracle):
+    return lambda i, d: oracle(i, d) + ((i, d) == (2, 5))
+
+
+def _top_face_bumped(oracle):
+    def bumped(n):
+        counts = oracle(n).counts
+        return FVector((*counts[:-1], counts[-1] + (n == 30)))
+
+    return bumped
+
+
+def _all_ambiguous(oracle):
+    def flagged(*args, **kwargs):
+        run = oracle(*args, **kwargs)
+        return run._replace(entries=tuple(e._replace(ambiguous=True) for e in run.entries))
+
+    return flagged
+
+
+def _denominator_bumped(oracle):
+    def bumped(d, chi, f_top):
+        num, den, exponent = oracle(d, chi, f_top)
+        return num, den + 1, exponent
+
+    return bumped
+
+
+_BROKEN_ORACLES = [
+    ("_check_count_routes", "subdivision_count_recurrence", _count_bumped,
+     "count-closed-form-vs-recurrence", "(i=2, d=5): 540 != 541"),
+    ("_check_transfer_structure", "transfer_matrix", _bumped(4, 1, 0),
+     "transfer-upper-triangular-factorial-diagonal", "lower entry (i=1, j=0, d=4)"),
+    ("_check_shift_inverse", "shift_matrix_inverse", _bumped(3, 0, 0),
+     "shift-matrix-inverse", "d=3"),
+    ("_check_similarity", "descent_matrix", _bumped(6, 0, 0),
+     "transfer-descent-similarity", "d=6"),
+    ("_check_descent_bruteforce", "descent_matrix_bruteforce", _bumped(2, 0, 0),
+     "descent-recurrence-vs-enumeration", "d=2"),
+    ("_check_explicit_f_vectors", "summary", _top_face_bumped,
+     "explicit-complex-face-counts", "n=30: f-vector mismatch"),
+    ("_check_trajectory_dim1", "trajectory", _all_ambiguous,
+     "trajectory-dim1-convergence", "k=4: extreme roots flagged ambiguous"),
+    ("_check_alpha_identity", "alpha_fields", _denominator_bumped,
+     "alpha-defining-identity", "n=6: defining identity broken"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, oracle, broken, name, first",
+    _BROKEN_ORACLES,
+    ids=[case[3] for case in _BROKEN_ORACLES],
+)
+def test_guard_checks_can_fail(monkeypatch, check, oracle, broken, name, first):
+    "A check fed one wrong oracle value fails and names that value first."
+    monkeypatch.setattr(checks, oracle, broken(getattr(checks, oracle)))
+    result = getattr(checks, check)()
+    assert result.passed is False
+    assert result.name == name
+    assert result.detail.partition(" (+")[0] == first
+
+
 def test_verdict_names_the_first_failure_and_counts_the_rest():
     result = checks._verdict("name", ["a", "b", "c"], "scope")
     assert result == checks.CheckResult("name", False, "a (+2 more)")
@@ -616,11 +697,20 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert not target.exists()
 
 
-def test_uncertified_roots_exit_2_without_fallback(capsys, monkeypatch):
-    "Disks that never separate end zeros in one error line and exit 2."
-    monkeypatch.setattr(rootfinding, "_disks", lambda *args: None)
+@pytest.mark.parametrize(
+    "certifier, message",
+    [
+        ("_disks", "error: the root enclosures of a degree-"),
+        ("_rounded", "error: a real root's rounding to "),
+    ],
+    ids=["disks", "rounding"],
+)
+def test_uncertified_roots_exit_2_without_fallback(capsys, monkeypatch, certifier, message):
+    """Disks that never separate, or a real root whose rounding no sign
+    bracket certifies, end zeros in one error line and exit 2."""
+    monkeypatch.setattr(rootfinding, certifier, lambda *args: None)
     err = run_cli_error(capsys, "zeros", "--n", "37", "--k", "3")
-    assert err.startswith("error: the root enclosures of a degree-")
+    assert err.startswith(message)
     assert "retry with higher precision" in err
 
 

@@ -384,6 +384,16 @@ def test_near_tie_rounds_correctly():
         assert as_mp(rs.roots[0]) == 1 - mp.mpf(2) ** -64 != 1
 
 
+@pytest.mark.parametrize("bits", [16, 64, 192])
+def test_exact_tie_roots_round_to_even(bits):
+    """(2^b z - (2^b + 1))(z + 3) at b bits: the root 1 + 2^-b lies exactly
+    on a rounding bracket's end, halfway between 1 and 1 + 2^(1-b), and
+    comes back rounded to even."""
+    rs = find_roots(product(1 + Fraction(1, 2**bits), -3), precision_bits=bits)
+    assert rs.roots == (Dyadic(1, 0, 0), Dyadic(-3, 0, 0))
+    assert rs.real_certified == (True, True)
+
+
 def test_modulus_sort_order():
     rs = find_roots(poly(1, 7, -10, 3))
     mods = [abs(as_mp(z)) for z in rs.roots]
