@@ -49,7 +49,6 @@ from .dynamics import (
     growth_expansion,
     subdivided_f,
     trajectory,
-    trajectory_precision,
 )
 from .rootfinding import RootFindingError, RootSet, find_roots
 from .subdivision import (
@@ -103,6 +102,5 @@ __all__ = [
     "subdivision_count",
     "summary",
     "trajectory",
-    "trajectory_precision",
     "transfer_matrix",
 ]

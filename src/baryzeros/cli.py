@@ -357,10 +357,10 @@ def _cmd_zeros(args) -> int:
         "interior",
         "roots",
     ]
+    bits = args.precision_bits
+    digits = _digits(bits)
     tails = []
     for entry in run.entries:
-        bits = entry.precision_bits
-        digits = _digits(bits)
         # entry.roots is rho_0, the interior roots, then rho_inf
         texts = [format_decimal(z, digits, bits) for z in entry.roots]
         tail = (
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="precision_bits",
         type=int,
         default=DEFAULT_TRAJECTORY_PRECISION,
-        help=f"working precision floor in bits, 16 to {MAX_PRECISION_BITS}",
+        help=f"working precision of every row in bits, 16 to {MAX_PRECISION_BITS}",
     )
     _add_output_options(zeros)
 

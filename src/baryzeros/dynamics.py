@@ -2,8 +2,8 @@
 
 Face counts evolve by an exact integer transfer matrix, so every
 polynomial whose roots are studied here is known exactly.  Its roots are
-certified dyadic approximations, at a precision that grows with the
-subdivision depth, and every diagnostic is computed exactly from them.
+certified dyadic approximations, at the one precision the caller asks
+for, and every diagnostic is computed exactly from them.
 The module also computes the exact closed form of the face counts as a
 sum of factorial powers, and the scaling limits of the smallest root
 across all squarefree-divisor complexes.
@@ -115,12 +115,13 @@ class TrajectoryEntry(NamedTuple):
     """Root data of the h-polynomial after k subdivision rounds.
 
     roots are the exact :class:`~baryzeros.rootfinding.Dyadic` values of
-    :func:`~baryzeros.rootfinding.find_roots` at precision_bits, and
-    residuals their backward residuals.  rho_0 and rho_inf are the roots
-    of smallest and largest modulus, interior the rest.  ratio_inf
-    compares |rho_inf| against the predicted magnitude H1 * f_d *
-    ((d+1)!)^k and tends to 1; scaled_rho0 is |rho_0| * ((d+1)!)^k and
-    tends to |alpha_n|; both are Fractions rounded to precision_bits.
+    :func:`~baryzeros.rootfinding.find_roots` at precision_bits, the
+    trajectory's requested precision at every k, and residuals their
+    backward residuals.  rho_0 and rho_inf are the roots of smallest and
+    largest modulus, interior the rest.  ratio_inf compares |rho_inf|
+    against the predicted magnitude H1 * f_d * ((d+1)!)^k and tends to 1;
+    scaled_rho0 is |rho_0| * ((d+1)!)^k and tends to |alpha_n|; both are
+    Fractions rounded to precision_bits.
     ambiguous says an extreme root is less than twice as far out as its
     neighbour, compared exactly.  sum_rel_err and prod_rel_err compare the
     exact sum and product of the roots against the exact coefficient
@@ -181,13 +182,6 @@ def _identity_errors(h: tuple, roots: tuple) -> tuple:
     return rel(total, top, -h[1]), rel(product, scale, vieta_prod)
 
 
-def trajectory_precision(dim: int, k: int, requested: int) -> int:
-    """Working precision for depth k: enough bits to hold ((d+1)!)^k
-    exactly plus a fixed safety margin, or the requested floor."""
-    needed = 64 + (math.factorial(dim + 1) ** k).bit_length()
-    return max(requested, needed)
-
-
 def trajectory(
     n: int,
     depths: Sequence[int],
@@ -198,11 +192,11 @@ def trajectory(
     Produces one entry per depth k in depths, a nonempty strictly
     ascending sequence such as range(k_max + 1).  Needs dimension at
     least 1 so that the smallest and largest roots are distinct objects.
-    Precision is raised automatically with k.  One :func:`subdivided_f`
-    orbit to depths[-1] gives the exact face counts before the first root
-    search, so a depth above the cap fails at once, and depths out of
-    order fail next.  Every value an entry holds is exact, or rounded
-    once from an exact value at the entry's precision.
+    Every depth works at precision_bits, whatever k.  One
+    :func:`subdivided_f` orbit to depths[-1] gives the exact face counts
+    before the first root search, so a depth above the cap fails at once,
+    and depths out of order fail next.  Every value an entry holds is
+    exact, or rounded once from an exact value at precision_bits.
     """
     rule = "depths must be nonempty, strictly ascending and nonnegative"
     if not depths or depths[0] < 0:
@@ -221,9 +215,8 @@ def trajectory(
         raise ValueError(rule)
     entries = []
     for k in depths:
-        bits = trajectory_precision(d, k, precision_bits)
         h = h_poly(orbit[k])
-        rootset = find_roots(h, precision_bits=bits)
+        rootset = find_roots(h, precision_bits)
         roots = rootset.roots
         growth = fac**k
         # squared moduli of rho_0, its neighbour, rho_inf's and rho_inf,
@@ -238,16 +231,16 @@ def trajectory(
         entries.append(
             TrajectoryEntry(
                 k=k,
-                precision_bits=bits,
+                precision_bits=precision_bits,
                 roots=roots,
                 residuals=rootset.residuals,
                 rho_0=roots[0],
                 rho_inf=roots[-1],
                 interior=roots[1:-1],
                 ratio_inf=rounded_sqrt(
-                    high * h1.denominator**2, predicted**2 << 2 * top, bits
+                    high * h1.denominator**2, predicted**2 << 2 * top, precision_bits
                 ),
-                scaled_rho0=rounded_sqrt(low * growth**2, 1 << 2 * top, bits),
+                scaled_rho0=rounded_sqrt(low * growth**2, 1 << 2 * top, precision_bits),
                 rho_inf_real=rootset.real_certified[-1],
                 ambiguous=second < 4 * low or high < 4 * penultimate,
                 sum_rel_err=sum_err,

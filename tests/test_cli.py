@@ -524,6 +524,17 @@ def test_zeros_rows(capsys):
     assert all(row[11] == "" for row in body), "no interior roots in dimension 1"
 
 
+def test_zeros_rows_use_the_requested_precision(capsys):
+    "--precision-bits is the precision of every row, at 16 bits as at 64."
+    tables = []
+    for bits in ("16", "64"):
+        out = run_cli(capsys, "zeros", "--n", "2310", "--k", "6", "--precision-bits", bits)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["precision_bits"] for row in rows] == [bits] * 7
+        tables.append(out)
+    assert tables[0] != tables[1]
+
+
 def test_zeros_json_metadata(capsys):
     out = run_cli(capsys, "zeros", "--n", "30", "--k", "1", "--format", "json")
     payload = json.loads(out)
@@ -582,8 +593,41 @@ def _bumped(d, i, j):
     return wrap
 
 
-def _count_bumped(oracle):
-    return lambda i, d: oracle(i, d) + ((i, d) == (2, 5))
+def _value_bumped(args, delta):
+    "An oracle whose value at args is off by delta."
+    return lambda oracle: lambda *a: oracle(*a) + delta * (a == args)
+
+
+def _coefficient_bumped(d, i, delta):
+    "A coefficient-tuple oracle whose d-dimensional entry i is off by delta."
+
+    def wrap(oracle):
+        def bumped(dim):
+            coeffs = oracle(dim)
+            if dim != d:
+                return coeffs
+            return (*coeffs[:i], coeffs[i] + delta, *coeffs[i + 1 :])
+
+        return bumped
+
+    return wrap
+
+
+def _sign_flipped_at_size_3(oracle):
+    return lambda rows: -oracle(rows) if len(rows) == 3 else oracle(rows)
+
+
+def _depth_one_top_bumped(oracle):
+    "An orbit whose depth-1 top face count is one too large."
+
+    def bumped(fv, depth):
+        orbit = oracle(fv, depth)
+        if depth < 1:
+            return orbit
+        counts = orbit[1].counts
+        return (orbit[0], FVector((*counts[:-1], counts[-1] + 1)), *orbit[2:])
+
+    return bumped
 
 
 def _top_face_bumped(oracle):
@@ -610,8 +654,51 @@ def _denominator_bumped(oracle):
     return bumped
 
 
+def _interior_shifted(oracle):
+    "Each entry's first interior root (x + iy) / 2^e moved 2^-8 to the right."
+
+    def shifted(*args, **kwargs):
+        run = oracle(*args, **kwargs)
+        entries = []
+        for e in run.entries:
+            x, y, exp = e.interior[0]
+            moved = (x + (1 << exp - 8), y, exp)
+            entries.append(e._replace(interior=(moved, *e.interior[1:])))
+        return run._replace(entries=tuple(entries))
+
+    return shifted
+
+
+def _runs_edited(edit):
+    "An alpha_scan oracle whose runs pass through edit(runs) first."
+
+    def wrap(oracle):
+        def edited(n_max):
+            scan = oracle(n_max)
+            return AlphaScan(scan.n_max, edit(scan.runs))
+
+        return edited
+
+    return wrap
+
+
+def _chi_rotated_at_30(runs):
+    "The run holding n = 30 with its chi list rotated by one."
+    return tuple(
+        run._replace(chi=run.chi[1:] + run.chi[:1])
+        if run.lo <= 30 < run.lo + len(run.chi)
+        else run
+        for run in runs
+    )
+
+
+def _first_dim_2(runs):
+    "The first run with its dimension set to 2."
+    return (runs[0]._replace(dim=2), *runs[1:])
+
+
 _BROKEN_ORACLES = [
-    ("_check_count_routes", "subdivision_count_recurrence", _count_bumped,
+    ("_check_count_routes", "subdivision_count_recurrence", _value_bumped((2, 5), 1),
      "count-closed-form-vs-recurrence", "(i=2, d=5): 540 != 541"),
     ("_check_transfer_structure", "transfer_matrix", _bumped(4, 1, 0),
      "transfer-upper-triangular-factorial-diagonal", "lower entry (i=1, j=0, d=4)"),
@@ -627,13 +714,48 @@ _BROKEN_ORACLES = [
      "trajectory-dim1-convergence", "k=4: extreme roots flagged ambiguous"),
     ("_check_alpha_identity", "alpha_fields", _denominator_bumped,
      "alpha-defining-identity", "n=6: defining identity broken"),
+    pytest.param("_check_alpha_identity", "alpha_scan", _runs_edited(_chi_rotated_at_30),
+                 "alpha-defining-identity", "n=30: Euler characteristic disagrees with sieve",
+                 id="alpha-defining-identity-euler"),
+    pytest.param("_check_alpha_identity", "alpha_scan", _runs_edited(_first_dim_2),
+                 "alpha-defining-identity", "n=6: dimension 2 wrong or below 1",
+                 id="alpha-defining-identity-dimension"),
+    ("_check_transfer_eigenvector", "eigen_rationals", _coefficient_bumped(3, 1, Fraction(1, 7)),
+     "transfer-eigenvector", "d=3"),
+    ("_check_chain_formula", "eigen_rationals_direct", _value_bumped((4, 1), 1),
+     "eigen-chain-sum-formula", "(i=1, d=4)"),
+    ("_check_descent_rotation", "descent_matrix", _bumped(5, 1, 2),
+     "descent-rotational-symmetry", "(i=1, j=2, d=5)"),
+    ("_check_descent_two_powers", "descent_matrix", _bumped(5, 0, 2),
+     "descent-first-row-two-powers", "(j=2, d=5)"),
+    ("_check_descent_monotone_chain", "descent_matrix", _bumped(2, 0, 0),
+     "descent-monotone-chain", "d=2, position 2: 5 > 4"),
+    ("_check_limit_h_eigenvector", "descent_matrix", _bumped(5, 1, 2),
+     "descent-eigenvector", "d=5"),
+    ("_check_limit_h_structure", "limit_h_coefficients", _coefficient_bumped(3, 2, Fraction(1, 5)),
+     "limit-h-structure", "d=3: coefficient sum 6/5 != 1"),
+    ("_check_limit_h_first_bounds", "limit_h_coefficients", _coefficient_bumped(2, 1, 10),
+     "limit-h-linear-coefficient-bounds", "d=2: upper bound"),
+    ("_check_det_sign_random", "det_sign_check", _sign_flipped_at_size_3,
+     "determinant-sign-random", "instance 2 (n=3): sign 1 != -1"),
+    ("_check_explicit_subdivision", "subdivided_f", _depth_one_top_bumped,
+     "explicit-subdivision-vs-transfer", "n=6, k=1: f-vector mismatch"),
+    ("_check_random_subdivision_invariance", "subdivided_f", _depth_one_top_bumped,
+     "random-subdivision-invariance", "instance 0: f-vector != transfer matrix product"),
+    ("_check_growth_expansion", "subdivided_f", _depth_one_top_bumped,
+     "growth-expansion-exact", "n=6, k=1, i=1: closed form mismatch"),
+    ("_check_trajectory_dim2", "trajectory", _interior_shifted,
+     "trajectory-dim2-snapshot", "interior root and product 0.00394765 away from -1"),
+    ("_check_trajectory_dim2_deeper", "trajectory", _interior_shifted,
+     "trajectory-dim2-interior-deep", "interior root still 0.00390676 away from -1 at k=16"),
 ]
 
 
 @pytest.mark.parametrize(
     "check, oracle, broken, name, first",
     _BROKEN_ORACLES,
-    ids=[case[3] for case in _BROKEN_ORACLES],
+    # a case's id is its check's name, unless it names its own
+    ids=[getattr(case, "id", None) or case[3] for case in _BROKEN_ORACLES],
 )
 def test_guard_checks_can_fail(monkeypatch, check, oracle, broken, name, first):
     "A check fed one wrong oracle value fails and names that value first."

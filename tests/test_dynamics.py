@@ -28,7 +28,6 @@ from baryzeros import (
     subdivided_f,
     summary,
     trajectory,
-    trajectory_precision,
 )
 from baryzeros import checks, dynamics, rootfinding
 from baryzeros.checks import first_negative_euler
@@ -106,12 +105,15 @@ def test_growth_expansion_reproduces_exact_counts():
                 assert g.evaluate(i, k) == fk.count(i), (counts, i, k)
 
 
-def test_trajectory_precision_floor():
-    assert trajectory_precision(1, 0, 64) == 65
-    assert trajectory_precision(1, 4, 64) == 69
-    assert trajectory_precision(2, 12, 512) == 512
-    big = trajectory_precision(3, 40, 64)
-    assert big == 64 + (factorial(4) ** 40).bit_length()
+def test_trajectory_works_at_the_requested_precision():
+    """Every depth works at the bits it was given, however far ((d+1)!)^k
+    grows, and still certifies rho_inf real with residuals within
+    2^-(bits/2): dimension 6 to k = 64 at 192 bits."""
+    t = trajectory(510510, range(65), 192)
+    for e in t.entries:
+        assert e.precision_bits == 192, e.k
+        assert e.rho_inf_real, e.k
+        assert max(e.residuals) <= Fraction(1, 2**96), e.k
 
 
 def test_trajectory_structure():
@@ -216,7 +218,7 @@ def sturm_count(poly) -> int:
     [(30, 39), (210, 22), (2310, 15), (30030, 11), (510510, 9), (30, 64), (210, 64)],
 )
 def test_trajectory_certified_at_deep_depths(n, k):
-    "Depths where polyroots gave up at the 192-bit floor are certified now."
+    "Depths where polyroots gave up at 192 bits are certified at 192 bits now."
     t = trajectory(n, [k])
     (e,) = t.entries
     assert e.rho_inf_real
@@ -327,7 +329,7 @@ def test_benchmark_zeros_round_to_nearest(monkeypatch):
         fv = summary(n)
         for k, counts in enumerate(subdivided_f(fv, k_max)):
             h = h_poly(counts)
-            bits = trajectory_precision(fv.dim, k, 192)
+            bits = 192
             coarse = find_roots(h, bits)
             if coarse.method != "isolated":
                 continue
