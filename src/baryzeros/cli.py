@@ -342,42 +342,26 @@ def _cmd_zeros(args) -> int:
     if args.k < 0:
         raise CliError("--k must be nonnegative")
     run = trajectory(args.n, range(args.k + 1), args.precision_bits)
-    header = [
-        "k",
-        "precision_bits",
-        "rho_0",
-        "rho_inf",
-        "ratio_inf",
-        "scaled_rho0",
-        "rho_inf_real",
-        "ambiguous",
-        "sum_rel_err",
-        "prod_rel_err",
-        "max_residual",
-        "interior",
-        "roots",
-    ]
     bits = args.precision_bits
     digits = _digits(bits)
-    tails = []
+    rows = []
     for entry in run.entries:
         # entry.roots is rho_0, the interior roots, then rho_inf
         texts = [format_decimal(z, digits, bits) for z in entry.roots]
-        tail = (
-            bits,
-            texts[0],
-            texts[-1],
-            format_decimal(entry.ratio_inf, SUMMARY_DIGITS, bits),
-            format_decimal(entry.scaled_rho0, SUMMARY_DIGITS, bits),
-            bool(entry.rho_inf_real),
-            bool(entry.ambiguous),
-            format_decimal(entry.sum_rel_err, SUMMARY_DIGITS, bits),
-            format_decimal(entry.prod_rel_err, SUMMARY_DIGITS, bits),
-            format_decimal(max(entry.residuals), SUMMARY_DIGITS, bits),
-            ";".join(texts[1:-1]),
-            ";".join(texts),
-        )
-        tails.append(tail)
+        rows.append({
+            "precision_bits": bits,
+            "rho_0": texts[0],
+            "rho_inf": texts[-1],
+            "ratio_inf": format_decimal(entry.ratio_inf, SUMMARY_DIGITS, bits),
+            "scaled_rho0": format_decimal(entry.scaled_rho0, SUMMARY_DIGITS, bits),
+            "rho_inf_real": bool(entry.rho_inf_real),
+            "ambiguous": bool(entry.ambiguous),
+            "sum_rel_err": format_decimal(entry.sum_rel_err, SUMMARY_DIGITS, bits),
+            "prod_rel_err": format_decimal(entry.prod_rel_err, SUMMARY_DIGITS, bits),
+            "max_residual": format_decimal(max(entry.residuals), SUMMARY_DIGITS, bits),
+            "interior": ";".join(texts[1:-1]),
+            "roots": ";".join(texts),
+        })
     metadata = {
         "n": args.n,
         "dim": run.dim,
@@ -387,8 +371,9 @@ def _cmd_zeros(args) -> int:
         "f_top": run.f_top,
         "chi": run.chi,
     }
+    tails = [tuple(row.values()) for row in rows]
     blocks = [([entry.k for entry in run.entries], tails, tuple)]
-    _emit_table(args, "zeros", metadata, header, blocks)
+    _emit_table(args, "zeros", metadata, ["k", *rows[0]], blocks)
     return 0
 
 

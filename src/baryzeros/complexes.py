@@ -11,7 +11,9 @@ the faces.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from array import array
 from typing import Iterable, Iterator, NamedTuple
 
@@ -112,42 +114,33 @@ def mertens(x: int) -> int:
 
 # ---------------------------------------------------------------------------
 # dimension via primorials
+#
+# P_j is the product of the first j primes.  The table runs from P_0 = 1 to
+# P_16 ~ 3.26e19 over the 16 primes through 53, far past the sieve budget.
 
-_primes_for_primorials = [2]
-_primorials = [1, 2]
-
-
-def _extend_primorials(n: int) -> None:
-    while _primorials[-1] <= n:
-        candidate = _primes_for_primorials[-1] + 1
-        while True:
-            if all(candidate % p for p in _primes_for_primorials):
-                break
-            candidate += 1
-        _primes_for_primorials.append(candidate)
-        _primorials.append(_primorials[-1] * candidate)
+_PRIMORIALS = tuple(itertools.accumulate(
+    (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), operator.mul, initial=1
+))
 
 
 def dim_of(n: int) -> int:
-    """Dimension of the squarefree-divisor complex: largest d with the
-    product of the first d+1 primes at most n.  dim_of(1) == -1."""
+    """Dimension of the squarefree-divisor complex: the d with
+    P_{d+1} <= n < P_{d+2}, so dim_of(1) == -1.  Defined for n < P_16."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _extend_primorials(n)
-    d = -1
-    while _primorials[d + 2] <= n:
-        d += 1
-    return d
+    if n >= _PRIMORIALS[-1]:
+        raise ValueError(f"n={n} is not below P_16 = {_PRIMORIALS[-1]}, where dimensions end")
+    return bisect.bisect_right(_PRIMORIALS, n) - 2
 
 
 def dimension_runs(start: int, stop: int) -> Iterator[tuple[int, int, int]]:
     """(d, lo, hi) for each maximal run lo <= n < hi of constant
     dim_of(n) = d, covering start <= n < stop in order.  A run of
-    dimension d ends at the product of the first d+2 primes."""
+    dimension d ends at P_{d+2}."""
     n = start
     while n < stop:
         d = dim_of(n)
-        hi = min(stop, _primorials[d + 2])
+        hi = min(stop, _PRIMORIALS[d + 2])
         yield d, n, hi
         n = hi
 

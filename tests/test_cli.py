@@ -34,7 +34,7 @@ from baryzeros import (
 )
 from baryzeros.checks import SUITES
 from baryzeros.cli import _write_csv, _write_json, main
-from baryzeros.complexes import DEFAULT_SIEVE_LIMIT
+from baryzeros.complexes import DEFAULT_SIEVE_LIMIT, SimplicialComplex
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -598,19 +598,22 @@ def _value_bumped(args, delta):
     return lambda oracle: lambda *a: oracle(*a) + delta * (a == args)
 
 
-def _coefficient_bumped(d, i, delta):
-    "A coefficient-tuple oracle whose d-dimensional entry i is off by delta."
+def _coefficients_edited(d, edit):
+    "A coefficient-tuple oracle whose d-dimensional tuple passes through edit."
 
     def wrap(oracle):
-        def bumped(dim):
+        def edited(dim):
             coeffs = oracle(dim)
-            if dim != d:
-                return coeffs
-            return (*coeffs[:i], coeffs[i] + delta, *coeffs[i + 1 :])
+            return edit(coeffs) if dim == d else coeffs
 
-        return bumped
+        return edited
 
     return wrap
+
+
+def _coefficient_bumped(d, i, delta):
+    "A coefficient-tuple oracle whose d-dimensional entry i is off by delta."
+    return _coefficients_edited(d, lambda c: (*c[:i], c[i] + delta, *c[i + 1 :]))
 
 
 def _sign_flipped_at_size_3(oracle):
@@ -638,12 +641,62 @@ def _top_face_bumped(oracle):
     return bumped
 
 
-def _all_ambiguous(oracle):
-    def flagged(*args, **kwargs):
-        run = oracle(*args, **kwargs)
-        return run._replace(entries=tuple(e._replace(ambiguous=True) for e in run.entries))
+def _entries_replaced(**fields):
+    "A trajectory oracle whose every entry has the given fields replaced."
 
-    return flagged
+    def wrap(oracle):
+        def replaced(*args, **kwargs):
+            run = oracle(*args, **kwargs)
+            return run._replace(entries=tuple(e._replace(**fields) for e in run.entries))
+
+        return replaced
+
+    return wrap
+
+
+def _growth_bumped(j, i):
+    "A growth_expansion oracle whose coefficients[j][i] is one too large."
+
+    def wrap(oracle):
+        def bumped(fv):
+            expansion = oracle(fv)
+            rows = [list(row) for row in expansion.coefficients]
+            rows[j][i] += 1
+            return expansion._replace(coefficients=tuple(map(tuple, rows)))
+
+        return bumped
+
+    return wrap
+
+
+def _chi_at_94_doubled(oracle):
+    "A chi_profile oracle that reads chi(94) = -2."
+
+    def edited(limit):
+        chi = oracle(limit)
+        return [*chi[:94], -2, *chi[95:]]
+
+    return edited
+
+
+def _extra_simplex(vertices):
+    """A subdivision oracle whose output gains a disjoint simplex on
+    vertices(output) fresh vertices."""
+
+    def wrap(oracle):
+        def extended(cx):
+            sub = oracle(cx)
+            extra = SimplicialComplex.from_facets([[(-v,) for v in range(1, vertices(sub) + 1)]])
+            return SimplicialComplex(sub.simplices | extra.simplices)
+
+        return extended
+
+    return wrap
+
+
+# a disjoint simplex one dimension up, and one isolated vertex
+_HIGHER_SIMPLEX = _extra_simplex(lambda sub: sub.dim + 2)
+_ISOLATED_VERTEX = _extra_simplex(lambda sub: 1)
 
 
 def _denominator_bumped(oracle):
@@ -710,7 +763,7 @@ _BROKEN_ORACLES = [
      "descent-recurrence-vs-enumeration", "d=2"),
     ("_check_explicit_f_vectors", "summary", _top_face_bumped,
      "explicit-complex-face-counts", "n=30: f-vector mismatch"),
-    ("_check_trajectory_dim1", "trajectory", _all_ambiguous,
+    ("_check_trajectory_dim1", "trajectory", _entries_replaced(ambiguous=True),
      "trajectory-dim1-convergence", "k=4: extreme roots flagged ambiguous"),
     ("_check_alpha_identity", "alpha_fields", _denominator_bumped,
      "alpha-defining-identity", "n=6: defining identity broken"),
@@ -748,6 +801,75 @@ _BROKEN_ORACLES = [
      "trajectory-dim2-snapshot", "interior root and product 0.00394765 away from -1"),
     ("_check_trajectory_dim2_deeper", "trajectory", _interior_shifted,
      "trajectory-dim2-interior-deep", "interior root still 0.00390676 away from -1 at k=16"),
+    # one case per remaining failure branch, so each check's every branch fires
+    pytest.param("_check_transfer_structure", "transfer_matrix", _bumped(4, 1, 1),
+                 "transfer-upper-triangular-factorial-diagonal", "diagonal (i=1, d=4)",
+                 id="transfer-upper-triangular-factorial-diagonal-entry"),
+    pytest.param("_check_limit_h_structure", "limit_h_coefficients",
+                 _coefficients_edited(3, lambda c: c[:-1]),
+                 "limit-h-structure", "d=3: wrong length", id="limit-h-structure-length"),
+    pytest.param("_check_limit_h_structure", "limit_h_coefficients", _coefficient_bumped(3, 0, 1),
+                 "limit-h-structure", "d=3: nonzero end coefficient", id="limit-h-structure-ends"),
+    pytest.param("_check_limit_h_structure", "limit_h_coefficients", _coefficient_bumped(3, 2, -1),
+                 "limit-h-structure", "d=3: interior coefficient not positive",
+                 id="limit-h-structure-interior"),
+    pytest.param("_check_limit_h_structure", "limit_h_coefficients",
+                 _coefficients_edited(3, lambda c: (c[0], c[1] + Fraction(1, 100),
+                                                    c[2] - Fraction(1, 100), *c[3:])),
+                 "limit-h-structure", "d=3: not palindromic", id="limit-h-structure-palindrome"),
+    pytest.param("_check_limit_h_structure", "eigen_rationals",
+                 _coefficient_bumped(3, 1, Fraction(1, 7)),
+                 "limit-h-structure", "d=3: linear coefficient mismatch",
+                 id="limit-h-structure-linear"),
+    pytest.param("_check_limit_h_first_bounds", "limit_h_coefficients",
+                 _coefficients_edited(2, lambda c: (c[0], 0, *c[2:])),
+                 "limit-h-linear-coefficient-bounds", "d=2: lower bound",
+                 id="limit-h-linear-coefficient-bounds-lower"),
+    pytest.param("_check_first_negative", "chi_profile", _chi_at_94_doubled,
+                 "first-negative-euler", "chi(94) = -2, expected -1", id="first-negative-euler-value"),
+    pytest.param("_check_random_subdivision_invariance", "_random_complex",
+                 lambda oracle: lambda rng: SimplicialComplex.from_facets([range(100, 111)]),
+                 "random-subdivision-invariance", "instance 0: generator exceeded 1000 simplices",
+                 id="random-subdivision-invariance-generator"),
+    pytest.param("_check_random_subdivision_invariance", "barycentric_subdivide", _HIGHER_SIMPLEX,
+                 "random-subdivision-invariance", "instance 0: dimension changed",
+                 id="random-subdivision-invariance-dimension"),
+    pytest.param("_check_random_subdivision_invariance", "barycentric_subdivide", _ISOLATED_VERTEX,
+                 "random-subdivision-invariance", "instance 0: Euler characteristic changed",
+                 id="random-subdivision-invariance-euler"),
+    # the Euler branch adds one failure per (n, k): (+3 more) without it
+    pytest.param("_check_explicit_subdivision", "barycentric_subdivide", _ISOLATED_VERTEX,
+                 "explicit-subdivision-vs-transfer", "n=6, k=1: f-vector mismatch (+7 more)",
+                 id="explicit-subdivision-vs-transfer-euler"),
+    pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(0, 1),
+                 "growth-expansion-exact", "n=6, i=0: leading coefficient mismatch",
+                 id="growth-expansion-exact-leading"),
+    pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(1, 2),
+                 "growth-expansion-exact", "n=6, i=1, j=1: expected zero coefficient",
+                 id="growth-expansion-exact-zero"),
+    *(
+        pytest.param(check, "trajectory", _entries_replaced(**{field: value}), name, first,
+                     id=f"{name}-{field}")
+        for check, name, cases in [
+            ("_check_trajectory_dim1", "trajectory-dim1-convergence", [
+                ("sum_rel_err", 1, "k=0: coefficient identity error above 1e-9"),
+                ("ratio_inf", 2, "k=4: largest-root ratio off by 1"),
+                ("scaled_rho0", 2, "k=4: scaled smallest root off by 1"),
+                ("rho_inf_real", False, "k=4: largest root not certified real"),
+                ("rho_inf", rootfinding.Dyadic(1, 0, 0), "k=4: largest root not negative"),
+            ]),
+            ("_check_trajectory_dim2", "trajectory-dim2-snapshot", [
+                ("ratio_inf", 2, "largest-root ratio off by 1"),
+                ("scaled_rho0", 7, "scaled smallest root off by 1"),
+                ("interior", (), "expected one interior root, got 0"),
+                ("rho_inf_real", False, "largest root not certified real"),
+                ("rho_inf", rootfinding.Dyadic(1, 0, 0), "largest root not negative"),
+                ("sum_rel_err", 1, "coefficient identity error above 1e-9"),
+                ("ambiguous", True, "extreme roots flagged ambiguous"),
+            ]),
+        ]
+        for field, value, first in cases
+    ),
 ]
 
 
@@ -758,12 +880,19 @@ _BROKEN_ORACLES = [
     ids=[getattr(case, "id", None) or case[3] for case in _BROKEN_ORACLES],
 )
 def test_guard_checks_can_fail(monkeypatch, check, oracle, broken, name, first):
-    "A check fed one wrong oracle value fails and names that value first."
+    """A check fed one wrong oracle value fails and names that value first;
+    a first failure that states its count of the rest must match in full."""
     monkeypatch.setattr(checks, oracle, broken(getattr(checks, oracle)))
     result = getattr(checks, check)()
     assert result.passed is False
     assert result.name == name
-    assert result.detail.partition(" (+")[0] == first
+    assert (result.detail if " (+" in first else result.detail.partition(" (+")[0]) == first
+
+
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError) as excinfo:
+        checks.run_suite("nope")
+    assert str(excinfo.value) == "unknown suite 'nope'; pick all, core, complex or zeros"
 
 
 def test_verdict_names_the_first_failure_and_counts_the_rest():
@@ -912,6 +1041,9 @@ def test_closed_stdout_pipe_ends_quietly():
     for argv, head in (
         (("chi", "--to", "50000", "--format", "json"), b'{\n  "'),
         (("alpha", "--to", "30"), b""),
+        # one line read of an output larger than a pipe buffer
+        (("chi", "--to", "100000"), b"n,chi,mertens,dim\n"),
+        (("alpha", "--to", "100000", "--format", "json"), b"{\n"),
     ):
         proc = subprocess.Popen(
             [sys.executable, "-m", "baryzeros", *argv],

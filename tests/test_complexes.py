@@ -1,6 +1,8 @@
 """Sieves, squarefree-divisor complexes, and explicit subdivision."""
 
 import tracemalloc
+from itertools import accumulate, count, islice
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -203,6 +205,39 @@ def test_dim_of_primorial_steps():
     assert dim_of(209) == 2
     assert dim_of(210) == 3
     assert dim_of(2310) == 4
+
+
+# P_0 = 1 through P_16, the running products of the first 16 primes
+PRIMORIALS = tuple(
+    accumulate(islice((k for k in count(2) if brute_weight(k) == 1), 16), mul, initial=1)
+)
+
+
+def test_primorial_table_is_the_running_products_of_the_first_primes():
+    assert complexes._PRIMORIALS == PRIMORIALS
+
+
+def test_dim_of_steps_at_every_primorial_in_the_table():
+    for j in range(1, 16):
+        assert dim_of(PRIMORIALS[j] - 1) == j - 2, j
+        assert dim_of(PRIMORIALS[j]) == j - 1, j
+
+
+def test_dim_of_stops_at_the_table_end():
+    with pytest.raises(ValueError, match=str(PRIMORIALS[16])):
+        dim_of(PRIMORIALS[16])
+
+
+def test_dimension_runs_walk_primorials_past_any_sieve():
+    p = PRIMORIALS
+    assert list(dimension_runs(p[9] - 3, p[13] + 2)) == [
+        (7, p[9] - 3, p[9]),
+        (8, p[9], p[10]),
+        (9, p[10], p[11]),
+        (10, p[11], p[12]),
+        (11, p[12], p[13]),
+        (12, p[13], p[13] + 2),
+    ]
 
 
 def test_dimension_runs_tile_the_range():

@@ -12,7 +12,7 @@ from mpmath.libmp import from_rational
 
 from baryzeros import RootFindingError, RootSet, find_roots, rootfinding
 from baryzeros.cli import SUMMARY_DIGITS, _digits
-from baryzeros.rootfinding import Dyadic, format_decimal
+from baryzeros.rootfinding import Dyadic, format_decimal, rounded_sqrt
 from mp_values import as_mp
 
 
@@ -603,3 +603,7 @@ def test_format_decimal_beyond_mpmath_fixed_route(shift):
     value = Fraction(3**40 + 1) * Fraction(2) ** shift
     for digits in (8, 20):
         assert format_decimal(value, digits, 192) == nstr_oracle(value, digits, 192)
+
+
+def test_rounded_sqrt_of_zero_is_zero():
+    assert rounded_sqrt(0, 1, 16) == 0

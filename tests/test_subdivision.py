@@ -10,19 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baryzeros import (
+    FVector,
+    SimplexMatrix,
     descent_matrix,
+    dim_of,
     eigen_rationals,
+    growth_expansion,
+    identity_matrix,
     limit_h_coefficients,
+    mertens,
     shift_matrix,
     stirling2,
     subdivision_count,
+    summary,
     transfer_matrix,
 )
 from baryzeros.checks import _descent_snake, _random_sign_matrix
+from baryzeros.complexes import SimplicialComplex, explicit_complex
 from baryzeros.subdivision import (
     descent_matrix_bruteforce,
     det_sign_check,
     eigen_rationals_direct,
+    shift_matrix_inverse,
 )
 from reference_tables import (
     DESCENT_REFERENCE,
@@ -345,3 +354,85 @@ def test_random_sign_matrices_match_fraction_draws():
             assert got == want, (seed, idx)
             assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
         assert ours.random() == theirs.random()
+
+
+_NOT_AT_LEAST_0 = (ValueError, "d must be at least 0")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: mertens(0), ValueError, "x=0 must be at least 1", id="mertens"),
+        pytest.param(lambda: dim_of(0), ValueError, "n must be at least 1", id="dim_of"),
+        pytest.param(lambda: summary(0), ValueError, "n must be at least 1", id="summary"),
+        pytest.param(
+            lambda: explicit_complex(0), ValueError, "n must be at least 1", id="explicit_complex"
+        ),
+        pytest.param(
+            lambda: SimplicialComplex(frozenset({frozenset({2})})).validate(),
+            ValueError,
+            "missing the empty simplex",
+            id="validate",
+        ),
+        pytest.param(
+            lambda: growth_expansion(FVector((1,))),
+            ValueError,
+            "growth expansion needs dimension at least 0",
+            id="growth_expansion",
+        ),
+        pytest.param(
+            lambda: growth_expansion(FVector((1, 2))).evaluate(1, 0),
+            IndexError,
+            "i=1 outside -1..0",
+            id="evaluate-i",
+        ),
+        pytest.param(
+            lambda: growth_expansion(FVector((1, 2))).evaluate(0, -1),
+            ValueError,
+            "k must be nonnegative",
+            id="evaluate-k",
+        ),
+        pytest.param(
+            lambda: eigen_rationals(-2), ValueError, "d must be at least -1", id="eigen_rationals"
+        ),
+        pytest.param(lambda: limit_h_coefficients(-1), *_NOT_AT_LEAST_0, id="limit_h_coefficients"),
+        pytest.param(
+            lambda: transfer_matrix(-2), ValueError, "d must be at least -1", id="transfer_matrix"
+        ),
+        pytest.param(lambda: shift_matrix(-1), *_NOT_AT_LEAST_0, id="shift_matrix"),
+        pytest.param(lambda: shift_matrix_inverse(-1), *_NOT_AT_LEAST_0, id="shift_matrix_inverse"),
+        pytest.param(lambda: descent_matrix(-1), *_NOT_AT_LEAST_0, id="descent_matrix"),
+        pytest.param(
+            lambda: descent_matrix_bruteforce(-1), *_NOT_AT_LEAST_0, id="descent_matrix_bruteforce"
+        ),
+        pytest.param(
+            lambda: SimplexMatrix(1, ((1,),)),
+            ValueError,
+            "matrix shape does not match dimension range",
+            id="SimplexMatrix",
+        ),
+        pytest.param(
+            lambda: identity_matrix(1).entry(2, 0),
+            IndexError,
+            "index (2, 0) outside -1..1",
+            id="entry",
+        ),
+        pytest.param(
+            lambda: identity_matrix(1) @ identity_matrix(2),
+            ValueError,
+            "dimension mismatch",
+            id="matmul",
+        ),
+        pytest.param(
+            lambda: identity_matrix(1).apply((1,)),
+            ValueError,
+            "vector length mismatch",
+            id="apply",
+        ),
+    ],
+)
+def test_library_argument_checks(call, error, message):
+    "Each library entry point rejects an out-of-range argument with its own message."
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
