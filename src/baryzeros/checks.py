@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from fractions import Fraction
 from itertools import accumulate, count, islice
-from operator import add
 from typing import NamedTuple
 
 from .complexes import (
@@ -343,24 +343,21 @@ def core_suite() -> list[CheckResult]:
 
 def _check_euler_vs_mertens() -> CheckResult:
     """chi summed over the faces, each squarefree k of weight w one face
-    of dimension w - 1, against minus the sieve's running Moebius sum."""
+    of dimension w - 1, against the sieve's chi, minus its running Moebius
+    sum; the two routes compare as buffers for n = 1..MERTENS_LIMIT."""
     table = shared_sieve(MERTENS_LIMIT)
     # the empty simplex enters at k = 1 (weight 0), a squareful k adds nothing
     step = {w: (-1) ** (w + 1) for w in range(dim_of(MERTENS_LIMIT) + 2)}
     step[-1] = 0
-
-    def routes():
-        "chi from the faces and the Mertens sum, each for n = 1..MERTENS_LIMIT"
-        stop = MERTENS_LIMIT + 1
-        faces = accumulate(map(step.__getitem__, islice(table.weight, 1, stop)))
-        return faces, islice(table.mertens_prefix, 1, stop)
-
+    stop = MERTENS_LIMIT + 1
+    faces = array("i", accumulate(map(step.__getitem__, islice(table.weight, 1, stop))))
+    sieve = memoryview(table.chi)[1:stop]
     bad = []
-    if any(map(add, *routes())):
+    if faces != sieve:
         bad.extend(
-            f"n={n}: chi {c} != -M {m}"
-            for n, c, m in zip(count(1), *routes())
-            if c != -m
+            f"n={n}: chi {c} != -M {-s}"
+            for n, c, s in zip(count(1), faces, sieve)
+            if c != s
         )
     return _verdict(
         "euler-equals-minus-mertens", bad, f"two routes agree for n <= {MERTENS_LIMIT}"
@@ -578,10 +575,12 @@ def _check_trajectory_dim2_deeper() -> CheckResult:
 def _check_alpha_identity() -> CheckResult:
     """alpha * H1 * f_top == chi, as a * p * f_top == chi * b * q for
     alpha = a/b and H1 = p/q, once per distinct (d, chi, f_top) of the
-    scan's runs; chi == -M(n) and d == dim_of(n) at every n."""
+    scan's runs; chi equals the sieve's chi, -M(n), and d == dim_of(n)
+    at every n.  A run's chi may be a list or a view, so it is compared
+    as a buffer and searched as a list."""
     spot = {6: Fraction(1), 30: Fraction(6)}
     seen = dict.fromkeys(spot)
-    mertens_prefix = shared_sieve(ALPHA_IDENTITY_LIMIT).mertens_prefix
+    sieve_chi = memoryview(shared_sieve(ALPHA_IDENTITY_LIMIT).chi)
     bad = []
     for d, f_top, lo, chi in alpha_scan(ALPHA_IDENTITY_LIMIT).runs:
         hi = lo + len(chi)
@@ -589,12 +588,12 @@ def _check_alpha_identity() -> CheckResult:
         for c in dict.fromkeys(chi):
             a, b, _ = alpha_fields(d, c, f_top)
             if a * h1.numerator * f_top != c * b * h1.denominator:
-                bad.append(f"n={lo + chi.index(c)}: defining identity broken")
-        if any(map(add, chi, mertens_prefix[lo:hi])):
+                bad.append(f"n={lo + list(chi).index(c)}: defining identity broken")
+        if array("i", chi) != sieve_chi[lo:hi]:
             bad.extend(
                 f"n={n}: Euler characteristic disagrees with sieve"
                 for n, c in enumerate(chi, lo)
-                if c != -mertens_prefix[n]
+                if c != sieve_chi[n]
             )
         if d < 1 or dim_of(lo) != d or dim_of(hi - 1) != d:
             bad.append(f"n={lo}: dimension {d} wrong or below 1")

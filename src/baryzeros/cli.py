@@ -37,8 +37,6 @@ from .complexes import (
     chi_profile,
     dim_of,
     dimension_runs,
-    mertens,
-    shared_sieve,
 )
 from .dynamics import (
     DEFAULT_TRAJECTORY_PRECISION,
@@ -107,7 +105,7 @@ _BATCH_ROWS = 4096
 
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as handle:
             yield handle
     else:
@@ -254,7 +252,7 @@ def _cmd_chi(args) -> int:
     chi = chi_profile(args.stop)
     # one block per dimension run, keyed on chi; the Mertens value is -chi
     blocks = (
-        (range(lo, hi), islice(chi, lo, hi), lambda c, d=d: (c, -c, d))
+        (range(lo, hi), chi[lo:hi], lambda c, d=d: (c, -c, d))
         for d, lo, hi in dimension_runs(args.start, args.stop + 1)
     )
     _emit_table(
@@ -293,11 +291,8 @@ def _alpha_tail(key: tuple) -> list:
     ]
 
 
-def _skipped_alpha_key(n: int) -> tuple:
-    return dim_of(n), -mertens(n), None
-
-
 def _alpha_run_block(run) -> tuple:
+    "The block of a run (dim, f_top, lo, chi), keyed on chi; f_top None marks skipped rows."
     d, f_top, lo, chi = run
     return range(lo, lo + len(chi)), chi, lambda c: _alpha_tail((d, c, f_top))
 
@@ -309,7 +304,7 @@ def _cmd_alpha(args) -> int:
         if not (1 <= args.n <= limit):
             raise CliError(f"--n must be between 1 and the sieve limit {limit}")
         if dim_of(args.n) < 1:
-            key = _skipped_alpha_key(args.n)
+            key = dim_of(args.n), chi_profile(args.n)[args.n], None
         else:
             key = alpha(args.n)[1:4]
         blocks = [([args.n], [key], _alpha_tail)]
@@ -317,15 +312,13 @@ def _cmd_alpha(args) -> int:
     else:
         if not (1 <= args.stop <= limit):
             raise CliError(f"--to must be between 1 and the sieve limit {limit}")
-        # The skipped rows read the sieve lazily; build it (or fail its
-        # budget) before the first byte.
-        shared_sieve(args.stop)
+        # builds the sieve, or fails its budget, before the first byte
+        chi = chi_profile(args.stop)
         runs = alpha_scan(args.stop).runs if args.stop >= 6 else ()
-        skipped = range(1, min(args.stop, 5) + 1)
-        blocks = chain(
-            [(skipped, map(_skipped_alpha_key, skipped), _alpha_tail)],
-            map(_alpha_run_block, runs),
+        skipped = (
+            (d, None, lo, chi[lo:hi]) for d, lo, hi in dimension_runs(1, min(args.stop, 5) + 1)
         )
+        blocks = map(_alpha_run_block, chain(skipped, runs))
         metadata["to"] = args.stop
     _emit_table(args, "alpha", metadata, _ALPHA_HEADER, blocks)
     return 0
@@ -479,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         CliError, ValueError, OSError, ConsistencyError, ResourceLimitError, RootFindingError
     ) as exc:
-        if isinstance(exc, BrokenPipeError) and not args.out:
+        if isinstance(exc, BrokenPipeError) and args.out is None:
             # The reader of stdout has gone (``| head``): stop quietly, and
             # point stdout at devnull so the flush at exit cannot fail again.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

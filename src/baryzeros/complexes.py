@@ -4,9 +4,9 @@ For an integer n >= 1 the associated complex has one simplex for every
 squarefree k <= n, namely the set of primes dividing k (the empty set
 for k = 1).  Its reduced Euler characteristic equals minus the Mertens
 function at n, term by term: a squarefree k with w prime factors is one
-face of dimension w - 1 and adds (-1)^(w-1) = -mu(k).  So chi is read
-off the sieve's running Moebius sum, and ``verify`` recomputes it from
-the faces.
+face of dimension w - 1 and adds (-1)^(w-1) = -mu(k).  So the sieve
+sums these terms and stores chi itself, and ``verify`` recomputes it
+from the faces.
 """
 
 from __future__ import annotations
@@ -38,27 +38,28 @@ class ResourceLimitError(RuntimeError):
 
 
 class SieveTable(NamedTuple):
-    """Squarefree weights and Mertens running sums up to ``limit``.
+    """Squarefree weights and Euler characteristics up to ``limit``.
 
     weight[k] is the number of distinct prime factors for squarefree k
-    and -1 otherwise; weight[1] = 0.  mertens_prefix[x] is the running
-    Moebius sum up to x, the Moebius value of k being (-1)^weight[k] for
-    weight[k] >= 0 and 0 otherwise.  Slot 0 of both is 0.  Both are
-    compact arrays: weight an ``array('b')``, one byte per slot, and
-    mertens_prefix an ``array('i')``, four.
+    and -1 otherwise; weight[1] = 0.  chi[x] is the Euler characteristic
+    of the complex at x, minus the running Moebius sum up to x, the
+    Moebius value of k being (-1)^weight[k] for weight[k] >= 0 and 0
+    otherwise.  Slot 0 of both is 0.  Both are compact arrays: weight an
+    ``array('b')``, one byte per slot, and chi an ``array('i')``, four.
+    Every scan reads chi in place (see :func:`chi_profile`).
     """
 
     limit: int
     weight: array
-    mertens_prefix: array
+    chi: array
 
 
 # Byte maps for bytearray.translate.  _COUNT_PRIME adds one prime factor to
 # a count (counts stay below 9 within the budget) and keeps the squareful
-# mark 0xff; _MOEBIUS maps a count to its Moebius value as a signed byte and
-# the mark to 0.
+# mark 0xff; _MINUS_MOEBIUS maps a count w to the face term -(-1)^w as a
+# signed byte and the mark to 0.
 _COUNT_PRIME = bytes(range(1, 0xFF)) + b"\xfe\xff"
-_MOEBIUS = bytes(0xFF if w & 1 else 1 for w in range(0xFF)) + b"\0"
+_MINUS_MOEBIUS = bytes(1 if w & 1 else 0xFF for w in range(0xFF)) + b"\0"
 
 
 def build_sieve(limit: int) -> SieveTable:
@@ -68,9 +69,9 @@ def build_sieve(limit: int) -> SieveTable:
     p, 2p, ... gains one prime factor in a single ``translate`` of the
     slice, and the slots p^2, 2p^2, ... take the squareful mark 0xff,
     which later rounds keep.  So no Python loop visits every n.  The
-    bytes read as signed give weight, the mark as -1; the Mertens running
-    sums accumulate the Moebius bytes.  ``SIEVE_MEMORY_BUDGET`` bounds
-    the number of slots.
+    bytes read as signed give weight, the mark as -1; chi accumulates
+    minus the Moebius bytes, after the raw bytes are dropped.
+    ``SIEVE_MEMORY_BUDGET`` bounds the number of slots.
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
@@ -87,10 +88,12 @@ def build_sieve(limit: int) -> SieveTable:
         if square <= limit:
             raw[square::square] = b"\xff" * len(range(square, size, square))
         p = raw.find(0, p + 1)
-    mobius = raw.translate(_MOEBIUS)
-    mobius[0] = 0
-    prefix = array("i", itertools.accumulate(memoryview(mobius).cast("b")))
-    return SieveTable(limit, array("b", raw), prefix)
+    weight = array("b", raw)
+    terms = raw.translate(_MINUS_MOEBIUS)
+    del raw
+    terms[0] = 0
+    chi = array("i", itertools.accumulate(memoryview(terms).cast("b")))
+    return SieveTable(limit, weight, chi)
 
 
 _shared_sieve: SieveTable | None = None
@@ -109,7 +112,7 @@ def mertens(x: int) -> int:
     """Moebius summatory function at x."""
     if x < 1:
         raise ValueError(f"x={x} must be at least 1")
-    return shared_sieve(x).mertens_prefix[x]
+    return -shared_sieve(x).chi[x]
 
 
 # ---------------------------------------------------------------------------
@@ -215,27 +218,25 @@ def summary(n: int) -> FVector:
     table = shared_sieve(n)
     faces = memoryview(table.weight)[1 : n + 1].tobytes()
     fv = FVector(tuple(map(faces.count, range(dim_of(n) + 2))))
-    chi, mertens_n = fv.euler_char(), table.mertens_prefix[n]
-    if chi != -mertens_n:
+    chi, sieve_chi = fv.euler_char(), table.chi[n]
+    if chi != sieve_chi:
         raise ConsistencyError(
             f"euler characteristic {chi} and Mertens value "
-            f"{mertens_n} disagree at n={n}"
+            f"{-sieve_chi} disagree at n={n}"
         )
     return fv
 
 
-def chi_profile(limit: int) -> list[int]:
+def chi_profile(limit: int) -> memoryview:
     """Euler characteristics for all n <= limit, indexed by n, slot 0 = 0.
 
-    Minus the sieve's running Moebius sum, by the identity in the module
-    docstring; the ``euler-equals-minus-mertens`` check recomputes it from
-    the faces.  The list holds one int object per distinct value.
+    A read-only view of the sieve's chi array, so no value is copied;
+    the ``euler-equals-minus-mertens`` check recomputes chi from the faces.
+    A view never equals a list, and lacks ``count`` and ``index``.
     """
     if limit < 0:
         raise ValueError(f"limit={limit} must be nonnegative")
-    prefix = shared_sieve(limit).mertens_prefix
-    negated = {m: -m for m in set(itertools.islice(prefix, limit + 1))}
-    return list(map(negated.__getitem__, itertools.islice(prefix, limit + 1)))
+    return memoryview(shared_sieve(limit).chi)[: limit + 1].toreadonly()
 
 
 # ---------------------------------------------------------------------------

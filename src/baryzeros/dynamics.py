@@ -316,12 +316,13 @@ def alpha(n: int) -> AlphaRecord:
 
 class AlphaRun(NamedTuple):
     """Every n in lo .. lo + len(chi) - 1 has dimension dim and top face
-    count f_top; chi[i] is the Euler characteristic at lo + i."""
+    count f_top; chi[i] is the Euler characteristic at lo + i.  A scan's
+    runs hold slices of :func:`chi_profile`'s view, not copies."""
 
     dim: int
     f_top: int
     lo: int
-    chi: list
+    chi: Sequence[int]
 
 
 class AlphaScan:
@@ -355,7 +356,8 @@ class AlphaScan:
 
 
 def alpha_scan(n_max: int) -> AlphaScan:
-    """Scaling limits for every n from 6 to n_max, chi from :func:`chi_profile`.
+    """Scaling limits for every n from 6 to n_max, chi read in place from
+    :func:`chi_profile`.
 
     A run of constant dimension d starts at the product of the first d+1
     primes, the least squarefree number with d+1 prime factors, so f_top
@@ -414,6 +416,7 @@ def conjecture_report(n_max: int) -> ConjectureReport:
     zero_count = 0
     best, argmax_n = float("-inf"), 0
     for d, f_top, lo, chi in scan.runs:
+        chi = list(chi)  # a view has no count or index
         fac = math.factorial(d + 1)
         zero_count += chi.count(0)
         fields = {c: alpha_fields(d, c, f_top) for c in set(chi) if c}

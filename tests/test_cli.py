@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from math import factorial, log
 from pathlib import Path
@@ -567,10 +568,10 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
 def test_euler_check_names_each_disagreeing_n(monkeypatch):
     "The route from the faces against a skewed Mertens sum names the first n."
     table = shared_sieve(checks.MERTENS_LIMIT)
-    skewed = list(table.mertens_prefix)
-    skewed[6] += 1
-    skewed[checks.MERTENS_LIMIT] -= 2
-    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(mertens_prefix=skewed))
+    skewed = array("i", table.chi)
+    skewed[6] -= 1
+    skewed[checks.MERTENS_LIMIT] += 2
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(chi=skewed))
     result = checks._check_euler_vs_mertens()
     assert result.detail == "n=6: chi 1 != -M 0 (+1 more)"
     assert not result.passed
@@ -736,9 +737,9 @@ def _runs_edited(edit):
 
 
 def _chi_rotated_at_30(runs):
-    "The run holding n = 30 with its chi list rotated by one."
+    "The run holding n = 30 with its chi rotated by one, as a list."
     return tuple(
-        run._replace(chi=run.chi[1:] + run.chi[:1])
+        run._replace(chi=[*run.chi[1:], *run.chi[:1]])
         if run.lo <= 30 < run.lo + len(run.chi)
         else run
         for run in runs
@@ -930,6 +931,9 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     for argv in (("chi", "--to", "10"), ("verify", "--suite", "core")):
         err = run_cli_error(capsys, *argv, "--out", missing)
         assert missing in err, argv
+        # an empty --out names no file; only an absent one means stdout
+        err = run_cli_error(capsys, *argv, "--out", "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n", argv
 
     # Every check runs before the first byte: no --out file, no stdout.
     target = tmp_path / "x.csv"
@@ -971,9 +975,9 @@ def test_uncertified_roots_exit_2_without_fallback(capsys, monkeypatch, certifie
 def test_failed_cross_check_exits_2(capsys, monkeypatch, argv):
     "A chi = -M mismatch in summary ends the command in one error line, no traceback."
     table = shared_sieve(6)
-    skewed = list(table.mertens_prefix)
-    skewed[6] += 1
-    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(mertens_prefix=skewed))
+    skewed = array("i", table.chi)
+    skewed[6] -= 1
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(chi=skewed))
     err = run_cli_error(capsys, *argv)
     assert err == "error: euler characteristic 1 and Mertens value 0 disagree at n=6\n"
 
@@ -1075,11 +1079,12 @@ def test_tracer_sites_resolve():
 @pytest.mark.parametrize(
     "argv",
     [
+        ("chi", "--to", "300"),
         ("alpha", "--to", "300"),
         ("zeros", "--n", "30", "--k", "3"),
         ("verify", "--suite", "core"),
     ],
-    ids=["alpha", "zeros", "verify"],
+    ids=["chi", "alpha", "zeros", "verify"],
 )
 def test_traced_run_prints_the_same_bytes(tmp_path, argv):
     "The benchmark's traced mode runs each command kind to the CLI's own stdout."

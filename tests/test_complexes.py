@@ -1,6 +1,7 @@
 """Sieves, squarefree-divisor complexes, and explicit subdivision."""
 
 import tracemalloc
+from array import array
 from itertools import accumulate, count, islice
 from operator import mul
 
@@ -65,9 +66,9 @@ def brute_weight(k: int) -> int:
 
 def test_sieve_mobius_against_trial_division():
     table = build_sieve(2000)
-    prefix = table.mertens_prefix
+    chi = table.chi
     for k in range(1, 2001):
-        assert prefix[k] - prefix[k - 1] == brute_mobius(k), k
+        assert chi[k - 1] - chi[k] == brute_mobius(k), k
         assert table.weight[k] == brute_weight(k), k
 
 
@@ -78,7 +79,7 @@ def test_sieve_small_limits_are_prefixes():
         table = build_sieve(limit)
         assert table.limit == limit
         assert table.weight == big.weight[: limit + 1], limit
-        assert table.mertens_prefix == big.mertens_prefix[: limit + 1], limit
+        assert table.chi == big.chi[: limit + 1], limit
 
 
 def linear_sieve(limit: int) -> tuple[list, list]:
@@ -129,13 +130,13 @@ def test_sieve_against_linear_sieve():
     ]
     for limit in limits:
         table = build_sieve(limit)
-        assert (table.weight.typecode, table.mertens_prefix.typecode) == ("b", "i")
+        assert (table.weight.typecode, table.chi.typecode) == ("b", "i")
         assert table.weight.tolist() == weight[: limit + 1], limit
-        assert table.mertens_prefix.tolist() == prefix[: limit + 1], limit
+        assert table.chi.tolist() == [-m for m in prefix[: limit + 1]], limit
 
 
 def test_sieve_memory():
-    "The sieve holds one byte of weight and four of Mertens sum per slot."
+    "The sieve holds one byte of weight and four of chi per slot."
     limit = 10**5
     tracemalloc.start()
     try:
@@ -330,9 +331,9 @@ def test_summary_known_complexes():
 
 def test_summary_cross_check_is_enforced(monkeypatch):
     table = shared_sieve(6)
-    skewed = list(table.mertens_prefix)
-    skewed[6] += 1
-    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(mertens_prefix=skewed))
+    skewed = array("i", table.chi)
+    skewed[6] -= 1
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(chi=skewed))
     with pytest.raises(
         ConsistencyError,
         match=r"^euler characteristic 1 and Mertens value 0 disagree at n=6$",
@@ -342,10 +343,9 @@ def test_summary_cross_check_is_enforced(monkeypatch):
 
 def test_chi_profile_against_reference():
     chi = chi_profile(44)
-    mm = shared_sieve(44).mertens_prefix
     assert len(chi) == 45
     assert [chi[n] for n in range(1, 45)] == CHI_REFERENCE
-    assert all(chi[n] == -mm[n] for n in range(1, 45))
+    assert all(chi[n] == -mertens(n) for n in range(1, 45))
 
 
 def test_first_negative_euler():

@@ -477,6 +477,44 @@ def test_chi_command_memory():
     assert peak <= 2.5 * 2**20, peak
 
 
+def _scan_peak(monkeypatch, argv, n):
+    "The tracemalloc peak of one CLI scan to n, started from no shared sieve."
+    monkeypatch.setattr("baryzeros.complexes._shared_sieve", None)
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--to", str(n), "--out", os.devnull]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, per_n", [(["chi"], 8), (["alpha"], 12)], ids=["chi", "alpha"])
+def test_scan_memory_grows_with_the_sieve_alone(monkeypatch, argv, per_n):
+    """A scan keeps one chi array, the sieve's: from 2*10^4 to 2*10^5 its
+    peak, sieve build included, grows by at most per_n bytes per n (the
+    sieve holds 5 per slot, and a copy of chi would cost 4 or 8 more)."""
+    small, large = 2 * 10**4, 2 * 10**5
+    _scan_peak(monkeypatch, argv, large)  # warms the per-dimension caches
+    growth = _scan_peak(monkeypatch, argv, large) - _scan_peak(monkeypatch, argv, small)
+    assert growth <= per_n * (large - small), growth / (large - small)
+
+
+def test_chi_profile_is_the_sieves_read_only_array():
+    "chi_profile hands out the sieve's own chi array, which nothing may write."
+    chi = chi_profile(300)
+    assert chi.obj is shared_sieve(300).chi
+    assert len(chi) == 301
+    with pytest.raises(TypeError):
+        chi[94] = 0
+
+
+def test_alpha_scan_runs_share_the_sieves_buffer():
+    "Every run's chi is a slice of the sieve's chi array, not a copy."
+    runs = alpha_scan(2310).runs
+    sieve_chi = shared_sieve(2310).chi
+    assert all(run.chi.obj is sieve_chi for run in runs)
+
+
 def test_alpha_record_invariants():
     "alpha_num/alpha_den is alpha in lowest terms; h1 and alpha derive from it."
     records = list(alpha_scan(2310))

@@ -388,9 +388,14 @@ def test_near_tie_rounds_correctly():
 def test_exact_tie_roots_round_to_even(bits):
     """(2^b z - (2^b + 1))(z + 3) at b bits: the root 1 + 2^-b lies exactly
     on a rounding bracket's end, halfway between 1 and 1 + 2^(1-b), and
-    comes back rounded to even."""
+    comes back rounded to even.  The mirrored tie, (2^b z - (2^b + 3))(z + 3),
+    has its root 1 + 3 * 2^-b on the other end, halfway between the odd
+    1 + 2^(1-b) and the even 1 + 2^(2-b), and rounds up to the even one."""
     rs = find_roots(product(1 + Fraction(1, 2**bits), -3), precision_bits=bits)
     assert rs.roots == (Dyadic(1, 0, 0), Dyadic(-3, 0, 0))
+    assert rs.real_certified == (True, True)
+    rs = find_roots(product(1 + Fraction(3, 2**bits), -3), precision_bits=bits)
+    assert rs.roots == (Dyadic(2 ** (bits - 2) + 1, 0, bits - 2), Dyadic(-3, 0, 0))
     assert rs.real_certified == (True, True)
 
 
