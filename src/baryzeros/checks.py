@@ -1,15 +1,18 @@
 """Executable invariant suites behind the command line ``verify``.
 
-Each suite returns a list of CheckResult records; nothing in here
-asserts, so the CLI and the test suite can render or aggregate the
-outcomes as they see fit.  Comparisons are exact rational arithmetic
-except where a numeric tolerance is the very thing under test, and every
-randomized check runs from a fixed seed, so the suites are
+Each check is a generator of failure texts, declared once with
+``@_check(suite, name, scope)``, which files it in its suite and makes it
+return a CheckResult.  Each suite returns a list of CheckResult records;
+nothing in here asserts, so the CLI and the test suite can render or
+aggregate the outcomes as they see fit.  Comparisons are exact rational
+arithmetic except where a numeric tolerance is the very thing under test,
+and every randomized check runs from a fixed seed, so the suites are
 deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -79,119 +82,122 @@ def _verdict(name: str, failures: list[str], scope: str) -> CheckResult:
     return CheckResult(name, True, scope)
 
 
+_DECLARED: dict[str, list] = {"core": [], "complex": [], "zeros": []}
+
+
+def _check(suite: str, name: str, scope: str):
+    """File a generator of failure texts in suite's list, as a function
+    that returns the check's CheckResult; scope is its pass text."""
+
+    def declare(failures):
+        @functools.wraps(failures)
+        def check() -> CheckResult:
+            return _verdict(name, list(failures()), scope)
+
+        _DECLARED[suite].append(check)
+        return check
+
+    return declare
+
+
 # ---------------------------------------------------------------------------
 # core: exact counting identities
 
 
-def _check_count_routes() -> CheckResult:
-    bad = [
+@_check(
+    "core",
+    "count-closed-form-vs-recurrence",
+    f"all pairs -1 <= i <= d <= {EXACT_TABLE_MAX_DIM}",
+)
+def _check_count_routes():
+    yield from (
         f"(i={i}, d={d}): {subdivision_count(i, d)} != "
         f"{subdivision_count_recurrence(i, d)}"
         for d in range(-1, EXACT_TABLE_MAX_DIM + 1)
         for i in range(-1, d + 1)
         if subdivision_count(i, d) != subdivision_count_recurrence(i, d)
-    ]
-    return _verdict(
-        "count-closed-form-vs-recurrence",
-        bad,
-        f"all pairs -1 <= i <= d <= {EXACT_TABLE_MAX_DIM}",
     )
 
 
-def _check_transfer_structure() -> CheckResult:
-    bad = []
+@_check("core", "transfer-upper-triangular-factorial-diagonal", f"d <= {CORE_MAX_DIM}")
+def _check_transfer_structure():
     for d in range(-1, CORE_MAX_DIM + 1):
         m = transfer_matrix(d)
         for i in range(-1, d + 1):
             if m.entry(i, i) != math.factorial(i + 1):
-                bad.append(f"diagonal (i={i}, d={d})")
+                yield f"diagonal (i={i}, d={d})"
             for j in range(-1, i):
                 if m.entry(i, j) != 0:
-                    bad.append(f"lower entry (i={i}, j={j}, d={d})")
-    return _verdict(
-        "transfer-upper-triangular-factorial-diagonal",
-        bad,
-        f"d <= {CORE_MAX_DIM}",
-    )
+                    yield f"lower entry (i={i}, j={j}, d={d})"
 
 
-def _check_transfer_eigenvector() -> CheckResult:
+@_check("core", "transfer-eigenvector", f"d <= {CORE_MAX_DIM}, exact")
+def _check_transfer_eigenvector():
     """T w = (d+1)! w, on the integer numerators of w over one denominator."""
-    bad = []
     for d in range(0, CORE_MAX_DIM + 1):
         vec, _ = _common_numerators(eigen_rationals(d))
         scaled = tuple(math.factorial(d + 1) * x for x in vec)
         if transfer_matrix(d).apply(vec) != scaled:
-            bad.append(f"d={d}")
-    return _verdict("transfer-eigenvector", bad, f"d <= {CORE_MAX_DIM}, exact")
+            yield f"d={d}"
 
 
-def _check_chain_formula() -> CheckResult:
-    bad = []
+@_check("core", "eigen-chain-sum-formula", f"0 <= i < d <= {CHAIN_FORMULA_MAX_DIM}")
+def _check_chain_formula():
     for d in range(1, CHAIN_FORMULA_MAX_DIM + 1):
         vec = eigen_rationals(d)
         for i in range(0, d):
             if eigen_rationals_direct(d, i) != vec[i + 1]:
-                bad.append(f"(i={i}, d={d})")
-    return _verdict(
-        "eigen-chain-sum-formula", bad, f"0 <= i < d <= {CHAIN_FORMULA_MAX_DIM}"
-    )
+                yield f"(i={i}, d={d})"
 
 
-def _check_shift_inverse() -> CheckResult:
-    bad = []
+@_check("core", "shift-matrix-inverse", f"d <= {CORE_MAX_DIM}, both orders")
+def _check_shift_inverse():
     for d in range(0, CORE_MAX_DIM + 1):
         ident = identity_matrix(d)
         s = shift_matrix(d)
         s_inv = shift_matrix_inverse(d)
         if s @ s_inv != ident or s_inv @ s != ident:
-            bad.append(f"d={d}")
-    return _verdict("shift-matrix-inverse", bad, f"d <= {CORE_MAX_DIM}, both orders")
+            yield f"d={d}"
 
 
-def _check_similarity() -> CheckResult:
-    bad = []
+@_check("core", "transfer-descent-similarity", f"d <= {CORE_MAX_DIM}, exact")
+def _check_similarity():
     for d in range(0, CORE_MAX_DIM + 1):
         conjugated = shift_matrix(d) @ transfer_matrix(d) @ shift_matrix_inverse(d)
         if conjugated != descent_matrix(d):
-            bad.append(f"d={d}")
-    return _verdict(
-        "transfer-descent-similarity", bad, f"d <= {CORE_MAX_DIM}, exact"
-    )
+            yield f"d={d}"
 
 
-def _check_descent_bruteforce() -> CheckResult:
-    bad = [
+@_check(
+    "core",
+    "descent-recurrence-vs-enumeration",
+    f"d <= {BRUTE_FORCE_DIMENSION_CAP}, full permutation counts",
+)
+def _check_descent_bruteforce():
+    yield from (
         f"d={d}"
         for d in range(0, BRUTE_FORCE_DIMENSION_CAP + 1)
         if descent_matrix_bruteforce(d) != descent_matrix(d)
-    ]
-    return _verdict(
-        "descent-recurrence-vs-enumeration",
-        bad,
-        f"d <= {BRUTE_FORCE_DIMENSION_CAP}, full permutation counts",
     )
 
 
-def _check_descent_rotation() -> CheckResult:
-    bad = []
+@_check("core", "descent-rotational-symmetry", f"d <= {CORE_MAX_DIM}")
+def _check_descent_rotation():
     for d in range(0, CORE_MAX_DIM + 1):
         m = descent_matrix(d)
         for i in range(-1, d + 1):
             for j in range(-1, d + 1):
                 if m.entry(i, j) != m.entry(d - 1 - i, d - 1 - j):
-                    bad.append(f"(i={i}, j={j}, d={d})")
-    return _verdict("descent-rotational-symmetry", bad, f"d <= {CORE_MAX_DIM}")
+                    yield f"(i={i}, j={j}, d={d})"
 
 
-def _check_descent_two_powers() -> CheckResult:
-    bad = []
+@_check("core", "descent-first-row-two-powers", f"d <= {CORE_MAX_DIM}")
+def _check_descent_two_powers():
     for d in range(0, CORE_MAX_DIM + 1):
         m = descent_matrix(d)
         for j in range(0, d + 1):
             if m.entry(0, j) != 2 ** (d - j):
-                bad.append(f"(j={j}, d={d})")
-    return _verdict("descent-first-row-two-powers", bad, f"d <= {CORE_MAX_DIM}")
+                yield f"(j={j}, d={d})"
 
 
 def _descent_snake(d: int) -> list[int]:
@@ -208,70 +214,63 @@ def _descent_snake(d: int) -> list[int]:
     return seq
 
 
-def _check_descent_monotone_chain() -> CheckResult:
-    bad = []
+@_check(
+    "core", "descent-monotone-chain", f"snake through the upper half, 1 <= d <= {CORE_MAX_DIM}"
+)
+def _check_descent_monotone_chain():
     for d in range(1, CORE_MAX_DIM + 1):
         seq = _descent_snake(d)
         for pos, (a, b) in enumerate(zip(seq, seq[1:])):
             if a > b:
-                bad.append(f"d={d}, position {pos}: {a} > {b}")
-    return _verdict(
-        "descent-monotone-chain",
-        bad,
-        f"snake through the upper half, 1 <= d <= {CORE_MAX_DIM}",
-    )
+                yield f"d={d}, position {pos}: {a} > {b}"
 
 
-def _check_limit_h_structure() -> CheckResult:
-    bad = []
+@_check(
+    "core",
+    "limit-h-structure",
+    f"ends zero, positive interior, sum 1, palindrome, 1 <= d <= {EXACT_TABLE_MAX_DIM}",
+)
+def _check_limit_h_structure():
     for d in range(1, EXACT_TABLE_MAX_DIM + 1):
         coeffs = limit_h_coefficients(d)
         if len(coeffs) != d + 2:
-            bad.append(f"d={d}: wrong length")
+            yield f"d={d}: wrong length"
             continue
         if coeffs[0] != 0 or coeffs[d + 1] != 0:
-            bad.append(f"d={d}: nonzero end coefficient")
+            yield f"d={d}: nonzero end coefficient"
         if any(coeffs[i] <= 0 for i in range(1, d + 1)):
-            bad.append(f"d={d}: interior coefficient not positive")
+            yield f"d={d}: interior coefficient not positive"
         if sum(coeffs) != 1:
-            bad.append(f"d={d}: coefficient sum {sum(coeffs)} != 1")
+            yield f"d={d}: coefficient sum {sum(coeffs)} != 1"
         if any(coeffs[i] != coeffs[d + 1 - i] for i in range(0, d + 2)):
-            bad.append(f"d={d}: not palindromic")
+            yield f"d={d}: not palindromic"
         if coeffs[1] != eigen_rationals(d)[1]:
-            bad.append(f"d={d}: linear coefficient mismatch")
-    return _verdict(
-        "limit-h-structure",
-        bad,
-        f"ends zero, positive interior, sum 1, palindrome, 1 <= d <= "
-        f"{EXACT_TABLE_MAX_DIM}",
-    )
+            yield f"d={d}: linear coefficient mismatch"
 
 
-def _check_limit_h_eigenvector() -> CheckResult:
+@_check("core", "descent-eigenvector", f"d <= {CORE_MAX_DIM}, exact")
+def _check_limit_h_eigenvector():
     """D h = (d+1)! h, on the integer numerators of h over one denominator."""
-    bad = []
     for d in range(0, CORE_MAX_DIM + 1):
         coeffs, _ = _common_numerators(limit_h_coefficients(d))
         scaled = tuple(math.factorial(d + 1) * c for c in coeffs)
         if descent_matrix(d).apply(coeffs) != scaled:
-            bad.append(f"d={d}")
-    return _verdict("descent-eigenvector", bad, f"d <= {CORE_MAX_DIM}, exact")
+            yield f"d={d}"
 
 
-def _check_limit_h_first_bounds() -> CheckResult:
-    bad = []
+@_check(
+    "core",
+    "limit-h-linear-coefficient-bounds",
+    f"exact rational comparison, 1 <= d <= {EXACT_TABLE_MAX_DIM}",
+)
+def _check_limit_h_first_bounds():
     for d in range(1, EXACT_TABLE_MAX_DIM + 1):
         h1 = limit_h_coefficients(d)[1]
         fac = math.factorial(d + 1)
         if h1 > Fraction(2 ** (d + 1), fac):
-            bad.append(f"d={d}: upper bound")
+            yield f"d={d}: upper bound"
         if h1 * h1 < Fraction(2**d, (fac * d) ** 2):
-            bad.append(f"d={d}: lower bound")
-    return _verdict(
-        "limit-h-linear-coefficient-bounds",
-        bad,
-        f"exact rational comparison, 1 <= d <= {EXACT_TABLE_MAX_DIM}",
-    )
+            yield f"d={d}: lower bound"
 
 
 def _random_sign_matrix(rng: random.Random, n: int, replace_one: bool, integral: bool):
@@ -299,49 +298,35 @@ def _random_sign_matrix(rng: random.Random, n: int, replace_one: bool, integral:
     return [[Fraction(x, scale) for x in row] for row in zip(*columns)]
 
 
-def _check_det_sign_random() -> CheckResult:
+@_check(
+    "core",
+    "determinant-sign-random",
+    f"{DET_SIGN_INSTANCES} seeded instances, sizes 1..8, with and without a replaced column",
+)
+def _check_det_sign_random():
     rng = random.Random(DEFAULT_SEED)
-    bad = []
     for idx in range(DET_SIGN_INSTANCES):
         n = 1 + idx % 8
         rows = _random_sign_matrix(rng, n, idx % 2 == 1, idx % 3 == 0)
         expected = -1 if n % 2 else 1
         got = det_sign_check(rows)
         if got != expected:
-            bad.append(f"instance {idx} (n={n}): sign {got} != {expected}")
-    return _verdict(
-        "determinant-sign-random",
-        bad,
-        f"{DET_SIGN_INSTANCES} seeded instances, sizes 1..8, "
-        "with and without a replaced column",
-    )
+            yield f"instance {idx} (n={n}): sign {got} != {expected}"
 
 
 def core_suite() -> list[CheckResult]:
     """Exact identities of the counting tables, matrices and limits."""
-    return [
-        _check_count_routes(),
-        _check_transfer_structure(),
-        _check_transfer_eigenvector(),
-        _check_chain_formula(),
-        _check_shift_inverse(),
-        _check_similarity(),
-        _check_descent_bruteforce(),
-        _check_descent_rotation(),
-        _check_descent_two_powers(),
-        _check_descent_monotone_chain(),
-        _check_limit_h_structure(),
-        _check_limit_h_eigenvector(),
-        _check_limit_h_first_bounds(),
-        _check_det_sign_random(),
-    ]
+    return [check() for check in _DECLARED["core"]]
 
 
 # ---------------------------------------------------------------------------
 # complex: sieve versus explicit geometry
 
 
-def _check_euler_vs_mertens() -> CheckResult:
+@_check(
+    "complex", "euler-equals-minus-mertens", f"two routes agree for n <= {MERTENS_LIMIT}"
+)
+def _check_euler_vs_mertens():
     """chi summed over the faces, each squarefree k of weight w one face
     of dimension w - 1, against the sieve's chi, minus its running Moebius
     sum; the two routes compare as buffers for n = 1..MERTENS_LIMIT."""
@@ -352,16 +337,12 @@ def _check_euler_vs_mertens() -> CheckResult:
     stop = MERTENS_LIMIT + 1
     faces = array("i", accumulate(map(step.__getitem__, islice(table.weight, 1, stop))))
     sieve = memoryview(table.chi)[1:stop]
-    bad = []
     if faces != sieve:
-        bad.extend(
+        yield from (
             f"n={n}: chi {c} != -M {-s}"
             for n, c, s in zip(count(1), faces, sieve)
             if c != s
         )
-    return _verdict(
-        "euler-equals-minus-mertens", bad, f"two routes agree for n <= {MERTENS_LIMIT}"
-    )
 
 
 def first_negative_euler(limit: int = 200) -> int | None:
@@ -373,34 +354,28 @@ def first_negative_euler(limit: int = 200) -> int | None:
     return None
 
 
-def _check_first_negative() -> CheckResult:
+@_check("complex", "first-negative-euler", f"n = {FIRST_NEGATIVE} with value -1")
+def _check_first_negative():
     found = first_negative_euler(200)
     chi = chi_profile(200)
-    bad = []
     if found != FIRST_NEGATIVE:
-        bad.append(f"first negative at {found}, expected {FIRST_NEGATIVE}")
+        yield f"first negative at {found}, expected {FIRST_NEGATIVE}"
     elif chi[found] != -1:
-        bad.append(f"chi({found}) = {chi[found]}, expected -1")
-    return _verdict(
-        "first-negative-euler", bad, f"n = {FIRST_NEGATIVE} with value -1"
-    )
+        yield f"chi({found}) = {chi[found]}, expected -1"
 
 
-def _check_explicit_f_vectors() -> CheckResult:
-    bad = []
+@_check("complex", "explicit-complex-face-counts", "n in (6, 30, 94, 210), validated")
+def _check_explicit_f_vectors():
     for n in (6, 30, 94, 210):
         cx = explicit_complex(n)
         cx.validate()
         fv = summary(n)
         if cx.f_vector() != fv:
-            bad.append(f"n={n}: f-vector mismatch")
-    return _verdict(
-        "explicit-complex-face-counts", bad, "n in (6, 30, 94, 210), validated"
-    )
+            yield f"n={n}: f-vector mismatch"
 
 
-def _check_explicit_subdivision() -> CheckResult:
-    bad = []
+@_check("complex", "explicit-subdivision-vs-transfer", "n in (6, 30), k <= 2, exact")
+def _check_explicit_subdivision():
     for n in (6, 30):
         base = explicit_complex(n)
         orbit = subdivided_f(base.f_vector(), 2)
@@ -409,14 +384,11 @@ def _check_explicit_subdivision() -> CheckResult:
             current = barycentric_subdivide(current)
             current.validate()
             if current.f_vector() != orbit[k]:
-                bad.append(f"n={n}, k={k}: f-vector mismatch")
+                yield f"n={n}, k={k}: f-vector mismatch"
             if current.dim != base.dim:
-                bad.append(f"n={n}, k={k}: dimension changed")
+                yield f"n={n}, k={k}: dimension changed"
             if current.euler_char() != base.euler_char():
-                bad.append(f"n={n}, k={k}: Euler characteristic changed")
-    return _verdict(
-        "explicit-subdivision-vs-transfer", bad, "n in (6, 30), k <= 2, exact"
-    )
+                yield f"n={n}, k={k}: Euler characteristic changed"
 
 
 def _random_complex(rng: random.Random) -> SimplicialComplex:
@@ -429,49 +401,42 @@ def _random_complex(rng: random.Random) -> SimplicialComplex:
     return SimplicialComplex.from_facets(facets)
 
 
-def _check_random_subdivision_invariance() -> CheckResult:
+@_check(
+    "complex",
+    "random-subdivision-invariance",
+    f"{RANDOM_COMPLEX_INSTANCES} seeded complexes, <= 1000 simplices each",
+)
+def _check_random_subdivision_invariance():
     rng = random.Random(DEFAULT_SEED)
-    bad = []
     for idx in range(RANDOM_COMPLEX_INSTANCES):
         cx = _random_complex(rng)
         cx.validate()
         if len(cx.simplices) > 1000:
-            bad.append(f"instance {idx}: generator exceeded 1000 simplices")
+            yield f"instance {idx}: generator exceeded 1000 simplices"
             continue
         sub = barycentric_subdivide(cx)
         sub.validate()
         # one scan of each complex; dim and chi follow from its face counts
         fv, sub_fv = cx.f_vector(), sub.f_vector()
         if sub_fv.dim != fv.dim:
-            bad.append(f"instance {idx}: dimension changed")
+            yield f"instance {idx}: dimension changed"
         if sub_fv.euler_char() != fv.euler_char():
-            bad.append(f"instance {idx}: Euler characteristic changed")
+            yield f"instance {idx}: Euler characteristic changed"
         if sub_fv != subdivided_f(fv, 1)[1]:
-            bad.append(f"instance {idx}: f-vector != transfer matrix product")
-    return _verdict(
-        "random-subdivision-invariance",
-        bad,
-        f"{RANDOM_COMPLEX_INSTANCES} seeded complexes, <= 1000 simplices each",
-    )
+            yield f"instance {idx}: f-vector != transfer matrix product"
 
 
 def complex_suite() -> list[CheckResult]:
     """Sieve identities and explicit subdivision geometry."""
-    return [
-        _check_euler_vs_mertens(),
-        _check_first_negative(),
-        _check_explicit_f_vectors(),
-        _check_explicit_subdivision(),
-        _check_random_subdivision_invariance(),
-    ]
+    return [check() for check in _DECLARED["complex"]]
 
 
 # ---------------------------------------------------------------------------
 # zeros: growth expansion and root trajectories
 
 
-def _check_growth_expansion() -> CheckResult:
-    bad = []
+@_check("zeros", "growth-expansion-exact", f"n in (6, 30, 210), every k <= {GROWTH_DEPTH}, exact")
+def _check_growth_expansion():
     for n in (6, 30, 210):
         fv = summary(n)
         d = fv.dim
@@ -480,19 +445,14 @@ def _check_growth_expansion() -> CheckResult:
         f_top = fv.count(d)
         for i in range(-1, d + 1):
             if expansion.leading(i) != f_top * vec[i + 1]:
-                bad.append(f"n={n}, i={i}: leading coefficient mismatch")
+                yield f"n={n}, i={i}: leading coefficient mismatch"
             for j in range(d - i + 1, d + 1):
                 if expansion.coefficients[j][i + 1] != 0:
-                    bad.append(f"n={n}, i={i}, j={j}: expected zero coefficient")
+                    yield f"n={n}, i={i}, j={j}: expected zero coefficient"
         for k, exact in enumerate(subdivided_f(fv, GROWTH_DEPTH)):
             for i in range(-1, d + 1):
                 if expansion.evaluate(i, k) != exact.count(i):
-                    bad.append(f"n={n}, k={k}, i={i}: closed form mismatch")
-    return _verdict(
-        "growth-expansion-exact",
-        bad,
-        f"n in (6, 30, 210), every k <= {GROWTH_DEPTH}, exact",
-    )
+                    yield f"n={n}, k={k}, i={i}: closed form mismatch"
 
 
 def _gap_squared(z) -> Fraction:
@@ -501,124 +461,117 @@ def _gap_squared(z) -> Fraction:
     return Fraction((x + (1 << e)) ** 2 + y * y, 1 << (2 * e))
 
 
-def _check_trajectory_dim1() -> CheckResult:
-    bad = []
+@_check(
+    "zeros", "trajectory-dim1-convergence", "n=6, k <= 16, geometric error bound 8/2^k from k=4"
+)
+def _check_trajectory_dim1():
     run = trajectory(6, range(17))
     for entry in run.entries:
         k = entry.k
         if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
-            bad.append(f"k={k}: coefficient identity error above 1e-9")
+            yield f"k={k}: coefficient identity error above 1e-9"
         if k < 4:
             continue
         tol = 8 * 2.0**-k
         if abs(entry.ratio_inf - 1) > tol:
-            bad.append(f"k={k}: largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}")
+            yield f"k={k}: largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}"
         if abs(entry.scaled_rho0 - 1) > tol:
-            bad.append(f"k={k}: scaled smallest root off by {float(abs(entry.scaled_rho0 - 1)):.6g}")
+            yield f"k={k}: scaled smallest root off by {float(abs(entry.scaled_rho0 - 1)):.6g}"
         if not entry.rho_inf_real:
-            bad.append(f"k={k}: largest root not certified real")
+            yield f"k={k}: largest root not certified real"
         if not entry.rho_inf.x < 0:
-            bad.append(f"k={k}: largest root not negative")
+            yield f"k={k}: largest root not negative"
         if entry.ambiguous:
-            bad.append(f"k={k}: extreme roots flagged ambiguous")
-    return _verdict(
-        "trajectory-dim1-convergence",
-        bad,
-        "n=6, k <= 16, geometric error bound 8/2^k from k=4",
-    )
+            yield f"k={k}: extreme roots flagged ambiguous"
 
 
-def _check_trajectory_dim2() -> CheckResult:
-    bad = []
+@_check(
+    "zeros", "trajectory-dim2-snapshot", "n=30, k=12 at 512 bits, interior root within 1e-4 of -1"
+)
+def _check_trajectory_dim2():
     run = trajectory(30, [12], precision_bits=512)
     entry = run.entries[0]
     if abs(entry.ratio_inf - 1) > 1e-3:
-        bad.append(f"largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}")
+        yield f"largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}"
     if abs(entry.scaled_rho0 - 6) > 1e-2:
-        bad.append(f"scaled smallest root off by {float(abs(entry.scaled_rho0 - 6)):.6g}")
+        yield f"scaled smallest root off by {float(abs(entry.scaled_rho0 - 6)):.6g}"
     if len(entry.interior) != 1:
-        bad.append(f"expected one interior root, got {len(entry.interior)}")
+        yield f"expected one interior root, got {len(entry.interior)}"
     else:
         # the interior product is that one root
         gap2 = _gap_squared(entry.interior[0])
         if gap2 > Fraction(1e-4) ** 2:
-            bad.append(f"interior root and product {float(gap2) ** 0.5:.6g} away from -1")
+            yield f"interior root and product {float(gap2) ** 0.5:.6g} away from -1"
     if not entry.rho_inf_real:
-        bad.append("largest root not certified real")
+        yield "largest root not certified real"
     if not entry.rho_inf.x < 0:
-        bad.append("largest root not negative")
+        yield "largest root not negative"
     if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
-        bad.append("coefficient identity error above 1e-9")
+        yield "coefficient identity error above 1e-9"
     if entry.ambiguous:
-        bad.append("extreme roots flagged ambiguous")
-    return _verdict(
-        "trajectory-dim2-snapshot",
-        bad,
-        "n=30, k=12 at 512 bits, interior root within 1e-4 of -1",
-    )
+        yield "extreme roots flagged ambiguous"
 
 
-def _check_trajectory_dim2_deeper() -> CheckResult:
-    bad = []
+@_check(
+    "zeros",
+    "trajectory-dim2-interior-deep",
+    "n=30, k=16 at 512 bits, interior root within 1e-6 of -1",
+)
+def _check_trajectory_dim2_deeper():
     run = trajectory(30, [16], precision_bits=512)
     entry = run.entries[0]
     gap2 = _gap_squared(entry.interior[0])
     if gap2 > Fraction(1e-6) ** 2:
-        bad.append(f"interior root still {float(gap2) ** 0.5:.6g} away from -1 at k=16")
-    return _verdict(
-        "trajectory-dim2-interior-deep",
-        bad,
-        "n=30, k=16 at 512 bits, interior root within 1e-6 of -1",
-    )
+        yield f"interior root still {float(gap2) ** 0.5:.6g} away from -1 at k=16"
 
 
-def _check_alpha_identity() -> CheckResult:
+@_check(
+    "zeros",
+    "alpha-defining-identity",
+    f"all n <= {ALPHA_IDENTITY_LIMIT} with dimension >= 1, exact",
+)
+def _check_alpha_identity():
     """alpha * H1 * f_top == chi, as a * p * f_top == chi * b * q for
     alpha = a/b and H1 = p/q, once per distinct (d, chi, f_top) of the
-    scan's runs; chi equals the sieve's chi, -M(n), and d == dim_of(n)
-    at every n.  A run's chi may be a list or a view, so it is compared
-    as a buffer and searched as a list."""
+    scan's runs.  Each run sits where the sieve says: its chi at its offset
+    in the sieve's chi, and d == dim_of(n); in a right dimension, f_top
+    equals the top face count that summary counts over the faces at the
+    run's first and last n.  A run's chi may be a list or a view, so it is
+    compared as a buffer and searched as a list."""
     spot = {6: Fraction(1), 30: Fraction(6)}
     seen = dict.fromkeys(spot)
     sieve_chi = memoryview(shared_sieve(ALPHA_IDENTITY_LIMIT).chi)
-    bad = []
     for d, f_top, lo, chi in alpha_scan(ALPHA_IDENTITY_LIMIT).runs:
         hi = lo + len(chi)
         h1 = eigen_rationals(d)[1]
         for c in dict.fromkeys(chi):
             a, b, _ = alpha_fields(d, c, f_top)
             if a * h1.numerator * f_top != c * b * h1.denominator:
-                bad.append(f"n={lo + list(chi).index(c)}: defining identity broken")
+                yield f"n={lo + list(chi).index(c)}: defining identity broken"
         if array("i", chi) != sieve_chi[lo:hi]:
-            bad.extend(
+            yield from (
                 f"n={n}: Euler characteristic disagrees with sieve"
                 for n, c in enumerate(chi, lo)
                 if c != sieve_chi[n]
             )
         if d < 1 or dim_of(lo) != d or dim_of(hi - 1) != d:
-            bad.append(f"n={lo}: dimension {d} wrong or below 1")
+            yield f"n={lo}: dimension {d} wrong or below 1"
+        else:
+            for n in (lo, hi - 1):
+                faces = summary(n).count(d)
+                if faces != f_top:
+                    yield f"n={n}: top face count {f_top} != {faces} from the faces"
         for n in spot:
             if lo <= n < hi:
                 seen[n] = Fraction(*alpha_fields(d, chi[n - lo], f_top)[:2])
     for n, expected in spot.items():
         if seen[n] != expected:
-            bad.append(f"n={n}: alpha {seen[n]} != {expected}")
-    return _verdict(
-        "alpha-defining-identity",
-        bad,
-        f"all n <= {ALPHA_IDENTITY_LIMIT} with dimension >= 1, exact",
-    )
+            yield f"n={n}: alpha {seen[n]} != {expected}"
 
 
 def zeros_suite() -> list[CheckResult]:
     """Growth closed form, root trajectories and scaling limits."""
-    return [
-        _check_growth_expansion(),
-        _check_trajectory_dim1(),
-        _check_trajectory_dim2(),
-        _check_trajectory_dim2_deeper(),
-        _check_alpha_identity(),
-    ]
+    return [check() for check in _DECLARED["zeros"]]
 
 
 SUITES = {

@@ -463,6 +463,22 @@ def test_limit_table_bytes_at_full_size(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("all", "3500e765f08cac1c0d8b743e8ffcf9bcb753d14e7ee4bbb26b4ed3cc20509d20"),
+        ("core", "7d41a49e14c6fe30ad2af8b017eea4743c1ba85f20fd700546b79000561c7691"),
+        ("complex", "edc4e5e2ad4dd9fbf092732cbc0f27e7962a2e709c9153df27ad45fd13b5a3b1"),
+        ("zeros", "1de491fdb007de39618ce40bef565adecaba0923c9a4497e7b7b92b45edb2b84"),
+    ],
+)
+def test_verify_bytes(capsys, suite, digest):
+    """The sha256 of each suite's report: every check's name, pass text
+    and place in the order, and the closing count."""
+    out = run_cli(capsys, "verify", "--suite", suite)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # The three columns that state exact facts about the returned roots; the
 # rest of a zeros table is pinned without them as well.
 _EXACT_COLUMNS = ("sum_rel_err", "prod_rel_err", "max_residual")
@@ -751,6 +767,11 @@ def _first_dim_2(runs):
     return (runs[0]._replace(dim=2), *runs[1:])
 
 
+def _second_top_bumped(runs):
+    "The second run, n = 10..13, with its top face count one too large."
+    return (runs[0], runs[1]._replace(f_top=runs[1].f_top + 1), *runs[2:])
+
+
 _BROKEN_ORACLES = [
     ("_check_count_routes", "subdivision_count_recurrence", _value_bumped((2, 5), 1),
      "count-closed-form-vs-recurrence", "(i=2, d=5): 540 != 541"),
@@ -774,6 +795,10 @@ _BROKEN_ORACLES = [
     pytest.param("_check_alpha_identity", "alpha_scan", _runs_edited(_first_dim_2),
                  "alpha-defining-identity", "n=6: dimension 2 wrong or below 1",
                  id="alpha-defining-identity-dimension"),
+    # a run that holds neither spot value: only the count over the faces sees it
+    pytest.param("_check_alpha_identity", "alpha_scan", _runs_edited(_second_top_bumped),
+                 "alpha-defining-identity", "n=10: top face count 3 != 2 from the faces",
+                 id="alpha-defining-identity-top-faces"),
     ("_check_transfer_eigenvector", "eigen_rationals", _coefficient_bumped(3, 1, Fraction(1, 7)),
      "transfer-eigenvector", "d=3"),
     ("_check_chain_formula", "eigen_rationals_direct", _value_bumped((4, 1), 1),

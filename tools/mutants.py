@@ -1,0 +1,143 @@
+"""Apply listed source mutations to a copy and expect a named test to fail.
+
+Usage, from anywhere::
+
+    python tools/mutants.py
+
+Each entry of ``MUTANTS`` names a file, a text in it, the text that
+replaces it, and the pytest id of the test that must catch the change.
+For each entry the script copies ``src``, ``tests`` and ``pyproject.toml``
+to a fresh temporary directory, replaces the text (it must occur exactly
+once), and runs that one test there with the copy's ``src`` first on the
+path.  Before any mutant runs, each named test must pass on an unmutated
+copy, so a test that fails anyway cannot count as a kill.  Nothing is
+written inside the checkout.
+
+It prints one line per mutant and exits 1 if a mutant survives, if an old
+text is not found exactly once, or if a named test fails unmutated.  Only
+the standard library is used, besides pytest itself.  It is not part of
+tier-1 (the pipe test it runs starts subprocesses; about 20 s in all).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    what: str
+    path: str
+    old: str
+    new: str
+    test: str
+
+
+MUTANTS = [
+    Mutant(
+        "the check decorator reports no failures",
+        "src/baryzeros/checks.py",
+        "return _verdict(name, list(failures()), scope)",
+        "return _verdict(name, [], scope)",
+        "tests/test_cli.py::test_guard_checks_can_fail",
+    ),
+    Mutant(
+        "alpha-defining-identity filed in the complex suite",
+        "src/baryzeros/checks.py",
+        '    "zeros",\n    "alpha-defining-identity",',
+        '    "complex",\n    "alpha-defining-identity",',
+        "tests/test_acceptance.py::test_verify_runs_exactly_the_listed_checks",
+    ),
+    Mutant(
+        "cli.main's broken-pipe branch deleted",
+        "src/baryzeros/cli.py",
+        "        if isinstance(exc, BrokenPipeError) and args.out is None:\n"
+        "            # The reader of stdout has gone (``| head``): stop quietly, and\n"
+        "            # point stdout at devnull so the flush at exit cannot fail again.\n"
+        "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
+        "            return 0\n",
+        "",
+        "tests/test_cli.py::test_closed_stdout_pipe_ends_quietly",
+    ),
+    Mutant(
+        "summary's cross-check with the sieve deleted",
+        "src/baryzeros/complexes.py",
+        "    if chi != sieve_chi:\n"
+        "        raise ConsistencyError(\n"
+        '            f"euler characteristic {chi} and Mertens value "\n'
+        '            f"{-sieve_chi} disagree at n={n}"\n'
+        "        )\n",
+        "",
+        "tests/test_complexes.py::test_summary_cross_check_is_enforced",
+    ),
+    Mutant(
+        "_round_mantissa rounds ties up, not to even",
+        "src/baryzeros/rootfinding.py",
+        "m += low > half or (low == half and bool(sticky or m & 1))",
+        "m += low >= half",
+        "tests/test_rootfinding.py::test_exact_tie_roots_round_to_even",
+    ),
+    Mutant(
+        "alpha-defining-identity's top face count comparison deleted",
+        "src/baryzeros/checks.py",
+        "        else:\n"
+        "            for n in (lo, hi - 1):\n"
+        "                faces = summary(n).count(d)\n"
+        "                if faces != f_top:\n"
+        '                    yield f"n={n}: top face count {f_top} != {faces} from the faces"\n',
+        "",
+        "tests/test_cli.py::test_guard_checks_can_fail[alpha-defining-identity-top-faces]",
+    ),
+]
+
+
+def _copy(into: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", into)
+
+
+def _passes(tree: Path, test: str) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True)
+    return done.returncode == 0
+
+
+def main() -> int:
+    problems = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        clean = Path(scratch) / "clean"
+        _copy(clean)
+        for test in dict.fromkeys(m.test for m in MUTANTS):
+            if not _passes(clean, test):
+                print(f"mutants: FAILS UNMUTATED {test}")
+                problems += 1
+        for index, mutant in enumerate(MUTANTS):
+            tree = Path(scratch) / f"mutant{index}"
+            _copy(tree)
+            target = tree / mutant.path
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                print(f"mutants: OLD TEXT FOUND {text.count(mutant.old)} TIMES: {mutant.what}")
+                problems += 1
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            survived = _passes(tree, mutant.test)
+            problems += survived
+            status = "SURVIVED" if survived else "killed"
+            print(f"mutants: {status}: {mutant.what} ({mutant.test})")
+            shutil.rmtree(tree)
+    print(f"mutants: {len(MUTANTS)} listed, {problems} problems")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
