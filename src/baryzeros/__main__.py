@@ -1,8 +1,7 @@
-"""Module entry point: ``python -m baryzeros``."""
+"""Module entry point: ``python -m baryzeros`` runs ``cli.run``, the same
+process entry as the ``baryzeros`` script."""
 
-import sys
-
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -12,21 +12,25 @@ to the working precision, which is itself recorded in the row, in the
 decimal form of ``rootfinding.format_decimal``.
 
 A command loads only what it runs: ``verify`` imports the suites
-(``checks``) when it starts, and no other command does.
+(``checks``) when it starts, and no other command does; the CSV writer
+imports ``csv`` and the JSON writer ``json``.
+
+``main`` runs one command and returns its exit code; the tests and the
+tools call it in-process.  ``run`` is the process entry of both
+``python -m baryzeros`` and the ``baryzeros`` script: it calls ``main``
+and ends the process with its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
+import gc
 import io
-import json
 import os
 import sys
 from itertools import chain, islice, zip_longest
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
@@ -147,6 +151,8 @@ def _write_csv(handle: TextIO, header: list[str], blocks: Iterable) -> None:
     A field's quoting depends on the row only when it is the row's one
     field, so a tail renders beside a placeholder first cell.
     """
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
 
@@ -163,14 +169,6 @@ def _write_csv(handle: TextIO, header: list[str], blocks: Iterable) -> None:
     handle.writelines(_row_batches(blocks, "", tail_text))
 
 
-_JSON_VALUE = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
-
-
 def _write_json(
     handle: TextIO, command: str, metadata: dict, header: list[str], blocks: Iterable
 ) -> None:
@@ -180,13 +178,22 @@ def _write_json(
     its pre-encoded keys joined to its values, encoded as json.dumps does
     with ensure_ascii (str, int, bool and None are the types rows hold).
     """
+    import json
+    from json.encoder import encode_basestring_ascii
+
+    json_value = {
+        str: encode_basestring_ascii,
+        int: int.__repr__,
+        bool: lambda v: "true" if v else "false",
+        type(None): lambda v: "null",
+    }
     payload = {"command": command, "format": "json", "metadata": metadata, "rows": []}
     head = json.dumps(payload, indent=2)
     handle.write(head[: -len("[]\n}")] + "[")
     keys = [f',\n      {encode_basestring_ascii(key)}: ' for key in header]
 
     def tail_text(cells: Sequence) -> str:
-        return "".join([k + _JSON_VALUE[type(v)](v) for k, v in zip(keys[1:], cells)]) + "\n    }"
+        return "".join([k + json_value[type(v)](v) for k, v in zip(keys[1:], cells)]) + "\n    }"
 
     batches = _row_batches(blocks, ",\n    {" + keys[0][1:], tail_text)
     first = next(batches, None)
@@ -481,5 +488,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    "The process entry: run the command line in sys.argv and exit with its code."
+    code = main()
+    # The process ends here: stdout is flushed and any --out file closed,
+    # and nothing the package holds needs a finalizer.  Frozen objects are
+    # left out of the collections that interpreter shutdown runs, which
+    # would otherwise walk every object the imports made.
+    gc.freeze()
+    sys.exit(code)

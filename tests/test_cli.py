@@ -1,6 +1,7 @@
 """Command line interface: formats, golden files, and exit codes."""
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1054,15 +1055,57 @@ def test_missed_residual_target_exits_2(capsys, monkeypatch):
     )
 
 
-def test_module_entry_point():
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_run_exits_with_mains_code_after_main_returns(monkeypatch, code):
+    "cli.run freezes the collector only once main has returned, then exits with its code."
+    events = []
+
+    def fake_main():
+        events.append("main")
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    # patched, so that this process is never frozen
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as excinfo:
+        cli.run()
+    assert (excinfo.value.code, events) == (code, ["main", "freeze"])
+
+
+@pytest.mark.parametrize(
+    "argv, out, code",
+    [
+        (("chi", "--to", "100000"), False, 0),
+        (("chi", "--to", "100000"), True, 0),
+        (("zeros", "--n", "30", "--k", "4", "--format", "json"), True, 0),
+        (("chi", "--from", "9", "--to", "3"), False, 2),
+        (("--help",), False, 0),
+    ],
+    ids=["chi", "chi-out", "zeros-json-out", "range-error", "help"],
+)
+def test_module_entry_point(capsysbinary, monkeypatch, tmp_path, argv, out, code):
+    """python -m baryzeros, stdout read from a pipe or written to --out,
+    prints the bytes and exits with the code of an in-process main run."""
+    # argparse wraps --help to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        assert main(list(argv)) == code
+    except SystemExit as exc:  # --help
+        assert exc.code == code
+    expected = capsysbinary.readouterr()
+    target = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "baryzeros", "chi", "--from", "1", "--to", "5"],
+        [sys.executable, "-m", "baryzeros", *argv, *(("--out", str(target)) if out else ())],
         capture_output=True,
-        text=True,
-        env=CHILD_ENV,
+        env={**CHILD_ENV, "COLUMNS": "80"},
     )
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[0] == "n,chi,mertens,dim"
+    assert (proc.returncode, proc.stderr) == (code, expected.err)
+    if out:
+        assert (proc.stdout, target.read_bytes()) == (b"", expected.out)
+    else:
+        assert proc.stdout == expected.out
+    if code == 2:
+        assert proc.stderr.startswith(b"error:") and proc.stderr.count(b"\n") == 1
 
 
 def test_closed_stdout_pipe_ends_quietly():
@@ -1129,15 +1172,19 @@ def test_traced_run_prints_the_same_bytes(tmp_path, argv):
 
 # Runs one command in a fresh interpreter (with no command, only imports
 # the package and its CLI) and reports, as the last line of stderr, its
-# exit code and which of the heavy modules it imported.  dataclasses and
-# inspect are on the list so that no record idiom brings them back.
+# exit code and which of the heavy modules it imported that the bare
+# interpreter had not (site may preload some).  dataclasses and inspect
+# are on the list so that no record idiom brings them back; the probe
+# reads sys.modules before it imports json itself.
 _LOADED_PROBE = """
-import json, sys
+import sys
+bare = set(sys.modules)
 from baryzeros.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 sys.stdout.flush()
-heavy = ("mpmath", "baryzeros.checks", "dataclasses", "inspect")
-heavy = [m for m in heavy if m in sys.modules]
+heavy = ("mpmath", "baryzeros.checks", "dataclasses", "inspect", "csv", "json")
+heavy = [m for m in heavy if m in sys.modules and m not in bare]
+import json
 sys.stderr.write(json.dumps([code, heavy]))
 """
 
@@ -1146,15 +1193,19 @@ sys.stderr.write(json.dumps([code, heavy]))
     "argv, loaded",
     [
         ((), []),
-        (("chi", "--to", "50"), []),
-        (("alpha", "--to", "50"), []),
-        (("alpha", "--n", "50"), []),
-        (("tables", "--kind", "f", "--max-d", "3"), []),
-        (("zeros", "--n", "30", "--k", "2"), []),
+        (("chi", "--to", "50"), ["csv"]),
+        (("alpha", "--to", "50"), ["csv"]),
+        (("alpha", "--n", "50"), ["csv"]),
+        (("tables", "--kind", "f", "--max-d", "3"), ["csv"]),
+        (("zeros", "--n", "30", "--k", "2"), ["csv"]),
         (("verify", "--suite", "core"), ["baryzeros.checks"]),
         (("verify", "--suite", "complex"), ["baryzeros.checks"]),
         (("verify", "--suite", "zeros"), ["baryzeros.checks"]),
         (("verify", "--suite", "all"), ["baryzeros.checks"]),
+        (("chi", "--to", "50", "--format", "json"), ["json"]),
+        (("alpha", "--to", "50", "--format", "json"), ["json"]),
+        (("tables", "--kind", "H", "--max-d", "3", "--format", "json"), ["json"]),
+        (("zeros", "--n", "30", "--k", "2", "--format", "json"), ["json"]),
     ],
     ids=[
         "import",
@@ -1167,11 +1218,16 @@ sys.stderr.write(json.dumps([code, heavy]))
         "verify-complex",
         "verify-zeros",
         "verify-all",
+        "chi-json",
+        "alpha-json",
+        "tables-json",
+        "zeros-json",
     ],
 )
 def test_commands_load_only_what_they_run(argv, loaded):
     """mpmath loads for no command, the verify suites for no command but
-    verify, and dataclasses and inspect for none."""
+    verify, csv only for CSV output and json only for JSON output, and
+    dataclasses and inspect for none."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, *argv],
         capture_output=True,

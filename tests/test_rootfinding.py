@@ -420,6 +420,20 @@ def test_rejects_degenerate_inputs():
         find_roots((0, 1, 2))
 
 
+def test_newton_stops_where_the_derivative_vanishes():
+    "Newton started at a zero of p' (p = z^2 - 2 at 0) takes no step and returns None."
+    assert rootfinding._newton([1, 0, -2], [2, 0], 0, 0, 64) is None
+
+
+def test_disks_reject_coincident_points():
+    "Two equal points have a zero Weierstrass denominator, so no disks are drawn."
+    p = [1, 0, -2]
+    points = [(3, 0), (3, 0)]
+    values = rootfinding._weierstrass(p, points, 1, len(points))
+    assert values[0][2:] == (0, 0)
+    assert rootfinding._disks(p, points, values, 16) is None
+
+
 def test_precision_floor_respected():
     rs = find_roots(poly(1, 1, -1), precision_bits=16)
     assert rs.precision_bits == 16

@@ -12,6 +12,9 @@ directory in a fresh temporary directory, so that no ``--out`` path lands
 in a checkout.  argparse's ``SystemExit`` counts as the exit code it
 carries; any other exception is recorded as its type and message.  For
 each probe it writes the sha256 of stdout and of stderr and the exit code.
+A few probes (ids starting ``-m``) run as ``python -m baryzeros`` child
+processes from DIR instead, so that the process entry is compared too;
+one that writes ``--out`` also records the sha256 of that file.
 
 ``compare`` names each probe whose record differs between the two files,
 or that only one of them holds, and exits 1 if there is any.
@@ -20,8 +23,9 @@ The probes are every distinct command of the benchmark's ``scan``,
 ``zeros`` and ``verify`` workloads at seeds 1-3 (read through
 ``perfbench/workloads.py``, which is only imported) plus a fixed list:
 the scans at 10^6, point lookups, every table, every suite, ``zeros``
-across dimensions and precisions, and the error paths that exit 2.  Only
-the standard library is used.
+across dimensions and precisions, and the error paths that exit 2.  The
+child probes are a scan, a ``zeros``, a suite, a JSON ``--out``, an error
+that exits 2 and ``--help``.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -117,6 +122,17 @@ def probes() -> list[tuple[str | None, tuple[str, ...]]]:
     return list(dict.fromkeys(found))
 
 
+# Run as ``python -m baryzeros`` children; argparse wraps --help to COLUMNS.
+ENTRY_PROBES = (
+    ("chi", "--to", "100000"),
+    ("zeros", "--n", "30", "--k", "12"),
+    ("verify", "--suite", "core"),
+    ("alpha", "--to", "100000", "--format", "json", "--out", "out.json"),
+    ("chi", "--from", "9", "--to", "3"),
+    ("--help",),
+)
+
+
 def probe_id(limit: str | None, argv: tuple[str, ...]) -> str:
     prefix = f"{SIEVE_LIMIT_ENV}={limit} " if limit is not None else ""
     return prefix + " ".join(repr(a) if a == "" or " " in a else a for a in argv)
@@ -138,6 +154,22 @@ def _run(main, limit: str | None, argv: tuple[str, ...]) -> dict:
     return {"stdout": out.hash.hexdigest(), "stderr": err.hash.hexdigest(), "exit": code}
 
 
+def _run_child(src: Path, argv: tuple[str, ...]) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(src.resolve()), "COLUMNS": "80"}
+    env.pop(SIEVE_LIMIT_ENV, None)
+    proc = subprocess.run([sys.executable, "-m", "baryzeros", *argv], capture_output=True, env=env)
+    found = {
+        "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+        "stderr": hashlib.sha256(proc.stderr).hexdigest(),
+        "exit": proc.returncode,
+    }
+    if "--out" in argv:
+        out = Path(argv[argv.index("--out") + 1])
+        found["out"] = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+        out.unlink(missing_ok=True)
+    return found
+
+
 def record(path: Path, src: Path) -> int:
     sys.path.insert(0, str(src.resolve()))
     from baryzeros import cli
@@ -150,6 +182,8 @@ def record(path: Path, src: Path) -> int:
         try:
             for limit, argv in probes():
                 results[probe_id(limit, argv)] = _run(cli.main, limit, argv)
+            for argv in ENTRY_PROBES:
+                results["-m " + probe_id(None, argv)] = _run_child(src, argv)
         finally:
             os.chdir(here)
             if saved is None:
