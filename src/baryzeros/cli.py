@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import io
 import os
 import sys
-from itertools import chain, islice, zip_longest
+from itertools import chain, islice, starmap, takewhile, zip_longest
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
@@ -275,59 +274,43 @@ def _cmd_chi(args) -> int:
 _ALPHA_HEADER = ["n", "dim", "chi", "f_top", "h1", "alpha", "exponent", "status"]
 
 
-@functools.cache
-def _h1_text(d: int) -> str:
-    return str(eigen_rationals(d)[1])
-
-
-def _alpha_tail(key: tuple) -> list:
-    """The cells after n from (d, chi, f_top); alpha renders as Fraction
-    does, and f_top None marks a row below dimension 1."""
-    d, chi, f_top = key
+def _alpha_block(d: int, f_top: int | None, lo: int, chi: Sequence[int]) -> tuple:
+    """The block of a run of rows lo .. lo + len(chi) - 1 of dimension d
+    and top face count f_top, keyed on chi.  f_top None marks rows below
+    dimension 1; h1 renders once per run, and alpha as Fraction does."""
     if f_top is None:
-        return [d, chi, None, None, None, None, "skipped"]
-    num, den, exponent = alpha_fields(d, chi, f_top)
-    return [
-        d,
-        chi,
-        f_top,
-        _h1_text(d),
-        f"{num}/{den}" if den != 1 else str(num),
-        None if exponent is None else repr(exponent),
-        "ok",
-    ]
+        return range(lo, lo + len(chi)), chi, lambda c: (d, c, None, None, None, None, "skipped")
+    h1 = str(eigen_rationals(d)[1])
 
+    def tail(c: int) -> tuple:
+        num, den, exponent = alpha_fields(d, c, f_top)
+        text = f"{num}/{den}" if den != 1 else str(num)
+        return d, c, f_top, h1, text, None if exponent is None else repr(exponent), "ok"
 
-def _alpha_run_block(run) -> tuple:
-    "The block of a run (dim, f_top, lo, chi), keyed on chi; f_top None marks skipped rows."
-    d, f_top, lo, chi = run
-    return range(lo, lo + len(chi)), chi, lambda c: _alpha_tail((d, c, f_top))
+    return range(lo, lo + len(chi)), chi, tail
 
 
 def _cmd_alpha(args) -> int:
     limit = _sieve_limit()
-    metadata: dict = {"sieve_limit": limit}
-    if args.n is not None:
-        if not (1 <= args.n <= limit):
-            raise CliError(f"--n must be between 1 and the sieve limit {limit}")
-        if dim_of(args.n) < 1:
-            key = dim_of(args.n), chi_profile(args.n)[args.n], None
-        else:
-            key = alpha(args.n)[1:4]
-        blocks = [([args.n], [key], _alpha_tail)]
-        metadata["n"] = args.n
+    option, stop = ("n", args.n) if args.n is not None else ("to", args.stop)
+    if not (1 <= stop <= limit):
+        raise CliError(f"--{option} must be between 1 and the sieve limit {limit}")
+    first = stop if option == "n" else 1
+    # the runs below dimension 1 from first to stop; takewhile reads no
+    # dimension past them, so an --n past the primorials fails here
+    low = list(takewhile(lambda run: run[0] < 1, dimension_runs(first, stop + 1)))
+    # builds the sieve, or fails its budget, before the first byte
+    chi = chi_profile(stop)
+    if dim_of(stop) < 1:
+        high = ()
+    elif option == "to":
+        high = alpha_scan(stop).runs
     else:
-        if not (1 <= args.stop <= limit):
-            raise CliError(f"--to must be between 1 and the sieve limit {limit}")
-        # builds the sieve, or fails its budget, before the first byte
-        chi = chi_profile(args.stop)
-        runs = alpha_scan(args.stop).runs if args.stop >= 6 else ()
-        skipped = (
-            (d, None, lo, chi[lo:hi]) for d, lo, hi in dimension_runs(1, min(args.stop, 5) + 1)
-        )
-        blocks = map(_alpha_run_block, chain(skipped, runs))
-        metadata["to"] = args.stop
-    _emit_table(args, "alpha", metadata, _ALPHA_HEADER, blocks)
+        record = alpha(stop)
+        high = [(record.dim, record.f_top, stop, [record.chi])]
+    runs = chain([(d, None, lo, chi[lo:hi]) for d, lo, hi in low], high)
+    metadata = {"sieve_limit": limit, option: stop}
+    _emit_table(args, "alpha", metadata, _ALPHA_HEADER, starmap(_alpha_block, runs))
     return 0
 
 

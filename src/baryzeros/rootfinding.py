@@ -582,8 +582,9 @@ def _enclose(p: list, reals: list, bits: int):
         for i, (pr, pi, dr, di) in enumerate(values):
             x, y = points[i]
             if not (dr or di):
-                # two points coincide: move this one by a unit
-                points[i] = (x + 1, y + (i >= real_count))
+                # two points coincide: move each by its own number of
+                # units, so they part, and keep a real point on the axis
+                points[i] = (x + i + 1, y + (i >= real_count))
                 converged = False
                 continue
             # W 2^f = P / (lc D), rounded to a Gaussian integer.  Bits of D

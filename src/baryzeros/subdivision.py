@@ -325,6 +325,15 @@ def det_sign_check(rows: Sequence[Sequence]) -> int:
     its entries.  A uniform positive scale keeps every column's shape and
     the determinant's sign, so both the validation and the fraction-free
     Bareiss elimination run on integers, and the answer is exact.
+
+    Bareiss pivots are leading principal minors, and none vanishes, so no
+    row is swapped: a leading principal submatrix of an accepted matrix
+    is accepted, and an accepted n x n matrix A has determinant sign
+    (-1)^n.  With no all-negative column, -A is a strictly column
+    diagonally dominant Z-matrix with a positive diagonal, so det(-A) > 0.
+    With one, r, -A = G + (p - e_r) e_r^T, where p = -A e_r > 0 and G is
+    -A with column r replaced by e_r, a nonsingular M-matrix; so G^-1 >= 0
+    and det(-A) = det G (G^-1 p)_r > 0.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
@@ -343,15 +352,8 @@ def det_sign_check(rows: Sequence[Sequence]) -> int:
     if replaced > 1:
         raise ValueError("more than one replaced (all-negative) column")
 
-    sign = 1
     prev = 1
     for k in range(n - 1):
-        if work[k][k] == 0:
-            swap = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if swap is None:
-                return 0
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
         top = work[k]
         pivot = top[k]
         for row in work[k + 1 :]:
@@ -361,7 +363,4 @@ def det_sign_check(rows: Sequence[Sequence]) -> int:
                 for x, y in zip(row[k + 1 :], top[k + 1 :])
             ]
         prev = pivot
-    det = work[n - 1][n - 1]
-    if det == 0:
-        return 0
-    return sign if det > 0 else -sign
+    return 1 if work[n - 1][n - 1] > 0 else -1

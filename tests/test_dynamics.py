@@ -24,7 +24,9 @@ from baryzeros import (
     find_roots,
     growth_expansion,
     h_poly,
+    limit_h_coefficients,
     shared_sieve,
+    shift_matrix,
     subdivided_f,
     summary,
     trajectory,
@@ -103,6 +105,40 @@ def test_growth_expansion_reproduces_exact_counts():
         for k, fk in enumerate(subdivided_f(fv, 12)):
             for i in range(-1, fv.dim + 1):
                 assert g.evaluate(i, k) == fk.count(i), (counts, i, k)
+
+
+def test_c6_constant_is_exactly_22():
+    """The c6 erratum's constant is exactly 22 (n = 30, d = 2).
+
+    h_k / 6^k = sum_j r_j^k Q_j with r_j = (3 - j)! / 3!, where Q_j is the
+    shift_matrix image of growth row j, highest degree first, and Q_0 is
+    f_top times the limit h-polynomial, whose interior zero is -1.  To
+    first order the interior root sits kappa * 3^-k from -1, with
+    kappa = -Q_1(-1) / Q_0'(-1); the next term is about 16 * 6^-k.  At
+    k = 12 the gap is the 22.003 * 3^-12 that
+    test_c6_interior_root_tolerance_as_stated prints."""
+    fv = summary(30)
+    q = [shift_matrix(2).apply(row)[::-1] for row in growth_expansion(fv).coefficients]
+    assert q[0] == tuple(fv.count(2) * c for c in limit_h_coefficients(2)) == (
+        0, Fraction(1, 2), Fraction(1, 2), 0,
+    )
+
+    def value(coeffs, z):
+        total = Fraction(0)
+        for c in coeffs:
+            total = total * z + c
+        return total
+
+    slope = value([c * (len(q[0]) - 1 - i) for i, c in enumerate(q[0][:-1])], -1)
+    kappa = -value(q[1], -1) / slope
+    assert kappa == 22
+    scaled = {}
+    for entry in trajectory(30, [12, 16, 24], 512).entries:
+        ((x, y, e),) = entry.interior
+        assert y == 0
+        scaled[entry.k] = (Fraction(x, 2**e) + 1) * 3**entry.k
+        assert abs(scaled[entry.k] - kappa) <= Fraction(32, 2**entry.k), entry.k
+    assert f"{float(scaled[12]):.3f}" == "22.003"
 
 
 def test_trajectory_works_at_the_requested_precision():

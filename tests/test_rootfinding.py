@@ -434,6 +434,38 @@ def test_disks_reject_coincident_points():
     assert rootfinding._disks(p, points, values, 16) is None
 
 
+@pytest.mark.parametrize("bits", [64, 192, 512])
+@pytest.mark.parametrize("g", [70, 80, 120, 300])
+def test_coincident_real_starts_part(g, bits):
+    """(2^g z - 2^g)(2^g z - 2^g - 1)(z^2 + 1): the real roots 1 and
+    1 + 2^-g start on the same Gaussian integer of the enclosure's grid,
+    where the Weierstrass denominator vanishes for both.  The nudge moves
+    them apart along the real axis, and each root comes back rounded to
+    nearest."""
+    s = 2**g
+    p = with_pairs(product(1, 1 + Fraction(1, s)), [(Fraction(0), Fraction(1))])
+    rs = find_roots(p, precision_bits=bits)
+    assert rs.method == "enclosed"
+    assert rs.roots[:3] == (Dyadic(0, -1, 0), Dyadic(0, 1, 0), Dyadic(1, 0, 0))
+    near = as_mp(rs.roots[3])
+    assert near.imag == 0 and near.real._mpf_ == from_rational(s + 1, s, bits, "n")
+
+
+def test_newton_that_lost_its_bits_falls_back_to_bisection(monkeypatch):
+    """A Newton result with fewer bits than the rounding needs (here the
+    point 1) is refused by _rounded, and bisection finds the same roots."""
+    expected = find_roots([1, 0, -2], 64)
+    calls = []
+
+    def short(*args):
+        calls.append(args)
+        return 1, 0
+
+    monkeypatch.setattr(rootfinding, "_newton", short)
+    assert find_roots([1, 0, -2], 64) == expected
+    assert len(calls) == 2
+
+
 def test_precision_floor_respected():
     rs = find_roots(poly(1, 1, -1), precision_bits=16)
     assert rs.precision_bits == 16

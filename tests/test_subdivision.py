@@ -323,6 +323,28 @@ def test_det_sign_against_leibniz(rows):
     assert expected == (-1) ** len(rows)
 
 
+def test_det_sign_of_every_small_accepted_matrix():
+    """Every accepted integer matrix of size 1 to 3 with entries in -4..4,
+    the replaced column anywhere or nowhere, has determinant sign (-1)^n,
+    and det_sign_check says so.  A size-1 matrix is both shapes at once,
+    so the distinct matrices number 4 + 228 + 3136."""
+    seen = set()
+    for n in (1, 2, 3):
+        cells = list(itertools.product(range(-4, 5), repeat=n))
+        dominant = [
+            [c for c in cells if min(c[:j] + c[j + 1 :], default=1) > 0 and sum(c) < 0]
+            for j in range(n)
+        ]
+        negative = [c for c in cells if max(c) < 0]
+        for replaced in (None, *range(n)):
+            choices = [negative if j == replaced else dominant[j] for j in range(n)]
+            seen.update(tuple(zip(*columns)) for columns in itertools.product(*choices))
+    assert len(seen) == 3368
+    for rows in seen:
+        det = leibniz_det(rows)
+        assert (det > 0) - (det < 0) == det_sign_check(rows) == (-1) ** len(rows), rows
+
+
 def random_sign_matrix_by_fractions(rng, n, replace_one, integral):
     "The reference for _random_sign_matrix: the same draws, summed as Fractions."
 

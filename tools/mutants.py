@@ -95,6 +95,27 @@ MUTANTS = [
         "",
         "tests/test_cli.py::test_guard_checks_can_fail[alpha-defining-identity-top-faces]",
     ),
+    Mutant(
+        "_enclose's coincident-point nudge moves every point by one unit",
+        "src/baryzeros/rootfinding.py",
+        "points[i] = (x + i + 1, y + (i >= real_count))",
+        "points[i] = (x + 1, y + (i >= real_count))",
+        "tests/test_rootfinding.py::test_coincident_real_starts_part",
+    ),
+    Mutant(
+        "det_sign_check's sign negated",
+        "src/baryzeros/subdivision.py",
+        "return 1 if work[n - 1][n - 1] > 0 else -1",
+        "return -1 if work[n - 1][n - 1] > 0 else 1",
+        "tests/test_subdivision.py::test_det_sign_of_every_small_accepted_matrix",
+    ),
+    Mutant(
+        "_alpha_block writes ok for rows below dimension 1",
+        "src/baryzeros/cli.py",
+        '(d, c, None, None, None, None, "skipped")',
+        '(d, c, None, None, None, None, "ok")',
+        "tests/test_cli.py::test_alpha_single_low_dimension_is_skipped",
+    ),
 ]
 
 
