@@ -131,14 +131,20 @@ def _check_transfer_structure():
                     yield f"lower entry (i={i}, j={j}, d={d})"
 
 
+def _eigenvector_failures(matrix, vector):
+    """M v = (d+1)! v for M = matrix(d), v = vector(d) and d <= CORE_MAX_DIM,
+    on the integer numerators of v over one denominator."""
+    for d in range(0, CORE_MAX_DIM + 1):
+        numerators, _ = _common_numerators(vector(d))
+        scaled = tuple(math.factorial(d + 1) * x for x in numerators)
+        if matrix(d).apply(numerators) != scaled:
+            yield f"d={d}"
+
+
 @_check("core", "transfer-eigenvector", f"d <= {CORE_MAX_DIM}, exact")
 def _check_transfer_eigenvector():
-    """T w = (d+1)! w, on the integer numerators of w over one denominator."""
-    for d in range(0, CORE_MAX_DIM + 1):
-        vec, _ = _common_numerators(eigen_rationals(d))
-        scaled = tuple(math.factorial(d + 1) * x for x in vec)
-        if transfer_matrix(d).apply(vec) != scaled:
-            yield f"d={d}"
+    "T w = (d+1)! w for the transfer matrix T and its weights w."
+    return _eigenvector_failures(transfer_matrix, eigen_rationals)
 
 
 @_check("core", "eigen-chain-sum-formula", f"0 <= i < d <= {CHAIN_FORMULA_MAX_DIM}")
@@ -250,12 +256,8 @@ def _check_limit_h_structure():
 
 @_check("core", "descent-eigenvector", f"d <= {CORE_MAX_DIM}, exact")
 def _check_limit_h_eigenvector():
-    """D h = (d+1)! h, on the integer numerators of h over one denominator."""
-    for d in range(0, CORE_MAX_DIM + 1):
-        coeffs, _ = _common_numerators(limit_h_coefficients(d))
-        scaled = tuple(math.factorial(d + 1) * c for c in coeffs)
-        if descent_matrix(d).apply(coeffs) != scaled:
-            yield f"d={d}"
+    "D h = (d+1)! h for the descent matrix D and the limit h-coefficients h."
+    return _eigenvector_failures(descent_matrix, limit_h_coefficients)
 
 
 @_check(
@@ -383,11 +385,13 @@ def _check_explicit_subdivision():
         for k in (1, 2):
             current = barycentric_subdivide(current)
             current.validate()
-            if current.f_vector() != orbit[k]:
+            # one scan of each complex; dim and chi follow from its face counts
+            fv = current.f_vector()
+            if fv != orbit[k]:
                 yield f"n={n}, k={k}: f-vector mismatch"
-            if current.dim != base.dim:
+            if fv.dim != orbit[0].dim:
                 yield f"n={n}, k={k}: dimension changed"
-            if current.euler_char() != base.euler_char():
+            if fv.euler_char() != orbit[0].euler_char():
                 yield f"n={n}, k={k}: Euler characteristic changed"
 
 

@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .complexes import (
-    DEFAULT_SIEVE_LIMIT,
     ConsistencyError,
     ResourceLimitError,
     chi_profile,
@@ -56,6 +55,7 @@ from .subdivision import (
     transfer_matrix,
 )
 
+DEFAULT_SIEVE_LIMIT = 10**6
 SIEVE_LIMIT_ENV = "BARYZEROS_SIEVE_LIMIT"
 MAX_TABLE_DIM = 16
 MAX_PRECISION_BITS = 8192
@@ -66,17 +66,19 @@ class CliError(Exception):
     """A user-facing invocation problem (bad range, bad environment)."""
 
 
-def _sieve_limit() -> int:
+def _sieve_limit(option: str, value: int) -> int:
+    """The sieve cap, from the environment or the default, once --option's
+    value is checked against it; every sieve-sized option reads it here."""
     raw = os.environ.get(SIEVE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SIEVE_LIMIT
     try:
-        value = int(raw)
+        limit = DEFAULT_SIEVE_LIMIT if raw is None else int(raw)
     except ValueError:
         raise CliError(f"{SIEVE_LIMIT_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise CliError(f"{SIEVE_LIMIT_ENV} must be positive, got {value}")
-    return value
+    if limit < 1:
+        raise CliError(f"{SIEVE_LIMIT_ENV} must be positive, got {limit}")
+    if not (1 <= value <= limit):
+        raise CliError(f"--{option} must be between 1 and the sieve limit {limit}")
+    return limit
 
 
 def _digits(bits: int) -> int:
@@ -106,13 +108,10 @@ def _digits(bits: int) -> int:
 _BATCH_ROWS = 4096
 
 
-@contextlib.contextmanager
-def _output(out: str | None) -> Iterator[TextIO]:
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            yield handle
-    else:
-        yield sys.stdout
+def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    if out is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
 
 
 class _Texts(dict):
@@ -250,11 +249,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_chi(args) -> int:
-    limit = _sieve_limit()
     if not (1 <= args.start <= args.stop):
         raise CliError("need 1 <= --from <= --to")
-    if args.stop > limit:
-        raise CliError(f"--to {args.stop} exceeds the sieve limit {limit}")
+    limit = _sieve_limit("to", args.stop)
     chi = chi_profile(args.stop)
     # one block per dimension run, keyed on chi; the Mertens value is -chi
     blocks = (
@@ -291,10 +288,8 @@ def _alpha_block(d: int, f_top: int | None, lo: int, chi: Sequence[int]) -> tupl
 
 
 def _cmd_alpha(args) -> int:
-    limit = _sieve_limit()
     option, stop = ("n", args.n) if args.n is not None else ("to", args.stop)
-    if not (1 <= stop <= limit):
-        raise CliError(f"--{option} must be between 1 and the sieve limit {limit}")
+    limit = _sieve_limit(option, stop)
     first = stop if option == "n" else 1
     # the runs below dimension 1 from first to stop; takewhile reads no
     # dimension past them, so an --n past the primorials fails here
@@ -315,9 +310,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    limit = _sieve_limit()
-    if not (1 <= args.n <= limit):
-        raise CliError(f"--n must be between 1 and the sieve limit {limit}")
+    _sieve_limit("n", args.n)
     if args.precision_bits < 16:
         raise CliError("--precision-bits must be at least 16")
     if args.precision_bits > MAX_PRECISION_BITS:

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .subdivision import shift_matrix
 
-DEFAULT_SIEVE_LIMIT = 10**6
 SIEVE_MEMORY_BUDGET = 10**8
 EXPLICIT_COMPLEX_BOUND = 10**4
 SUBDIVISION_OUTPUT_CAP = 2_000_000

@@ -35,8 +35,8 @@ from baryzeros import (
     summary,
 )
 from baryzeros.checks import SUITES
-from baryzeros.cli import _write_csv, _write_json, main
-from baryzeros.complexes import DEFAULT_SIEVE_LIMIT, SimplicialComplex
+from baryzeros.cli import DEFAULT_SIEVE_LIMIT, _write_csv, _write_json, main
+from baryzeros.complexes import SimplicialComplex
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -868,6 +868,10 @@ _BROKEN_ORACLES = [
     pytest.param("_check_explicit_subdivision", "barycentric_subdivide", _ISOLATED_VERTEX,
                  "explicit-subdivision-vs-transfer", "n=6, k=1: f-vector mismatch (+7 more)",
                  id="explicit-subdivision-vs-transfer-euler"),
+    # one dimension up: the f-vector, dimension and Euler branches for every (n, k)
+    pytest.param("_check_explicit_subdivision", "barycentric_subdivide", _HIGHER_SIMPLEX,
+                 "explicit-subdivision-vs-transfer", "n=6, k=1: f-vector mismatch (+11 more)",
+                 id="explicit-subdivision-vs-transfer-dimension"),
     pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(0, 1),
                  "growth-expansion-exact", "n=6, i=0: leading coefficient mismatch",
                  id="growth-expansion-exact-leading"),
@@ -1043,6 +1047,20 @@ def test_range_guards_exit_2(capsys, monkeypatch, env, argv, message):
     if env is not None:
         monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", env)
     assert run_cli_error(capsys, *argv) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("chi", "--to"), ("alpha", "--to"), ("alpha", "--n"), ("zeros", "--k", "1", "--n")],
+    ids=["chi-to", "alpha-to", "alpha-n", "zeros-n"],
+)
+def test_every_sieve_sized_option_has_one_cap(capsys, monkeypatch, argv):
+    "Each sieve-sized option accepts the cap itself and rejects one more, in one message."
+    monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", "50")
+    assert main([*argv, "50"]) == 0
+    assert capsys.readouterr().err == ""
+    err = run_cli_error(capsys, *argv, "51")
+    assert err == f"error: {argv[-1]} must be between 1 and the sieve limit 50\n"
 
 
 def test_missed_residual_target_exits_2(capsys, monkeypatch):

@@ -141,6 +141,20 @@ def test_c6_constant_is_exactly_22():
     assert f"{float(scaled[12]):.3f}" == "22.003"
 
 
+@pytest.mark.parametrize("n", [6, 10, 14, 30, 94, 210, 2310, 30030, 510510])
+def test_alpha_from_the_h_side_expansion(n):
+    """alpha_n = (-1)^d Q_d(0) / Q_0'(0), with Q_j built as in
+    test_c6_constant_is_exactly_22: Q_0 is f_top times the limit
+    h-polynomial, and Q_d, the row of the fixed base 1! = 1, holds the
+    h-polynomial's constant term, (-1)^d chi."""
+    fv = summary(n)
+    d = fv.dim
+    q = [shift_matrix(d).apply(row)[::-1] for row in growth_expansion(fv).coefficients]
+    assert q[0] == tuple(fv.count(d) * c for c in limit_h_coefficients(d))
+    assert q[-1][-1] == (-1) ** d * fv.euler_char()
+    assert alpha(n).alpha == (-1) ** d * q[-1][-1] / q[0][-2]
+
+
 def test_trajectory_works_at_the_requested_precision():
     """Every depth works at the bits it was given, however far ((d+1)!)^k
     grows, and still certifies rho_inf real with residuals within

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import from_rational
 
-from baryzeros import RootFindingError, RootSet, find_roots, rootfinding
+from baryzeros import RootFindingError, RootSet, find_roots, limit_h_coefficients, rootfinding
 from baryzeros.cli import SUMMARY_DIGITS, _digits
 from baryzeros.rootfinding import Dyadic, format_decimal, rounded_sqrt
 from mp_values import as_mp
@@ -658,3 +658,21 @@ def test_format_decimal_beyond_mpmath_fixed_route(shift):
 
 def test_rounded_sqrt_of_zero_is_zero():
     assert rounded_sqrt(0, 1, 16) == 0
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_limit_zeros_are_certified(d):
+    """The limit h-polynomial of dimension d has d real roots, each isolated
+    by an exact sign bracket: one at 0 and the rest negative, paired by
+    z -> 1/z (it is palindromic), so -1 is a root exactly when d is even."""
+    rs = find_roots(poly(*limit_h_coefficients(d)[1:]), 192)
+    assert rs.method == "isolated"
+    assert len(rs.roots) == d and all(rs.real_certified)
+    assert rs.roots[0] == Dyadic(0, 0, 0)
+    nonzero = [Fraction(z.x, 1 << z.e) for z in rs.roots[1:]]
+    assert all(r < 0 for r in nonzero)
+    assert (Dyadic(-1, 0, 0) in rs.roots) == (d % 2 == 0)
+    for small, large in zip(nonzero, reversed(nonzero)):
+        assert abs(small * large - 1) <= Fraction(1, 2**180)
+    if d == 16:
+        assert Fraction("-1.1575e-4") < nonzero[0] < Fraction("-1.1574e-4")

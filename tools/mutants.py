@@ -16,7 +16,7 @@ written inside the checkout.
 It prints one line per mutant and exits 1 if a mutant survives, if an old
 text is not found exactly once, or if a named test fails unmutated.  Only
 the standard library is used, besides pytest itself.  It is not part of
-tier-1 (the pipe test it runs starts subprocesses; about 20 s in all).
+tier-1 (the pipe test it runs starts subprocesses; about 25 s in all).
 """
 
 from __future__ import annotations
@@ -115,6 +115,29 @@ MUTANTS = [
         '(d, c, None, None, None, None, "skipped")',
         '(d, c, None, None, None, None, "ok")',
         "tests/test_cli.py::test_alpha_single_low_dimension_is_skipped",
+    ),
+    Mutant(
+        "_sieve_limit rejects the cap itself",
+        "src/baryzeros/cli.py",
+        "if not (1 <= value <= limit):",
+        "if not (1 <= value < limit):",
+        "tests/test_cli.py::test_every_sieve_sized_option_has_one_cap",
+    ),
+    Mutant(
+        "_eigenvector_failures compares against d! instead of (d+1)!",
+        "src/baryzeros/checks.py",
+        "scaled = tuple(math.factorial(d + 1) * x for x in numerators)",
+        "scaled = tuple(math.factorial(d) * x for x in numerators)",
+        # the parameter id carries the pinned digest
+        "tests/test_cli.py::test_verify_bytes"
+        "[core-7d41a49e14c6fe30ad2af8b017eea4743c1ba85f20fd700546b79000561c7691]",
+    ),
+    Mutant(
+        "explicit-subdivision-vs-transfer compares the dimension with itself",
+        "src/baryzeros/checks.py",
+        "if fv.dim != orbit[0].dim:",
+        "if fv.dim != fv.dim:",
+        "tests/test_cli.py::test_guard_checks_can_fail[explicit-subdivision-vs-transfer-dimension]",
     ),
 ]
 

@@ -114,6 +114,9 @@ def probes() -> list[tuple[str | None, tuple[str, ...]]]:
             for out in (missing, "")
         ),
         (None, ("chi", "--to", "0", "--out", "x.csv")),
+        # one past the default sieve cap, for each bound message
+        (None, ("chi", "--to", "1000001")),
+        (None, ("alpha", "--to", "1000001")),
         ("50", ("alpha", "--to", "51")),
         ("200000000", ("chi", "--to", "200000000")),
         ("abc", ("chi", "--to", "10")),
