@@ -17,7 +17,7 @@ import math
 import random
 from array import array
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, count
 from typing import NamedTuple
 
 from .complexes import (
@@ -325,26 +325,39 @@ def core_suite() -> list[CheckResult]:
 # complex: sieve versus explicit geometry
 
 
+# n per block of the face route, so that no list spans the whole range
+_FACE_BLOCK = 4096
+
+
 @_check(
     "complex", "euler-equals-minus-mertens", f"two routes agree for n <= {MERTENS_LIMIT}"
 )
 def _check_euler_vs_mertens():
     """chi summed over the faces, each squarefree k of weight w one face
     of dimension w - 1, against the sieve's chi, minus its running Moebius
-    sum; the two routes compare as buffers for n = 1..MERTENS_LIMIT."""
+    sum; the two routes compare block by block for n = 1..MERTENS_LIMIT."""
     table = shared_sieve(MERTENS_LIMIT)
     # the empty simplex enters at k = 1 (weight 0), a squareful k adds nothing
     step = {w: (-1) ** (w + 1) for w in range(dim_of(MERTENS_LIMIT) + 2)}
     step[-1] = 0
+    # each weight byte, read as signed, to its face term as a signed byte; a
+    # weight step does not cover maps to 2, which no face term equals, so the
+    # two routes part at its n
+    face = bytes(step.get(w, 2) & 0xFF for w in (*range(128), *range(-128, 0)))
     stop = MERTENS_LIMIT + 1
-    faces = array("i", accumulate(map(step.__getitem__, islice(table.weight, 1, stop))))
-    sieve = memoryview(table.chi)[1:stop]
-    if faces != sieve:
-        yield from (
-            f"n={n}: chi {c} != -M {-s}"
-            for n, c, s in zip(count(1), faces, sieve)
-            if c != s
-        )
+    carry = 0
+    for lo in range(1, stop, _FACE_BLOCK):
+        hi = min(lo + _FACE_BLOCK, stop)
+        terms = memoryview(table.weight[lo:hi].tobytes().translate(face)).cast("b")
+        faces = list(accumulate(terms, initial=carry))[1:]
+        sieve = table.chi[lo:hi].tolist()
+        if faces != sieve:
+            yield from (
+                f"n={n}: chi {c} != -M {-s}"
+                for n, c, s in zip(count(lo), faces, sieve)
+                if c != s
+            )
+        carry = faces[-1]
 
 
 def first_negative_euler(limit: int = 200) -> int | None:

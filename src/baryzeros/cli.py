@@ -104,8 +104,12 @@ def _digits(bits: int) -> int:
 # and alpha on chi within a run of one (dim, f_top), the fields their
 # tails are derived from, and every other table on the tail itself: True
 # == 1 as a dict key, but no column holds both.
+#
+# 512 rows keep a batch of the widest table, alpha as JSON at about 194
+# bytes a row, near 97 KiB: under glibc's default 128 KiB mmap threshold,
+# so a batch string reuses heap pages instead of faulting in a fresh map.
 
-_BATCH_ROWS = 4096
+_BATCH_ROWS = 512
 
 
 def _output(out: str | None) -> contextlib.AbstractContextManager[TextIO]:

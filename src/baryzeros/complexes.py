@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+import sys
 from array import array
 from typing import Iterable, Iterator, NamedTuple
 
@@ -44,8 +45,9 @@ class SieveTable(NamedTuple):
     of the complex at x, minus the running Moebius sum up to x, the
     Moebius value of k being (-1)^weight[k] for weight[k] >= 0 and 0
     otherwise.  Slot 0 of both is 0.  Both are compact arrays: weight an
-    ``array('b')``, one byte per slot, and chi an ``array('i')``, four.
-    Every scan reads chi in place (see :func:`chi_profile`).
+    ``array('b')``, one byte per slot, and chi an ``array('i')``, four,
+    filled from bytes (see :func:`_running_sums`).  Every scan reads chi
+    in place (see :func:`chi_profile`).
     """
 
     limit: int
@@ -56,21 +58,79 @@ class SieveTable(NamedTuple):
 # Byte maps for bytearray.translate.  _COUNT_PRIME adds one prime factor to
 # a count (counts stay below 9 within the budget) and keeps the squareful
 # mark 0xff; _MINUS_MOEBIUS maps a count w to the face term -(-1)^w as a
-# signed byte and the mark to 0.
+# signed byte and the mark to 0.  _IS_ZERO marks the zero bytes with 1,
+# _ZERO_TO_ONE turns them into 1, and _PLUS_ONE lifts a signed term in
+# {-1, 0, 1} to {0, 1, 2}.
 _COUNT_PRIME = bytes(range(1, 0xFF)) + b"\xfe\xff"
 _MINUS_MOEBIUS = bytes(1 if w & 1 else 0xFF for w in range(0xFF)) + b"\0"
+_IS_ZERO = b"\1" + bytes(0xFF)
+_ZERO_TO_ONE = b"\1" + bytes(range(1, 0x100))
+_PLUS_ONE = bytes(range(1, 0x100)) + b"\0"
+
+# Slots per big-integer pass.  It keeps each pass's transients to a few
+# tens of KiB, and a block's running sums, |sum| <= _BLOCK < 2^15, inside
+# one offset 16-bit field.
+_BLOCK = 4096
+
+
+def _running_sums(terms) -> array:
+    """The running sums of signed-byte terms in {-1, 0, 1}, as an
+    ``array('i')``, with a Python step per block of L = _BLOCK terms, not
+    per term.
+
+    A block's terms t_i become one integer y = sum t_i 2^(16i) + 2^15: the
+    terms lifted to {0, 1, 2} in 16-bit fields, less ones = 1 + 2^16 + ...
+    + 2^(16(L-1)).  The exact quotient ((y << 16L) - y) // 0xFFFF is
+    y * ones, whose field i holds t_0 + ... + t_i + 2^15; |t_0 + ... + t_i|
+    <= L < 2^15 keeps each inside its field.  Widened to 32-bit fields and
+    raised by the carry from earlier blocks plus 2^31 - 2^15, each field
+    holds chi + 2^31 in [0, 2^32) for every chi an int32 holds, and
+    flipping bit 31 leaves chi as a little-endian int32.  The last block is
+    padded with zero terms, whose sums are cut off; chi is allocated once,
+    at its final size.
+    """
+    ones = int.from_bytes(b"\1\0" * _BLOCK, "little")
+    wide_ones = int.from_bytes(b"\1\0\0\0" * _BLOCK, "little")
+    top_bits = wide_ones << 31
+    shift = 16 * _BLOCK
+    size = len(terms)
+    chi = array("i", [0]) * size
+    carry = 0
+    for lo in range(0, size, _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        fields = bytearray(2 * _BLOCK)
+        fields[::2] = terms[lo:hi].ljust(_BLOCK, b"\0").translate(_PLUS_ONE)
+        y = int.from_bytes(fields, "little") - ones + (1 << 15)
+        sums = (((y << shift) - y) // 0xFFFF & ((1 << shift) - 1)).to_bytes(2 * _BLOCK, "little")
+        wide = bytearray(4 * _BLOCK)
+        wide[::4] = sums[::2]
+        wide[1::4] = sums[1::2]
+        x = int.from_bytes(wide, "little") + (carry + (1 << 31) - (1 << 15)) * wide_ones
+        chi[lo:hi] = array("i", (x ^ top_bits).to_bytes(4 * _BLOCK, "little")[: 4 * (hi - lo)])
+        carry += int.from_bytes(sums[-2:], "little") - (1 << 15)
+    if sys.byteorder == "big":
+        chi.byteswap()
+    return chi
 
 
 def build_sieve(limit: int) -> SieveTable:
-    """Squarefree weights from slice operations, one round per prime.
+    """Squarefree weights from slice operations: one round per prime up to
+    sqrt(limit), then one pass per squarefree cofactor.
 
     A slot still 0 past the last prime is the next prime p: every slot
     p, 2p, ... gains one prime factor in a single ``translate`` of the
     slice, and the slots p^2, 2p^2, ... take the squareful mark 0xff,
-    which later rounds keep.  So no Python loop visits every n.  The
-    bytes read as signed give weight, the mark as -1; chi accumulates
-    minus the Moebius bytes, after the raw bytes are dropped.
-    ``SIEVE_MEMORY_BUDGET`` bounds the number of slots.
+    which later rounds keep.  Once p^2 > limit the slots still 0 past
+    slot 1 are the primes q > sqrt(limit); each n has at most one, and
+    its cofactor m = n/q is below p.  So each squarefree m > 1, largest
+    first, adds the 0/1 mask of those zeros to the slots m, 2m, ... as
+    little-endian integers, a block at a time; a slot m*q holds
+    weight(m) <= 8 and every other slot gains 0, so no byte carries, and
+    no zero slot changes.  m = 1 comes last, as one ``translate`` of the
+    zeros to 1.  So no Python loop visits every n or every prime.  The bytes read as signed
+    give weight, the mark as -1; chi is the running sum of minus the
+    Moebius bytes (:func:`_running_sums`), taken after the raw bytes are
+    dropped.  ``SIEVE_MEMORY_BUDGET`` bounds the number of slots.
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
@@ -81,18 +141,28 @@ def build_sieve(limit: int) -> SieveTable:
     size = limit + 1
     raw = bytearray(size)
     p = raw.find(0, 2)
-    while p > 0:
+    while 0 < p and p * p <= limit:
         raw[p::p] = raw[p::p].translate(_COUNT_PRIME)
         square = p * p
-        if square <= limit:
-            raw[square::square] = b"\xff" * len(range(square, size, square))
+        raw[square::square] = b"\xff" * len(range(square, size, square))
         p = raw.find(0, p + 1)
+    if p > 0:
+        for m in range(limit // p, 1, -1):
+            if raw[m] == 0xFF:
+                continue
+            stop = limit // m + 1
+            for lo in range(p, stop, _BLOCK):
+                hi = min(lo + _BLOCK, stop)
+                slots = slice(lo * m, hi * m, m)
+                mask = raw[lo:hi].translate(_IS_ZERO)
+                total = int.from_bytes(raw[slots], "little") + int.from_bytes(mask, "little")
+                raw[slots] = total.to_bytes(hi - lo, "little")
+        raw[2:] = raw[2:].translate(_ZERO_TO_ONE)
     weight = array("b", raw)
     terms = raw.translate(_MINUS_MOEBIUS)
     del raw
     terms[0] = 0
-    chi = array("i", itertools.accumulate(memoryview(terms).cast("b")))
-    return SieveTable(limit, weight, chi)
+    return SieveTable(limit, weight, _running_sums(terms))
 
 
 _shared_sieve: SieveTable | None = None

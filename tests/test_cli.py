@@ -472,6 +472,7 @@ def test_limit_table_bytes_at_full_size(capsys, argv, digest):
         ("complex", "edc4e5e2ad4dd9fbf092732cbc0f27e7962a2e709c9153df27ad45fd13b5a3b1"),
         ("zeros", "1de491fdb007de39618ce40bef565adecaba0923c9a4497e7b7b92b45edb2b84"),
     ],
+    ids=["all", "core", "complex", "zeros"],
 )
 def test_verify_bytes(capsys, suite, digest):
     """The sha256 of each suite's report: every check's name, pass text
@@ -591,6 +592,18 @@ def test_euler_check_names_each_disagreeing_n(monkeypatch):
     monkeypatch.setattr(complexes, "_shared_sieve", table._replace(chi=skewed))
     result = checks._check_euler_vs_mertens()
     assert result.detail == "n=6: chi 1 != -M 0 (+1 more)"
+    assert not result.passed
+
+
+def test_euler_check_fails_on_a_weight_without_a_face_term(monkeypatch):
+    """A weight byte the face-term table does not cover, 9 at n = 210,
+    parts the route from the faces from the sieve's chi at that n."""
+    table = shared_sieve(checks.MERTENS_LIMIT)
+    weight = array("b", table.weight)
+    weight[210] = 9
+    monkeypatch.setattr(complexes, "_shared_sieve", table._replace(weight=weight))
+    result = checks._check_euler_vs_mertens()
+    assert result.detail == "n=210: chi 4 != -M -1 (+99790 more)"
     assert not result.passed
 
 

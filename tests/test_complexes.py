@@ -1,12 +1,15 @@
 """Sieves, squarefree-divisor complexes, and explicit subdivision."""
 
+import hashlib
+import random
+import sys
 import tracemalloc
 from array import array
 from itertools import accumulate, count, islice
 from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from baryzeros import (
@@ -145,8 +148,56 @@ def test_sieve_memory():
     finally:
         tracemalloc.stop()
     assert table.limit == limit
-    # an array built from an iterator over-allocates by about 1/16
+    # chi is allocated once at its final size; weight, copied from the raw
+    # bytes, over-allocates by about 1/16
     assert held <= 5.5 * limit, held
+
+
+def test_sieve_bytes_at_a_million():
+    """The sha256 of build_sieve(10**6)'s weight bytes and of its chi as
+    little-endian int32, pinned from the build by one slice round per
+    prime and a running sum per slot."""
+    table = build_sieve(10**6)
+    chi = array("i", table.chi)
+    if sys.byteorder == "big":
+        chi.byteswap()
+    assert hashlib.sha256(table.weight.tobytes()).hexdigest() == (
+        "2b3043066f4bec79acfcd4ba39c7a6f38727ee486875c2dee90ff8071627c43b"
+    )
+    assert hashlib.sha256(chi.tobytes()).hexdigest() == (
+        "16ae2575ce7c522dd059c5e484cbc21ca7987cbe3bb83826a1671242401e1069"
+    )
+
+
+_BLOCK = complexes._BLOCK
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]),
+    st.sampled_from([0, 2**15 + 1, 2**16 + 1]),
+    st.sampled_from([1, -1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_running_sums_match_accumulate(length, run, sign, seed):
+    """_running_sums against itertools.accumulate, on seeded random terms
+    across block edges after a monotone run whose sum passes +-2^15 or
+    +-2^16."""
+    values = [sign] * run + random.Random(seed).choices((-1, 0, 1), k=length)
+    terms = bytes(v & 0xFF for v in values)
+    assert complexes._running_sums(terms).tolist() == list(accumulate(values))
+
+
+def test_running_sums_swap_on_big_endian_hosts(monkeypatch):
+    """The sums are written as little-endian int32; where sys.byteorder is
+    big they are swapped once into the native order."""
+    terms = b"\1" * _BLOCK + b"\xff" * (2 * _BLOCK + 7)
+    little = complexes._running_sums(terms)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    swapped = complexes._running_sums(terms)
+    monkeypatch.undo()
+    swapped.byteswap()
+    assert swapped == little
 
 
 def test_sieve_guards(monkeypatch):

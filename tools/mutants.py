@@ -128,9 +128,7 @@ MUTANTS = [
         "src/baryzeros/checks.py",
         "scaled = tuple(math.factorial(d + 1) * x for x in numerators)",
         "scaled = tuple(math.factorial(d) * x for x in numerators)",
-        # the parameter id carries the pinned digest
-        "tests/test_cli.py::test_verify_bytes"
-        "[core-7d41a49e14c6fe30ad2af8b017eea4743c1ba85f20fd700546b79000561c7691]",
+        "tests/test_cli.py::test_verify_bytes[core]",
     ),
     Mutant(
         "explicit-subdivision-vs-transfer compares the dimension with itself",
@@ -138,6 +136,27 @@ MUTANTS = [
         "if fv.dim != orbit[0].dim:",
         "if fv.dim != fv.dim:",
         "tests/test_cli.py::test_guard_checks_can_fail[explicit-subdivision-vs-transfer-dimension]",
+    ),
+    Mutant(
+        "_running_sums drops the carry between blocks",
+        "src/baryzeros/complexes.py",
+        "carry += int.from_bytes(sums[-2:], \"little\") - (1 << 15)",
+        "carry = 0",
+        "tests/test_complexes.py::test_sieve_against_linear_sieve",
+    ),
+    Mutant(
+        "build_sieve's large-prime passes skip m = 1",
+        "src/baryzeros/complexes.py",
+        "        raw[2:] = raw[2:].translate(_ZERO_TO_ONE)\n",
+        "",
+        "tests/test_complexes.py::test_sieve_mobius_against_trial_division",
+    ),
+    Mutant(
+        "euler-equals-minus-mertens' face table built from (-1)^w",
+        "src/baryzeros/checks.py",
+        "step = {w: (-1) ** (w + 1) for w in range(dim_of(MERTENS_LIMIT) + 2)}",
+        "step = {w: (-1) ** w for w in range(dim_of(MERTENS_LIMIT) + 2)}",
+        "tests/test_cli.py::test_verify_bytes[complex]",
     ),
 ]
 
