@@ -344,11 +344,12 @@ def _check_euler_vs_mertens():
     # weight step does not cover maps to 2, which no face term equals, so the
     # two routes part at its n
     face = bytes(step.get(w, 2) & 0xFF for w in (*range(128), *range(-128, 0)))
+    weights = memoryview(table.weight)
     stop = MERTENS_LIMIT + 1
     carry = 0
     for lo in range(1, stop, _FACE_BLOCK):
         hi = min(lo + _FACE_BLOCK, stop)
-        terms = memoryview(table.weight[lo:hi].tobytes().translate(face)).cast("b")
+        terms = memoryview(weights[lo:hi].tobytes().translate(face)).cast("b")
         faces = list(accumulate(terms, initial=carry))[1:]
         sieve = table.chi[lo:hi].tolist()
         if faces != sieve:

@@ -379,6 +379,13 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    "argparse with its usage errors on one line, as every other error: exit 2."
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=["csv", "json"], default="csv", help="output format"
@@ -387,7 +394,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="baryzeros",
         description="Exact subdivision combinatorics of squarefree-divisor "
         "complexes and the zeros of their h-polynomials.",

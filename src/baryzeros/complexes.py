@@ -44,10 +44,10 @@ class SieveTable(NamedTuple):
     and -1 otherwise; weight[1] = 0.  chi[x] is the Euler characteristic
     of the complex at x, minus the running Moebius sum up to x, the
     Moebius value of k being (-1)^weight[k] for weight[k] >= 0 and 0
-    otherwise.  Slot 0 of both is 0.  Both are compact arrays: weight an
-    ``array('b')``, one byte per slot, and chi an ``array('i')``, four,
-    filled from bytes (see :func:`_running_sums`).  Every scan reads chi
-    in place (see :func:`chi_profile`).
+    otherwise.  Slot 0 of both is 0.  Both are compact arrays allocated
+    at their final size: weight an ``array('b')``, one byte per slot, and
+    chi an ``array('i')``, four, summed from the weight bytes (see
+    :func:`_running_sums`).  Every scan reads chi in place.
     """
 
     limit: int
@@ -57,15 +57,14 @@ class SieveTable(NamedTuple):
 
 # Byte maps for bytearray.translate.  _COUNT_PRIME adds one prime factor to
 # a count (counts stay below 9 within the budget) and keeps the squareful
-# mark 0xff; _MINUS_MOEBIUS maps a count w to the face term -(-1)^w as a
-# signed byte and the mark to 0.  _IS_ZERO marks the zero bytes with 1,
-# _ZERO_TO_ONE turns them into 1, and _PLUS_ONE lifts a signed term in
-# {-1, 0, 1} to {0, 1, 2}.
+# mark 0xff.  _IS_ZERO marks the zero bytes with 1 and _ZERO_TO_ONE turns
+# them into 1.  _TERM_PLUS_ONE maps a weight byte to its face term
+# -(-1)^w lifted to {0, 1, 2}: an odd count to 2, an even one to 0 and the
+# mark, which adds no face, to 1.
 _COUNT_PRIME = bytes(range(1, 0xFF)) + b"\xfe\xff"
-_MINUS_MOEBIUS = bytes(1 if w & 1 else 0xFF for w in range(0xFF)) + b"\0"
 _IS_ZERO = b"\1" + bytes(0xFF)
 _ZERO_TO_ONE = b"\1" + bytes(range(1, 0x100))
-_PLUS_ONE = bytes(range(1, 0x100)) + b"\0"
+_TERM_PLUS_ONE = bytes(2 if w & 1 else 0 for w in range(0xFF)) + b"\1"
 
 # Slots per big-integer pass.  It keeps each pass's transients to a few
 # tens of KiB, and a block's running sums, |sum| <= _BLOCK < 2^15, inside
@@ -73,33 +72,33 @@ _PLUS_ONE = bytes(range(1, 0x100)) + b"\0"
 _BLOCK = 4096
 
 
-def _running_sums(terms) -> array:
-    """The running sums of signed-byte terms in {-1, 0, 1}, as an
-    ``array('i')``, with a Python step per block of L = _BLOCK terms, not
-    per term.
+def _running_sums(weights) -> array:
+    """chi from the weight bytes, read unsigned: the running sums of their
+    face terms as an ``array('i')``, a Python step per L = _BLOCK bytes.
 
-    A block's terms t_i become one integer y = sum t_i 2^(16i) + 2^15: the
-    terms lifted to {0, 1, 2} in 16-bit fields, less ones = 1 + 2^16 + ...
-    + 2^(16(L-1)).  The exact quotient ((y << 16L) - y) // 0xFFFF is
+    _TERM_PLUS_ONE puts a block's terms t_i, lifted by one, in 16-bit
+    fields: y = sum t_i 2^(16i) + 2^15 after subtracting ones = 1 + 2^16 +
+    ... + 2^(16(L-1)).  The exact quotient ((y << 16L) - y) // 0xFFFF is
     y * ones, whose field i holds t_0 + ... + t_i + 2^15; |t_0 + ... + t_i|
     <= L < 2^15 keeps each inside its field.  Widened to 32-bit fields and
     raised by the carry from earlier blocks plus 2^31 - 2^15, each field
     holds chi + 2^31 in [0, 2^32) for every chi an int32 holds, and
-    flipping bit 31 leaves chi as a little-endian int32.  The last block is
-    padded with zero terms, whose sums are cut off; chi is allocated once,
-    at its final size.
+    flipping bit 31 leaves chi as a little-endian int32.  The carry starts
+    at 1, so slot 0's byte 0 (an even count, term -1) sums to 0.  The last
+    block is padded with the squareful mark, term 0, and its sums are cut
+    off; chi is allocated once, at its final size.
     """
     ones = int.from_bytes(b"\1\0" * _BLOCK, "little")
     wide_ones = int.from_bytes(b"\1\0\0\0" * _BLOCK, "little")
     top_bits = wide_ones << 31
     shift = 16 * _BLOCK
-    size = len(terms)
+    size = len(weights)
     chi = array("i", [0]) * size
-    carry = 0
+    carry = 1
     for lo in range(0, size, _BLOCK):
         hi = min(lo + _BLOCK, size)
         fields = bytearray(2 * _BLOCK)
-        fields[::2] = terms[lo:hi].ljust(_BLOCK, b"\0").translate(_PLUS_ONE)
+        fields[::2] = bytes(weights[lo:hi]).ljust(_BLOCK, b"\xff").translate(_TERM_PLUS_ONE)
         y = int.from_bytes(fields, "little") - ones + (1 << 15)
         sums = (((y << shift) - y) // 0xFFFF & ((1 << shift) - 1)).to_bytes(2 * _BLOCK, "little")
         wide = bytearray(4 * _BLOCK)
@@ -126,11 +125,12 @@ def build_sieve(limit: int) -> SieveTable:
     first, adds the 0/1 mask of those zeros to the slots m, 2m, ... as
     little-endian integers, a block at a time; a slot m*q holds
     weight(m) <= 8 and every other slot gains 0, so no byte carries, and
-    no zero slot changes.  m = 1 comes last, as one ``translate`` of the
-    zeros to 1.  So no Python loop visits every n or every prime.  The bytes read as signed
-    give weight, the mark as -1; chi is the running sum of minus the
-    Moebius bytes (:func:`_running_sums`), taken after the raw bytes are
-    dropped.  ``SIEVE_MEMORY_BUDGET`` bounds the number of slots.
+    no zero slot changes.  m = 1 comes last, folded into the one copy of
+    the bytes into weight (allocated at its final size): the zeros past
+    slot 1 become 1.  So no Python loop visits every n or every prime.  The
+    bytes read as signed give weight, the mark as -1; chi is summed from
+    weight's bytes (:func:`_running_sums`) after the raw bytes are dropped.
+    ``SIEVE_MEMORY_BUDGET`` bounds the number of slots.
     """
     if limit < 1:
         raise ValueError("sieve limit must be at least 1")
@@ -157,12 +157,11 @@ def build_sieve(limit: int) -> SieveTable:
                 mask = raw[lo:hi].translate(_IS_ZERO)
                 total = int.from_bytes(raw[slots], "little") + int.from_bytes(mask, "little")
                 raw[slots] = total.to_bytes(hi - lo, "little")
-        raw[2:] = raw[2:].translate(_ZERO_TO_ONE)
-    weight = array("b", raw)
-    terms = raw.translate(_MINUS_MOEBIUS)
+    weight = array("b", [0]) * size
+    weights = memoryview(weight).cast("B")
+    weights[2:] = raw[2:].translate(_ZERO_TO_ONE)
     del raw
-    terms[0] = 0
-    return SieveTable(limit, weight, _running_sums(terms))
+    return SieveTable(limit, weight, _running_sums(weights))
 
 
 _shared_sieve: SieveTable | None = None

@@ -1032,6 +1032,37 @@ def test_bad_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("alpha", "--n", "abc"),
+        ("alpha", "--n", "1e3"),
+        ("zeros", "--n", "30", "--precision-bits", "15"),
+        ("chi", "--to", "44", "--format", "xml"),
+        ("verify", "--suite", "nope"),
+        ("alpha",),
+        (),
+    ],
+    ids=["not-int", "float-text", "missing-k", "bad-format", "bad-suite", "no-target", "no-command"],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    """argparse's own errors end as the CLI's do: exit 2, no stdout and
+    one stderr line starting with error:."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize(
+    "text, digits", [("30_0", "300"), ("\u0663\u0660", "30")], ids=["underscore", "arabic-indic"]
+)
+def test_option_values_are_read_with_int(capsys, text, digits):
+    "Option values are read with int(), so its other spellings of a number are accepted."
+    assert run_cli(capsys, "alpha", "--n", text) == run_cli(capsys, "alpha", "--n", digits)
+
+
 def test_sieve_limit_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", "50")
     err = run_cli_error(capsys, "chi", "--from", "1", "--to", "100")

@@ -148,9 +148,21 @@ def test_sieve_memory():
     finally:
         tracemalloc.stop()
     assert table.limit == limit
-    # chi is allocated once at its final size; weight, copied from the raw
-    # bytes, over-allocates by about 1/16
+    # weight and chi are each allocated once at their final size
     assert held <= 5.5 * limit, held
+    assert sys.getsizeof(table.weight) == sys.getsizeof(array("b")) + limit + 1
+
+
+def test_sieve_build_peak():
+    "Building the sieve at 10^6 peaks at most half a byte per slot above what it holds."
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * limit, peak
 
 
 def test_sieve_bytes_at_a_million():
@@ -180,21 +192,21 @@ _BLOCK = complexes._BLOCK
     st.integers(0, 2**32 - 1),
 )
 def test_running_sums_match_accumulate(length, run, sign, seed):
-    """_running_sums against itertools.accumulate, on seeded random terms
-    across block edges after a monotone run whose sum passes +-2^15 or
-    +-2^16."""
+    """_running_sums against itertools.accumulate, on weight bytes of
+    seeded random face terms across block edges after a monotone run whose
+    sum passes +-2^15 or +-2^16.  Slot 0 holds a 0 byte and sums to 0."""
     values = [sign] * run + random.Random(seed).choices((-1, 0, 1), k=length)
-    terms = bytes(v & 0xFF for v in values)
-    assert complexes._running_sums(terms).tolist() == list(accumulate(values))
+    weights = b"\0" + bytes({1: 1, -1: 2, 0: 0xFF}[v] for v in values)
+    assert complexes._running_sums(weights).tolist() == [0, *accumulate(values)]
 
 
 def test_running_sums_swap_on_big_endian_hosts(monkeypatch):
     """The sums are written as little-endian int32; where sys.byteorder is
     big they are swapped once into the native order."""
-    terms = b"\1" * _BLOCK + b"\xff" * (2 * _BLOCK + 7)
-    little = complexes._running_sums(terms)
+    weights = b"\1" * _BLOCK + b"\xff" * (2 * _BLOCK + 7)
+    little = complexes._running_sums(weights)
     monkeypatch.setattr(sys, "byteorder", "big")
-    swapped = complexes._running_sums(terms)
+    swapped = complexes._running_sums(weights)
     monkeypatch.undo()
     swapped.byteswap()
     assert swapped == little

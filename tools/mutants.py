@@ -147,8 +147,8 @@ MUTANTS = [
     Mutant(
         "build_sieve's large-prime passes skip m = 1",
         "src/baryzeros/complexes.py",
-        "        raw[2:] = raw[2:].translate(_ZERO_TO_ONE)\n",
-        "",
+        "weights[2:] = raw[2:].translate(_ZERO_TO_ONE)",
+        "weights[2:] = raw[2:]",
         "tests/test_complexes.py::test_sieve_mobius_against_trial_division",
     ),
     Mutant(
@@ -157,6 +157,27 @@ MUTANTS = [
         "step = {w: (-1) ** (w + 1) for w in range(dim_of(MERTENS_LIMIT) + 2)}",
         "step = {w: (-1) ** w for w in range(dim_of(MERTENS_LIMIT) + 2)}",
         "tests/test_cli.py::test_verify_bytes[complex]",
+    ),
+    Mutant(
+        "_running_sums starts its carry at 0, so slot 0's term is kept",
+        "src/baryzeros/complexes.py",
+        "carry = 1",
+        "carry = 0",
+        "tests/test_complexes.py::test_sieve_against_linear_sieve",
+    ),
+    Mutant(
+        "_TERM_PLUS_ONE maps the squareful mark to the term -1",
+        "src/baryzeros/complexes.py",
+        'for w in range(0xFF)) + b"\\1"',
+        'for w in range(0xFF)) + b"\\0"',
+        "tests/test_complexes.py::test_sieve_bytes_at_a_million",
+    ),
+    Mutant(
+        "_Parser.error falls back to argparse's usage and error",
+        "src/baryzeros/cli.py",
+        'self.exit(2, f"error: {message}\\n")',
+        "super().error(message)",
+        "tests/test_cli.py::test_usage_errors_are_one_line",
     ),
 ]
 

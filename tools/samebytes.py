@@ -121,6 +121,14 @@ def probes() -> list[tuple[str | None, tuple[str, ...]]]:
         ("200000000", ("chi", "--to", "200000000")),
         ("abc", ("chi", "--to", "10")),
         ("0", ("alpha", "--n", "6")),
+        # argparse's own usage errors
+        (None, ("alpha", "--n", "abc")),
+        (None, ("alpha", "--n", "1e3")),
+        (None, ("zeros", "--n", "30", "--precision-bits", "15")),
+        (None, ("chi", "--to", "44", "--format", "xml")),
+        (None, ("verify", "--suite", "nope")),
+        (None, ("alpha",)),
+        (None, ()),
     ]
     return list(dict.fromkeys(found))
 
@@ -138,7 +146,8 @@ ENTRY_PROBES = (
 
 def probe_id(limit: str | None, argv: tuple[str, ...]) -> str:
     prefix = f"{SIEVE_LIMIT_ENV}={limit} " if limit is not None else ""
-    return prefix + " ".join(repr(a) if a == "" or " " in a else a for a in argv)
+    words = " ".join(repr(a) if a == "" or " " in a else a for a in argv)
+    return prefix + (words or "(no arguments)")
 
 
 def _run(main, limit: str | None, argv: tuple[str, ...]) -> dict:
