@@ -495,7 +495,7 @@ def _check_trajectory_dim1():
             yield f"k={k}: largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}"
         if abs(entry.scaled_rho0 - 1) > tol:
             yield f"k={k}: scaled smallest root off by {float(abs(entry.scaled_rho0 - 1)):.6g}"
-        if not entry.rho_inf_real:
+        if entry.rho_inf.y:
             yield f"k={k}: largest root not certified real"
         if not entry.rho_inf.x < 0:
             yield f"k={k}: largest root not negative"
@@ -520,7 +520,7 @@ def _check_trajectory_dim2():
         gap2 = _gap_squared(entry.interior[0])
         if gap2 > Fraction(1e-4) ** 2:
             yield f"interior root and product {float(gap2) ** 0.5:.6g} away from -1"
-    if not entry.rho_inf_real:
+    if entry.rho_inf.y:
         yield "largest root not certified real"
     if not entry.rho_inf.x < 0:
         yield "largest root not negative"

@@ -42,6 +42,7 @@ from .complexes import (
 )
 from .dynamics import (
     DEFAULT_TRAJECTORY_PRECISION,
+    MAX_SUBDIVISION_DEPTH,
     alpha,
     alpha_fields,
     alpha_scan,
@@ -315,14 +316,12 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_zeros(args) -> int:
     _sieve_limit("n", args.n)
-    if args.precision_bits < 16:
-        raise CliError("--precision-bits must be at least 16")
-    if args.precision_bits > MAX_PRECISION_BITS:
-        raise CliError(f"--precision-bits must be at most {MAX_PRECISION_BITS}")
-    if args.k < 0:
-        raise CliError("--k must be nonnegative")
-    run = trajectory(args.n, range(args.k + 1), args.precision_bits)
     bits = args.precision_bits
+    if not (16 <= bits <= MAX_PRECISION_BITS):
+        raise CliError(f"--precision-bits must be between 16 and {MAX_PRECISION_BITS}")
+    if not (0 <= args.k <= MAX_SUBDIVISION_DEPTH):
+        raise CliError(f"--k must be between 0 and {MAX_SUBDIVISION_DEPTH}")
+    run = trajectory(args.n, range(args.k + 1), bits)
     digits = _digits(bits)
     rows = []
     for entry in run.entries:
@@ -334,7 +333,7 @@ def _cmd_zeros(args) -> int:
             "rho_inf": texts[-1],
             "ratio_inf": format_decimal(entry.ratio_inf, SUMMARY_DIGITS, bits),
             "scaled_rho0": format_decimal(entry.scaled_rho0, SUMMARY_DIGITS, bits),
-            "rho_inf_real": bool(entry.rho_inf_real),
+            "rho_inf_real": entry.rho_inf.y == 0,
             "ambiguous": bool(entry.ambiguous),
             "sum_rel_err": format_decimal(entry.sum_rel_err, SUMMARY_DIGITS, bits),
             "prod_rel_err": format_decimal(entry.prod_rel_err, SUMMARY_DIGITS, bits),
@@ -346,7 +345,7 @@ def _cmd_zeros(args) -> int:
         "n": args.n,
         "dim": run.dim,
         "k_max": args.k,
-        "requested_precision_bits": args.precision_bits,
+        "requested_precision_bits": bits,
         "h1": str(run.h1),
         "f_top": run.f_top,
         "chi": run.chi,

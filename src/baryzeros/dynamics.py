@@ -62,11 +62,11 @@ class GrowthExpansion(NamedTuple):
     Valid for every k >= 0, not only asymptotically: the transfer matrix
     has the distinct eigenvalues 1!, 2!, ..., (d+1)! and the expansion is
     the corresponding eigendecomposition of the initial count vector.
-    coefficients[j][i + 1] holds C[j][i] for i in -1..d.
+    coefficients[j][i + 1] holds C[j][i] for i in -1..d; row j's base
+    (d+1-j)! follows from dim.
     """
 
     dim: int
-    bases: tuple
     coefficients: tuple
 
     def evaluate(self, i: int, k: int) -> Fraction:
@@ -75,9 +75,9 @@ class GrowthExpansion(NamedTuple):
             raise IndexError(f"i={i} outside -1..{self.dim}")
         if k < 0:
             raise ValueError("k must be nonnegative")
+        d, rows = self
         return sum(
-            (row[i + 1] * base**k for base, row in zip(self.bases, self.coefficients)),
-            Fraction(0),
+            (row[i + 1] * math.factorial(d + 1 - j) ** k for j, row in enumerate(rows)), Fraction(0)
         )
 
     def leading(self, i: int) -> Fraction:
@@ -96,7 +96,6 @@ def growth_expansion(fv: FVector) -> GrowthExpansion:
     d = fv.dim
     if d < 0:
         raise ValueError("growth expansion needs dimension at least 0")
-    bases = tuple(math.factorial(d + 1 - j) for j in range(d + 1))
     rest = [Fraction(c) for c in fv.counts]
     rows = []
     for m in range(d, 0, -1):
@@ -104,7 +103,7 @@ def growth_expansion(fv: FVector) -> GrowthExpansion:
         rest = [r - x for r, x in zip(rest, row)]
         rows.append(tuple(row))
     rows.append(tuple(rest))
-    return GrowthExpansion(d, bases, tuple(rows))
+    return GrowthExpansion(d, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +114,14 @@ class TrajectoryEntry(NamedTuple):
     """Root data of the h-polynomial after k subdivision rounds.
 
     roots are the exact :class:`~baryzeros.rootfinding.Dyadic` values of
-    :func:`~baryzeros.rootfinding.find_roots` at precision_bits, the
-    trajectory's requested precision at every k, and residuals their
-    backward residuals.  rho_0 and rho_inf are the roots of smallest and
-    largest modulus, interior the rest.  ratio_inf compares |rho_inf|
-    against the predicted magnitude H1 * f_d * ((d+1)!)^k and tends to 1;
-    scaled_rho0 is |rho_0| * ((d+1)!)^k and tends to |alpha_n|; both are
-    Fractions rounded to precision_bits.
+    :func:`~baryzeros.rootfinding.find_roots` at the trajectory's
+    precision_bits, and residuals their backward residuals.  rho_0 and
+    rho_inf are the roots of smallest and largest modulus, interior the
+    rest; a root's imaginary part is exactly 0 only when find_roots
+    certified it real, so rho_inf.y == 0 says rho_inf is.  ratio_inf
+    compares |rho_inf| against the predicted magnitude H1 * f_d * ((d+1)!)^k
+    and tends to 1; scaled_rho0 is |rho_0| * ((d+1)!)^k and tends to
+    |alpha_n|; both are Fractions rounded to precision_bits.
     ambiguous says an extreme root is less than twice as far out as its
     neighbour, compared exactly.  sum_rel_err and prod_rel_err compare the
     exact sum and product of the roots against the exact coefficient
@@ -129,7 +129,6 @@ class TrajectoryEntry(NamedTuple):
     """
 
     k: int
-    precision_bits: int
     roots: tuple
     residuals: tuple
     rho_0: Dyadic
@@ -137,14 +136,14 @@ class TrajectoryEntry(NamedTuple):
     interior: tuple
     ratio_inf: Fraction
     scaled_rho0: Fraction
-    rho_inf_real: bool
     ambiguous: bool
     sum_rel_err: Fraction
     prod_rel_err: Fraction
 
 
 class ZeroTrajectory(NamedTuple):
-    """Zero dynamics of one squarefree-divisor complex under subdivision."""
+    """Zero dynamics of one squarefree-divisor complex under subdivision;
+    every entry works at precision_bits, the one the caller asked for."""
 
     n: int
     dim: int
@@ -152,6 +151,7 @@ class ZeroTrajectory(NamedTuple):
     chi: int
     h1: Fraction
     f_top: int
+    precision_bits: int
     entries: tuple
 
 
@@ -192,7 +192,8 @@ def trajectory(
     Produces one entry per depth k in depths, a nonempty strictly
     ascending sequence such as range(k_max + 1).  Needs dimension at
     least 1 so that the smallest and largest roots are distinct objects.
-    Every depth works at precision_bits, whatever k.  One
+    Every depth works at precision_bits, whatever k, and the result holds
+    it once.  One
     :func:`subdivided_f` orbit to depths[-1] gives the exact face counts
     before the first root search, so a depth above the cap fails at once,
     and depths out of order fail next.  Every value an entry holds is
@@ -231,7 +232,6 @@ def trajectory(
         entries.append(
             TrajectoryEntry(
                 k=k,
-                precision_bits=precision_bits,
                 roots=roots,
                 residuals=rootset.residuals,
                 rho_0=roots[0],
@@ -241,13 +241,12 @@ def trajectory(
                     high * h1.denominator**2, predicted**2 << 2 * top, precision_bits
                 ),
                 scaled_rho0=rounded_sqrt(low * growth**2, 1 << 2 * top, precision_bits),
-                rho_inf_real=rootset.real_certified[-1],
                 ambiguous=second < 4 * low or high < 4 * penultimate,
                 sum_rel_err=sum_err,
                 prod_rel_err=prod_err,
             )
         )
-    return ZeroTrajectory(n, d, fv, fv.euler_char(), h1, f_top, tuple(entries))
+    return ZeroTrajectory(n, d, fv, fv.euler_char(), h1, f_top, precision_bits, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +257,18 @@ class AlphaRecord(NamedTuple):
     """Exact scaling limit of the smallest h-polynomial zero at one n.
 
     alpha = chi / (H1 * f_d) where H1 is the linear limit coefficient of
-    the ambient dimension and f_d the top face count; alpha_num/alpha_den
-    is alpha in lowest terms with alpha_den > 0, and exponent is
-    log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple of
-    plain ints and a float; h1 and alpha are derived as Fractions on
-    demand.  A scan holds runs, not records (see :class:`AlphaScan`), and
-    builds each record only as it is iterated.
+    the ambient dimension and f_d the top face count, and exponent is
+    log |alpha| / log (d+1)! (None when alpha = 0).  A named tuple of the
+    four plain ints alpha depends on; h1, alpha and exponent are derived
+    on demand, alpha and exponent through :func:`alpha_fields`.  A scan
+    holds runs, not records (see :class:`AlphaScan`), and builds each
+    record only as it is iterated.
     """
 
     n: int
     dim: int
     chi: int
     f_top: int
-    alpha_num: int
-    alpha_den: int
-    exponent: float | None
 
     @property
     def h1(self) -> Fraction:
@@ -280,11 +276,15 @@ class AlphaRecord(NamedTuple):
 
     @property
     def alpha(self) -> Fraction:
-        return Fraction(self.alpha_num, self.alpha_den)
+        return Fraction(*alpha_fields(self.dim, self.chi, self.f_top)[:2])
+
+    @property
+    def exponent(self) -> float | None:
+        return alpha_fields(self.dim, self.chi, self.f_top)[2]
 
 
 def alpha_fields(d: int, chi: int, f_top: int) -> tuple:
-    """(alpha_num, alpha_den, exponent) of alpha = chi / (H1 * f_top) in
+    """(numerator, denominator, exponent) of alpha = chi / (H1 * f_top) in
     dimension d: chi*q / (p*f_top) for H1 = p/q > 0, reduced by one gcd,
     and log |alpha| / log (d+1)!, None when chi = 0."""
     h1 = eigen_rationals(d)[1]
@@ -301,7 +301,8 @@ def alpha_fields(d: int, chi: int, f_top: int) -> tuple:
 
 
 def alpha(n: int) -> AlphaRecord:
-    """Scaling limit of the smallest zero for the complex at n.
+    """Scaling limit of the smallest zero for the complex at n: the record
+    of summary(n)'s dimension, Euler characteristic and top face count.
 
     The limit needs a root of largest modulus that separates from the
     rest, which requires dimension at least 1, hence n >= 6.
@@ -309,9 +310,7 @@ def alpha(n: int) -> AlphaRecord:
     if n < 6:
         raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
     fv = summary(n)
-    d = fv.dim
-    chi, f_top = fv.euler_char(), fv.count(d)
-    return AlphaRecord(n, d, chi, f_top, *alpha_fields(d, chi, f_top))
+    return AlphaRecord(n, fv.dim, fv.euler_char(), fv.count(fv.dim))
 
 
 class AlphaRun(NamedTuple):
@@ -331,9 +330,9 @@ class AlphaScan:
     An alpha depends on n only through (dim, chi, f_top), and dim and
     f_top change only at the runs' starts, so consumers can work once per
     distinct value.  Iterating yields an :class:`AlphaRecord` per n, in
-    order, built on demand; len() counts them.  A slotted class, not a
-    named tuple like the package's other records: its len() and its
-    iteration are over the records, not over its two fields.
+    order, built on demand from its run; len() counts them.  A slotted
+    class, not a named tuple like the package's other records: its len()
+    and its iteration are over the records, not over its two fields.
     """
 
     __slots__ = ("n_max", "runs")
@@ -347,12 +346,8 @@ class AlphaScan:
 
     def __iter__(self) -> Iterator[AlphaRecord]:
         for d, f_top, lo, chi in self.runs:
-            fields: dict = {}
             for n, c in enumerate(chi, lo):
-                cells = fields.get(c)
-                if cells is None:
-                    cells = fields[c] = alpha_fields(d, c, f_top)
-                yield AlphaRecord(n, d, c, f_top, *cells)
+                yield AlphaRecord(n, d, c, f_top)
 
 
 def alpha_scan(n_max: int) -> AlphaScan:

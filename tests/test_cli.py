@@ -1,5 +1,6 @@
 """Command line interface: formats, golden files, and exit codes."""
 
+import contextlib
 import csv
 import gc
 import hashlib
@@ -10,13 +11,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from array import array
 from fractions import Fraction
 from math import factorial, log
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import baryzeros
@@ -35,7 +37,7 @@ from baryzeros import (
     summary,
 )
 from baryzeros.checks import SUITES
-from baryzeros.cli import DEFAULT_SIEVE_LIMIT, _write_csv, _write_json, main
+from baryzeros.cli import DEFAULT_SIEVE_LIMIT, _write_csv, _write_json, build_parser, main
 from baryzeros.complexes import SimplicialComplex
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -672,6 +674,11 @@ def _top_face_bumped(oracle):
     return bumped
 
 
+# -1 + i: negative, but not certified real, since only a root find_roots
+# certified real has an imaginary part of exactly 0
+_NOT_REAL = rootfinding.Dyadic(-1, 1, 0)
+
+
 def _entries_replaced(**fields):
     "A trajectory oracle whose every entry has the given fields replaced."
 
@@ -891,28 +898,29 @@ _BROKEN_ORACLES = [
     pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(1, 2),
                  "growth-expansion-exact", "n=6, i=1, j=1: expected zero coefficient",
                  id="growth-expansion-exact-zero"),
+    # (field, value, first failure[, id label]): the label defaults to the field
     *(
         pytest.param(check, "trajectory", _entries_replaced(**{field: value}), name, first,
-                     id=f"{name}-{field}")
+                     id=f"{name}-{label[0] if label else field}")
         for check, name, cases in [
             ("_check_trajectory_dim1", "trajectory-dim1-convergence", [
                 ("sum_rel_err", 1, "k=0: coefficient identity error above 1e-9"),
                 ("ratio_inf", 2, "k=4: largest-root ratio off by 1"),
                 ("scaled_rho0", 2, "k=4: scaled smallest root off by 1"),
-                ("rho_inf_real", False, "k=4: largest root not certified real"),
+                ("rho_inf", _NOT_REAL, "k=4: largest root not certified real", "rho_inf_real"),
                 ("rho_inf", rootfinding.Dyadic(1, 0, 0), "k=4: largest root not negative"),
             ]),
             ("_check_trajectory_dim2", "trajectory-dim2-snapshot", [
                 ("ratio_inf", 2, "largest-root ratio off by 1"),
                 ("scaled_rho0", 7, "scaled smallest root off by 1"),
                 ("interior", (), "expected one interior root, got 0"),
-                ("rho_inf_real", False, "largest root not certified real"),
+                ("rho_inf", _NOT_REAL, "largest root not certified real", "rho_inf_real"),
                 ("rho_inf", rootfinding.Dyadic(1, 0, 0), "largest root not negative"),
                 ("sum_rel_err", 1, "coefficient identity error above 1e-9"),
                 ("ambiguous", True, "extreme roots flagged ambiguous"),
             ]),
         ]
-        for field, value, first in cases
+        for field, value, first, *label in cases
     ),
 ]
 
@@ -951,17 +959,12 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     run_cli_error(capsys, "chi", "--from", "9", "--to", "3")
     run_cli_error(capsys, "tables", "--kind", "f", "--max-d", "20")
     run_cli_error(capsys, "zeros", "--n", "5", "--k", "2")
-    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2", "--precision-bits", "15")
-    assert err == "error: --precision-bits must be at least 16\n"
-    for bits in ("8193", "14300", "1000000000"):
+    for bits in ("15", "8193", "14300", "1000000000"):
         err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2", "--precision-bits", bits)
-        assert err == "error: --precision-bits must be at most 8192\n", bits
-    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "65")
-    assert err == "error: subdivision depth 65 exceeds the cap 64\n"
-    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", str(10**20))
-    assert err == f"error: subdivision depth {10**20} exceeds the cap 64\n"
-    err = run_cli_error(capsys, "zeros", "--n", "6", "--k", "-1")
-    assert err == "error: --k must be nonnegative\n"
+        assert err == "error: --precision-bits must be between 16 and 8192\n", bits
+    for n, k in (("30", "65"), ("30", str(10**20)), ("6", "-1")):
+        err = run_cli_error(capsys, "zeros", "--n", n, "--k", k)
+        assert err == "error: --k must be between 0 and 64\n", k
 
     def fail(*args, **kwargs):
         raise RootFindingError("residual missed target")
@@ -1063,6 +1066,119 @@ def test_option_values_are_read_with_int(capsys, text, digits):
     assert run_cli(capsys, "alpha", "--n", text) == run_cli(capsys, "alpha", "--n", digits)
 
 
+# The contract's grammar: every subcommand and option, each value good
+# (in range, or one of the choices) or bad (at a bound: 0, 1, each cap and
+# cap + 1; or empty, negative, float text or not a number); options left
+# out or repeated, an unknown flag, a bad --format, and --out to a fresh
+# file, into a missing directory or empty.  Each fault is drawn once in
+# 20, so most commands succeed.  Sizes stay cheap: a sieve limit of 500 to
+# 5000, --k at most 8 and 16 to 64 bits.
+_BAD_TEXT = st.sampled_from(["", "-7", "2.5", "1e3", "abc"])
+_RARELY = st.sampled_from([False] * 19 + [True])
+
+
+def _number(low: int, high: int, bounds: list) -> tuple:
+    "(good, bad) values of an integer option."
+    return st.integers(low, high).map(str), st.sampled_from(list(map(str, bounds))) | _BAD_TEXT
+
+
+@st.composite
+def _commands(draw) -> tuple:
+    "(sieve limit, argv, --out target kind) for one command of the grammar."
+    limit = draw(st.integers(500, 5000))
+    sized = _number(1, limit, [0, 1, limit, limit + 1])
+    # alpha takes one of its two targets, or rarely both
+    targets = ["--n", "--to"] if draw(_RARELY) else [draw(st.sampled_from(["--n", "--to"]))]
+    options = {
+        "tables": {
+            "--kind": (st.sampled_from(["f", "F", "H", "Hmatrix"]), st.sampled_from(["q", ""])),
+            "--max-d": _number(0, 16, [-1, 0, 16, 17]),
+        },
+        "chi": {"--from": sized, "--to": sized},
+        "alpha": dict.fromkeys(targets, sized),
+        "zeros": {
+            "--n": sized,
+            "--k": _number(0, 8, [-1, 0, 65]),
+            "--precision-bits": _number(16, 64, [15, 16, 8193]),
+        },
+        "verify": {
+            "--suite": (st.sampled_from(["all", "core", "complex", "zeros"]), st.just("nope"))
+        },
+    }
+    # verify is the slowest command, so it is drawn once in 17
+    command = draw(st.sampled_from(["tables", "chi", "alpha", "zeros"] * 4 + ["verify"]))
+    argv = [command]
+    for option, (good, bad) in options[command].items():
+        if not draw(_RARELY):
+            argv += [option, draw(bad if draw(_RARELY) else good)]
+    if draw(st.booleans()):
+        formats = ["xml", ""] if draw(_RARELY) else ["csv", "json"]
+        argv += ["--format", draw(st.sampled_from(formats))]
+    if draw(_RARELY):
+        argv += argv[1:3]
+    if draw(_RARELY):
+        argv.append("--bogus")
+    outs = ["missing", "empty"] if draw(_RARELY) else [None, "file"]
+    return limit, argv, draw(st.sampled_from(outs))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_commands())
+# a dimension-0 n reaches the library's own ValueError
+@example(case=(500, ["zeros", "--n", "5", "--k", "2"], None))
+def test_cli_contract(case):
+    """Every drawn command ends in one of three ways.  Exit 0, with no
+    stderr and output that parses (CSV rows of one width, or JSON), in
+    stdout or, with stdout empty, in the --out file.  Exit 2, with no
+    stdout, no --out file and one stderr line starting error:.  Or, for
+    verify only, exit 1 with its FAIL lines.  A traceback fails the test."""
+    limit, argv, out = case
+    saved = os.environ.get("BARYZEROS_SIEVE_LIMIT")
+    os.environ["BARYZEROS_SIEVE_LIMIT"] = str(limit)
+    try:
+        with tempfile.TemporaryDirectory() as scratch:
+            target = {
+                None: None,
+                "file": os.path.join(scratch, "out"),
+                "missing": os.path.join(scratch, "missing", "out"),
+                "empty": "",
+            }[out]
+            if target is not None:
+                argv = [*argv, "--out", target]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            written = bool(target) and os.path.exists(target)
+            text = Path(target).read_text(encoding="utf-8") if written else stdout.getvalue()
+    finally:
+        if saved is None:
+            os.environ.pop("BARYZEROS_SIEVE_LIMIT", None)
+        else:
+            os.environ["BARYZEROS_SIEVE_LIMIT"] = saved
+    err = stderr.getvalue()
+    if code == 2:
+        assert (stdout.getvalue(), written) == ("", False), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+        return
+    assert err == "", argv
+    if target:
+        assert written and stdout.getvalue() == "", argv
+    if argv[0] == "verify":
+        *lines, tally = text.splitlines()
+        failed = sum(line.startswith("FAIL ") for line in lines)
+        assert all(line.startswith(("PASS ", "FAIL ")) for line in lines), argv
+        assert tally == f"{len(lines) - failed} passed, {failed} failed", argv
+        assert code == (1 if failed else 0), argv
+    elif build_parser().parse_args(argv).format == "json":
+        assert code == 0 and isinstance(json.loads(text)["rows"], list), argv
+    else:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert code == 0 and len({len(row) for row in rows}) == 1, argv
+
+
 def test_sieve_limit_env_override(capsys, monkeypatch):
     monkeypatch.setenv("BARYZEROS_SIEVE_LIMIT", "50")
     err = run_cli_error(capsys, "chi", "--from", "1", "--to", "100")
@@ -1105,6 +1221,12 @@ def test_every_sieve_sized_option_has_one_cap(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
     err = run_cli_error(capsys, *argv, "51")
     assert err == f"error: {argv[-1]} must be between 1 and the sieve limit 50\n"
+
+
+def test_zeros_accepts_the_depth_cap(capsys):
+    "--k takes the depth cap itself; one more is the range error above."
+    rows = list(csv.DictReader(io.StringIO(run_cli(capsys, "zeros", "--n", "6", "--k", "64"))))
+    assert [int(row["k"]) for row in rows] == list(range(65))
 
 
 def test_missed_residual_target_exits_2(capsys, monkeypatch):

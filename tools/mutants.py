@@ -16,7 +16,7 @@ written inside the checkout.
 It prints one line per mutant and exits 1 if a mutant survives, if an old
 text is not found exactly once, or if a named test fails unmutated.  Only
 the standard library is used, besides pytest itself.  It is not part of
-tier-1 (the pipe test it runs starts subprocesses; about 25 s in all).
+tier-1 (the pipe test it runs starts subprocesses; about 90 s in all).
 """
 
 from __future__ import annotations
@@ -178,6 +178,34 @@ MUTANTS = [
         'self.exit(2, f"error: {message}\\n")',
         "super().error(message)",
         "tests/test_cli.py::test_usage_errors_are_one_line",
+    ),
+    Mutant(
+        "AlphaRecord.alpha ignores the top face count",
+        "src/baryzeros/dynamics.py",
+        "return Fraction(*alpha_fields(self.dim, self.chi, self.f_top)[:2])",
+        "return Fraction(*alpha_fields(self.dim, self.chi, 1)[:2])",
+        "tests/test_dynamics.py::test_alpha_record_invariants",
+    ),
+    Mutant(
+        "main no longer turns a ValueError into an error line",
+        "src/baryzeros/cli.py",
+        "CliError, ValueError, OSError,",
+        "CliError, OSError,",
+        "tests/test_cli.py::test_cli_contract",
+    ),
+    Mutant(
+        "zeros rejects the depth cap itself",
+        "src/baryzeros/cli.py",
+        "if not (0 <= args.k <= MAX_SUBDIVISION_DEPTH):",
+        "if not (0 <= args.k < MAX_SUBDIVISION_DEPTH):",
+        "tests/test_cli.py::test_zeros_accepts_the_depth_cap",
+    ),
+    Mutant(
+        "trajectory-dim1-convergence tests rho_0 for realness",
+        "src/baryzeros/checks.py",
+        "        if entry.rho_inf.y:\n            yield f\"k={k}: largest root not certified real\"",
+        "        if entry.rho_0.y:\n            yield f\"k={k}: largest root not certified real\"",
+        "tests/test_cli.py::test_guard_checks_can_fail[trajectory-dim1-convergence-rho_inf_real]",
     ),
 ]
 

@@ -23,9 +23,10 @@ The probes are every distinct command of the benchmark's ``scan``,
 ``zeros`` and ``verify`` workloads at seeds 1-3 (read through
 ``perfbench/workloads.py``, which is only imported) plus a fixed list:
 the scans at 10^6, point lookups, every table, every suite, ``zeros``
-across dimensions and precisions, and the error paths that exit 2.  The
-child probes are a scan, a ``zeros``, a suite, a JSON ``--out``, an error
-that exits 2 and ``--help``.  Only the standard library is used.
+across dimensions and precisions and at the depth cap, and the error
+paths that exit 2.  The child probes are a scan, a ``zeros``, a suite, a
+JSON ``--out``, an error that exits 2 and ``--help``.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def probes() -> list[tuple[str | None, tuple[str, ...]]]:
         for n in (6, 7, 30, 37, 210, 2310, 3090, 30030, 510510)
         for bits in (16, 192, 1024)
     ]
+    # the depth cap itself
+    found.append((None, ("zeros", "--n", "6", "--k", "64")))
     # the error paths of tests/test_cli.py::test_range_errors_exit_2
     missing = os.path.join("missing", "x.csv")
     found += [
