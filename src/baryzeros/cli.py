@@ -48,7 +48,7 @@ from .dynamics import (
     alpha_scan,
     trajectory,
 )
-from .rootfinding import RootFindingError, format_decimal
+from .rootfinding import MIN_PRECISION_BITS, RootFindingError, format_decimal
 from .subdivision import (
     descent_matrix,
     eigen_rationals,
@@ -67,9 +67,9 @@ class CliError(Exception):
     """A user-facing invocation problem (bad range, bad environment)."""
 
 
-def _sieve_limit(option: str, value: int) -> int:
-    """The sieve cap, from the environment or the default, once --option's
-    value is checked against it; every sieve-sized option reads it here."""
+def _sieve_limit(option: str, value: int, least: int) -> int:
+    """The sieve cap, from the environment or the default, once least <=
+    --option's value <= cap is checked; every sieve-sized option reads it here."""
     raw = os.environ.get(SIEVE_LIMIT_ENV)
     try:
         limit = DEFAULT_SIEVE_LIMIT if raw is None else int(raw)
@@ -77,8 +77,8 @@ def _sieve_limit(option: str, value: int) -> int:
         raise CliError(f"{SIEVE_LIMIT_ENV} must be an integer, got {raw!r}") from None
     if limit < 1:
         raise CliError(f"{SIEVE_LIMIT_ENV} must be positive, got {limit}")
-    if not (1 <= value <= limit):
-        raise CliError(f"--{option} must be between 1 and the sieve limit {limit}")
+    if not (least <= value <= limit):
+        raise CliError(f"--{option} must be between {least} and the sieve limit {limit}")
     return limit
 
 
@@ -256,7 +256,7 @@ def _cmd_tables(args) -> int:
 def _cmd_chi(args) -> int:
     if not (1 <= args.start <= args.stop):
         raise CliError("need 1 <= --from <= --to")
-    limit = _sieve_limit("to", args.stop)
+    limit = _sieve_limit("to", args.stop, 1)
     chi = chi_profile(args.stop)
     # one block per dimension run, keyed on chi; the Mertens value is -chi
     blocks = (
@@ -294,7 +294,7 @@ def _alpha_block(d: int, f_top: int | None, lo: int, chi: Sequence[int]) -> tupl
 
 def _cmd_alpha(args) -> int:
     option, stop = ("n", args.n) if args.n is not None else ("to", args.stop)
-    limit = _sieve_limit(option, stop)
+    limit = _sieve_limit(option, stop, 1)
     first = stop if option == "n" else 1
     # the runs below dimension 1 from first to stop; takewhile reads no
     # dimension past them, so an --n past the primorials fails here
@@ -315,10 +315,12 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    _sieve_limit("n", args.n)
+    _sieve_limit("n", args.n, 6)  # the first n of dimension 1
     bits = args.precision_bits
-    if not (16 <= bits <= MAX_PRECISION_BITS):
-        raise CliError(f"--precision-bits must be between 16 and {MAX_PRECISION_BITS}")
+    if not (MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS):
+        raise CliError(
+            f"--precision-bits must be between {MIN_PRECISION_BITS} and {MAX_PRECISION_BITS}"
+        )
     if not (0 <= args.k <= MAX_SUBDIVISION_DEPTH):
         raise CliError(f"--k must be between 0 and {MAX_SUBDIVISION_DEPTH}")
     run = trajectory(args.n, range(args.k + 1), bits)
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="precision_bits",
         type=int,
         default=DEFAULT_TRAJECTORY_PRECISION,
-        help=f"working precision of every row in bits, 16 to {MAX_PRECISION_BITS}",
+        help=f"working precision of every row in bits, {MIN_PRECISION_BITS} to {MAX_PRECISION_BITS}",
     )
     _add_output_options(zeros)
 

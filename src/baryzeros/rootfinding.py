@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-DEFAULT_PRECISION_BITS = 128
+MIN_PRECISION_BITS = 16
 # Sign bisection narrows an isolated root to this relative width before
 # Newton steps take over; Newton then works this many bits past the
 # certified width.
@@ -112,25 +112,23 @@ class RootSet(NamedTuple):
     """Roots of one polynomial, sorted by ascending modulus, then real
     part, then imaginary part.
 
-    Each root is a :class:`Dyadic`, exact, with its real and imaginary
-    parts rounded to nearest at precision_bits; a root of multiplicity m
-    appears m times, with equal values, and the non-real roots come in
-    exact conjugate pairs.  residuals[i] is a Fraction at least
-    |p(z_i)| / sum |a_j||z_i|^j, rounded up to precision_bits from the
-    exact value (real z_i) or from an upper bound within about
-    2^-(precision_bits + 30) of it, relatively (non-real z_i); exact
-    deflated zeros carry residual 0.
-    real_certified[i] is True exactly when z_i is real: a real root's sign
-    bracket and a non-real root's disk, disjoint from its mirror image,
-    prove which.  method is ``"isolated"`` when the polynomial is
-    squarefree with every root real (or all roots are deflated zeros),
-    ``"enclosed"`` when it has a repeated or a non-real root.
+    Each root is a :class:`Dyadic`, exact, with both parts rounded to
+    nearest at find_roots' precision_bits; a root of multiplicity m
+    appears m times, and the non-real roots come in exact conjugate pairs.
+    A root's imaginary part is exactly 0 only when its sign bracket (or
+    its exact deflation) certified it real, and nonzero only when its
+    disk, disjoint from its mirror image, proved it non-real.
+    residuals[i] is a Fraction at least |p(z_i)| / sum |a_j||z_i|^j,
+    rounded up to precision_bits from the exact value (real z_i) or from
+    an upper bound within about 2^-(precision_bits + 30) of it,
+    relatively (non-real z_i); exact deflated zeros carry residual 0.
+    method is ``"isolated"`` when the polynomial is squarefree with every
+    root real (or all roots are deflated zeros), ``"enclosed"`` when it
+    has a repeated or a non-real root.
     """
 
     roots: tuple
     residuals: tuple
-    real_certified: tuple
-    precision_bits: int
     method: str
 
 
@@ -649,27 +647,26 @@ def _residual(coeffs: list, abs_coeffs: list, z: Dyadic, guard: int) -> tuple:
     return top << (guard * (len(coeffs) - 2)), _value(abs_coeffs, size, e + guard)
 
 
-def find_roots(
-    coeffs,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> RootSet:
+def find_roots(coeffs, precision_bits: int) -> RootSet:
     """All complex roots of an integer polynomial, each one certified.
 
-    coeffs are the polynomial's ints, highest degree first.  A non-int
-    coefficient raises TypeError; a zero leading coefficient or a degree
-    below 1 raises ValueError.  Exact zero roots are deflated symbolically
-    first, and the rest is divided by its content and split into
-    squarefree factors with exact multiplicities.  Every real root is
-    isolated and refined in exact integer arithmetic, rounded to nearest
-    at precision_bits and certified by an exact sign bracket of relative
-    half-width at most 2^-precision_bits.  When that is every root of a
-    squarefree polynomial, ``method == "isolated"``; otherwise
-    (``method == "enclosed"``) each non-real root is the centre of a
-    Weierstrass disk of relative radius at most 2^-precision_bits that
-    holds exactly that root, its real and imaginary parts each rounded to
-    nearest at precision_bits.  precision_bits sets only these widths and
-    the precision of the returned values.  Every backward residual must
-    also meet 2^(-precision_bits // 2), compared exactly in integers.
+    coeffs are the polynomial's ints, highest degree first, and the
+    caller's precision_bits is at least MIN_PRECISION_BITS; a non-int
+    coefficient raises TypeError, and a zero leading coefficient, a
+    degree below 1 or a lower precision raises ValueError.  Exact zero
+    roots are deflated symbolically first, and the rest is divided by its
+    content and split into squarefree factors with exact multiplicities.
+    Every real root is isolated and refined in exact integer arithmetic,
+    rounded to nearest at precision_bits and certified by an exact sign
+    bracket of relative half-width at most 2^-precision_bits.  When that
+    is every root of a squarefree polynomial, ``method == "isolated"``;
+    otherwise (``method == "enclosed"``) each non-real root is the centre
+    of a Weierstrass disk of relative radius at most 2^-precision_bits
+    that holds exactly that root, its real and imaginary parts each
+    rounded to nearest at precision_bits.  precision_bits sets only these
+    widths and the precision of the returned values.  Every backward
+    residual must also meet 2^(-precision_bits // 2), compared exactly in
+    integers.
     RootFindingError is raised when it does not, when a real root's
     rounding cannot be certified, or when the disks fail to separate,
     which usually means the precision is too low for the polynomial.
@@ -682,8 +679,8 @@ def find_roots(
         raise ValueError("root finding needs a polynomial of degree >= 1")
     if work[0] == 0:
         raise ValueError("the leading coefficient must be nonzero")
-    if precision_bits < 16:
-        raise ValueError("precision_bits must be at least 16")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
 
     zero_roots = 0
     while work[-1] == 0:
@@ -740,7 +737,7 @@ def find_roots(
             f"target {format_decimal(Fraction(1, 1 << half), 8, precision_bits)} at "
             f"{precision_bits} bits; retry with higher precision"
         )
-    return RootSet(roots, residuals, tuple(not z.y for z in roots), precision_bits, method)
+    return RootSet(roots, residuals, method)
 
 
 # ---------------------------------------------------------------------------

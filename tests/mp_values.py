@@ -1,5 +1,5 @@
 """The package's exact dyadic values as mpmath numbers, for the tests that
-use mpmath as an oracle."""
+use mpmath as an oracle, and which of find_roots' roots are certified real."""
 
 from fractions import Fraction
 
@@ -16,3 +16,9 @@ def as_mp(value):
         return mp.make_mpf(from_man_exp(value.numerator, -shift))
     x, y, e = value
     return mp.make_mpc((from_man_exp(x, -e), from_man_exp(y, -e)))
+
+
+def real_flags(rs) -> tuple:
+    """True for each root of a RootSet that find_roots certified real: its
+    imaginary part is exactly 0 only then."""
+    return tuple(z.y == 0 for z in rs.roots)

@@ -958,7 +958,9 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
     assert err.startswith("error:")
     run_cli_error(capsys, "chi", "--from", "9", "--to", "3")
     run_cli_error(capsys, "tables", "--kind", "f", "--max-d", "20")
-    run_cli_error(capsys, "zeros", "--n", "5", "--k", "2")
+    for n in ("5", "1", "0"):
+        err = run_cli_error(capsys, "zeros", "--n", n, "--k", "2")
+        assert err == "error: --n must be between 6 and the sieve limit 1000000\n", n
     for bits in ("15", "8193", "14300", "1000000000"):
         err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "2", "--precision-bits", bits)
         assert err == "error: --precision-bits must be between 16 and 8192\n", bits
@@ -966,12 +968,17 @@ def test_range_errors_exit_2(capsys, monkeypatch, tmp_path):
         err = run_cli_error(capsys, "zeros", "--n", n, "--k", k)
         assert err == "error: --k must be between 0 and 64\n", k
 
+    # the library's own errors, past the CLI's checks, end in one line too
+    errors = [RootFindingError("residual missed target"), ValueError("a library guard")]
+
     def fail(*args, **kwargs):
-        raise RootFindingError("residual missed target")
+        raise errors.pop(0)
 
     monkeypatch.setattr("baryzeros.cli.trajectory", fail)
     err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "39")
     assert err == "error: residual missed target\n"
+    err = run_cli_error(capsys, "zeros", "--n", "30", "--k", "39")
+    assert err == "error: a library guard\n"
 
     missing = str(tmp_path / "missing" / "x.csv")
     for argv in (("chi", "--to", "10"), ("verify", "--suite", "core")):
@@ -1188,6 +1195,8 @@ def test_sieve_limit_env_override(capsys, monkeypatch):
 
 
 _N_RANGE = "--n must be between 1 and the sieve limit 1000000"
+# zeros takes n from 6, the first n of dimension 1
+_ZEROS_N_RANGE = "--n must be between 6 and the sieve limit 1000000"
 
 
 @pytest.mark.parametrize(
@@ -1197,8 +1206,8 @@ _N_RANGE = "--n must be between 1 and the sieve limit 1000000"
         ("-3", ("chi", "--to", "10"), "BARYZEROS_SIEVE_LIMIT must be positive, got -3"),
         (None, ("alpha", "--n", "0"), _N_RANGE),
         (None, ("alpha", "--n", "1000001"), _N_RANGE),
-        (None, ("zeros", "--n", "0", "--k", "2"), _N_RANGE),
-        (None, ("zeros", "--n", "1000001", "--k", "2"), _N_RANGE),
+        (None, ("zeros", "--n", "0", "--k", "2"), _ZEROS_N_RANGE),
+        (None, ("zeros", "--n", "1000001", "--k", "2"), _ZEROS_N_RANGE),
     ],
 )
 def test_range_guards_exit_2(capsys, monkeypatch, env, argv, message):
@@ -1220,7 +1229,8 @@ def test_every_sieve_sized_option_has_one_cap(capsys, monkeypatch, argv):
     assert main([*argv, "50"]) == 0
     assert capsys.readouterr().err == ""
     err = run_cli_error(capsys, *argv, "51")
-    assert err == f"error: {argv[-1]} must be between 1 and the sieve limit 50\n"
+    least = 6 if argv[0] == "zeros" else 1
+    assert err == f"error: {argv[-1]} must be between {least} and the sieve limit 50\n"
 
 
 def test_zeros_accepts_the_depth_cap(capsys):

@@ -34,7 +34,7 @@ from baryzeros import (
 from baryzeros import checks, dynamics, rootfinding
 from baryzeros.checks import first_negative_euler
 from baryzeros.cli import main
-from mp_values import as_mp
+from mp_values import as_mp, real_flags
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 
 WORKLOADS = Path(__file__).parent.parent / "perfbench" / "workloads.py"
@@ -275,7 +275,7 @@ def test_trajectory_certified_at_deep_depths(n, k):
     assert max(e.residuals) <= Fraction(1, 2 ** (t.precision_bits // 2))
     assert len(e.roots) == t.dim + 1
     h = h_poly(subdivided_f(t.base, k)[k])
-    assert sum(find_roots(h, t.precision_bits).real_certified) == sturm_count(h)
+    assert sum(real_flags(find_roots(h, t.precision_bits))) == sturm_count(h)
 
 
 def test_trajectory_walks_one_orbit(monkeypatch):
@@ -417,7 +417,7 @@ def test_benchmark_zeros_certify_every_root_without_polyroots(monkeypatch):
 
     def checking(h, precision_bits):
         rs = solve(h, precision_bits)
-        assert sum(rs.real_certified) == sturm_count(h), (h, precision_bits)
+        assert sum(real_flags(rs)) == sturm_count(h), (h, precision_bits)
         seen.append(rs.method)
         return rs
 

@@ -13,7 +13,7 @@ from mpmath.libmp import from_rational
 from baryzeros import RootFindingError, RootSet, find_roots, limit_h_coefficients, rootfinding
 from baryzeros.cli import SUMMARY_DIGITS, _digits
 from baryzeros.rootfinding import Dyadic, format_decimal, rounded_sqrt
-from mp_values import as_mp
+from mp_values import as_mp, real_flags
 
 
 def poly(*coeffs) -> tuple:
@@ -43,67 +43,66 @@ def assert_roots_match(rs, exact, bits):
 
 def test_golden_ratio_roots():
     "z^2 + z - 1 has roots (-1 +/- sqrt(5)) / 2, sorted by modulus."
-    rs = find_roots(poly(1, 1, -1))
+    rs = find_roots(poly(1, 1, -1), 128)
     assert len(rs.roots) == 2
-    with mp.workprec(rs.precision_bits):
+    with mp.workprec(128):
         small = (mp.sqrt(5) - 1) / 2
         large = -(mp.sqrt(5) + 1) / 2
         assert abs(as_mp(rs.roots[0]) - small) < mp.mpf(2) ** -100
         assert abs(as_mp(rs.roots[1]) - large) < mp.mpf(2) ** -100
-    assert all(rs.real_certified)
+    assert all(real_flags(rs))
     assert as_mp(rs.roots[0]).real > 0 > as_mp(rs.roots[1]).real
 
 
 def test_silver_ratio_roots():
     "z^2 + 2z - 1 has roots -1 +/- sqrt(2)."
-    rs = find_roots(poly(1, 2, -1))
-    with mp.workprec(rs.precision_bits):
+    rs = find_roots(poly(1, 2, -1), 128)
+    with mp.workprec(128):
         assert abs(as_mp(rs.roots[0]) - (mp.sqrt(2) - 1)) < mp.mpf(2) ** -100
         assert abs(as_mp(rs.roots[1]) - (-mp.sqrt(2) - 1)) < mp.mpf(2) ** -100
-    assert all(rs.real_certified)
+    assert all(real_flags(rs))
 
 
 def test_residual_bound_holds():
     rs = find_roots(poly(1, 7, -10, 3), precision_bits=192)
     target = Fraction(1, 2 ** (192 // 2))
     assert all(r <= target for r in rs.residuals)
-    assert rs.precision_bits == 192
 
 
 def test_zero_roots_deflated_exactly():
     "z^3 + z^2 = z^2 (z + 1): two exact zeros, then -1."
-    rs = find_roots(poly(1, 1, 0, 0))
+    rs = find_roots(poly(1, 1, 0, 0), 128)
     assert rs.method == "isolated"
     assert as_mp(rs.roots[0]) == 0 and as_mp(rs.roots[1]) == 0
     assert rs.residuals[0] == 0 and rs.residuals[1] == 0
-    assert rs.real_certified[0] and rs.real_certified[1]
+    assert real_flags(rs)[0] and real_flags(rs)[1]
     assert abs(as_mp(rs.roots[2]) + 1) < mp.mpf(2) ** -60
 
 
 def test_pure_monomial():
-    rs = find_roots(poly(1, 0))
+    rs = find_roots(poly(1, 0), 128)
     assert rs.method == "isolated"
     assert tuple(map(as_mp, rs.roots)) == (0,)
     assert rs.residuals == (0,)
-    assert rs.real_certified == (True,)
+    assert real_flags(rs) == (True,)
 
 
 def test_complex_pair_not_certified_real():
     "z^2 + 1 has no real root: its two roots come from disjoint disks."
-    rs = find_roots(poly(1, 0, 1))
+    rs = find_roots(poly(1, 0, 1), 128)
     assert rs.method == "enclosed"
     assert len(rs.roots) == 2
-    assert not any(rs.real_certified)
-    assert rs.real_certified == (False, False)
-    with mp.workprec(rs.precision_bits):
+    assert not any(real_flags(rs))
+    assert real_flags(rs) == (False, False)
+    with mp.workprec(128):
         assert all(abs(abs(as_mp(z)) - 1) < mp.mpf(2) ** -100 for z in rs.roots)
 
 
 def test_distinct_integer_roots_certified():
     "(z - 1)(z - 2)(z - 3)(z - 4), all real and separated."
-    rs = find_roots(poly(1, -10, 35, -50, 24))
+    rs = find_roots(poly(1, -10, 35, -50, 24), 128)
     assert rs.method == "isolated"
-    assert rs.real_certified == (True,) * 4
+    assert real_flags(rs) == (True,) * 4
     seen = sorted(float(as_mp(z).real) for z in rs.roots)
     assert all(abs(a - b) < 1e-25 for a, b in zip(seen, (1.0, 2.0, 3.0, 4.0)))
 
@@ -114,14 +113,14 @@ def test_exact_dyadic_roots():
     assert rs.method == "isolated"
     assert tuple(map(as_mp, rs.roots)) == (mp.mpf(0.5), mp.mpf(-3))
     assert rs.residuals == (0, 0)
-    assert all(rs.real_certified)
+    assert all(real_flags(rs))
 
 
 def test_one_positive_root_among_negative_ones():
     roots = (Fraction(1, 3), Fraction(-2), Fraction(-7, 5), Fraction(-11))
     rs = find_roots(product(*roots), precision_bits=256)
     assert rs.method == "isolated"
-    assert all(rs.real_certified)
+    assert all(real_flags(rs))
     assert sum(1 for z in rs.roots if as_mp(z).real > 0) == 1
     assert_roots_match(rs, roots, 256)
 
@@ -168,10 +167,10 @@ def test_clustered_roots_round_correctly(bits, base, gap):
 
 def test_repeated_root_gets_exact_multiplicity():
     "(z + 1)^2 (z - 2) is not squarefree: -1 twice and 2, each exact."
-    rs = find_roots(product(-1, -1, 2))
+    rs = find_roots(product(-1, -1, 2), 128)
     assert rs.method == "enclosed"
     assert tuple(map(as_mp, rs.roots)) == (-1, -1, 2)
-    assert rs.real_certified == (True,) * 3
+    assert real_flags(rs) == (True,) * 3
     assert rs.residuals == (0, 0, 0)
 
 
@@ -212,7 +211,7 @@ def test_powers_of_a_linear_factor_split_exactly(roots):
     sequence ends at that power's derivative, whose content is not 1."""
     rs = find_roots(product(*roots), precision_bits=64)
     assert tuple(map(as_mp, rs.roots)) == tuple(sorted(roots, key=lambda r: (abs(r), r)))
-    assert all(rs.real_certified)
+    assert all(real_flags(rs))
 
 
 def with_pairs(p: tuple, pairs) -> tuple:
@@ -307,8 +306,8 @@ def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
         rs = find_roots(p, bits)
     assert rs.method == "enclosed"
     assert len(rs.roots) == len(p) - 1
-    assert list(rs.real_certified) == [as_mp(z).imag == 0 for z in rs.roots]
-    assert sum(rs.real_certified) == sum(real_mult.values())
+    assert list(real_flags(rs)) == [as_mp(z).imag == 0 for z in rs.roots]
+    assert sum(real_flags(rs)) == sum(real_mult.values())
 
     truth = {(r, 0): m for r, m in real_mult.items()}
     for (a, b), m in pair_mult.items():
@@ -354,7 +353,7 @@ def test_isolation_agrees_with_polyroots(roots, bits):
     p = product(*roots)
     rs = find_roots(p, precision_bits=bits)
     assert rs.method == "isolated"
-    assert all(rs.real_certified)
+    assert all(real_flags(rs))
     with mp.workprec(max(2 * bits, 128)):
         coeffs = [mp.mpf(c) for c in p]
         ref = mp.polyroots(coeffs, maxsteps=400, extraprec=2 * bits)
@@ -393,31 +392,31 @@ def test_exact_tie_roots_round_to_even(bits):
     1 + 2^(1-b) and the even 1 + 2^(2-b), and rounds up to the even one."""
     rs = find_roots(product(1 + Fraction(1, 2**bits), -3), precision_bits=bits)
     assert rs.roots == (Dyadic(1, 0, 0), Dyadic(-3, 0, 0))
-    assert rs.real_certified == (True, True)
+    assert real_flags(rs) == (True, True)
     rs = find_roots(product(1 + Fraction(3, 2**bits), -3), precision_bits=bits)
     assert rs.roots == (Dyadic(2 ** (bits - 2) + 1, 0, bits - 2), Dyadic(-3, 0, 0))
-    assert rs.real_certified == (True, True)
+    assert real_flags(rs) == (True, True)
 
 
 def test_modulus_sort_order():
-    rs = find_roots(poly(1, 7, -10, 3))
+    rs = find_roots(poly(1, 7, -10, 3), 128)
     mods = [abs(as_mp(z)) for z in rs.roots]
     assert mods == sorted(mods)
 
 
 def test_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
-        find_roots(poly(5))
+        find_roots(poly(5), 128)
     with pytest.raises(ValueError):
-        find_roots(poly(0))
+        find_roots(poly(0), 128)
     with pytest.raises(ValueError):
         find_roots(poly(1, 1), precision_bits=8)
     with pytest.raises(TypeError, match="int coefficients"):
-        find_roots((1.0, 2))
+        find_roots((1.0, 2), 128)
     with pytest.raises(TypeError, match="int coefficients"):
-        find_roots((1, Fraction(1, 2)))
+        find_roots((1, Fraction(1, 2)), 128)
     with pytest.raises(ValueError, match="leading coefficient"):
-        find_roots((0, 1, 2))
+        find_roots((0, 1, 2), 128)
 
 
 def test_newton_stops_where_the_derivative_vanishes():
@@ -468,7 +467,6 @@ def test_newton_that_lost_its_bits_falls_back_to_bisection(monkeypatch):
 
 def test_precision_floor_respected():
     rs = find_roots(poly(1, 1, -1), precision_bits=16)
-    assert rs.precision_bits == 16
     assert all(r <= Fraction(1, 2**8) for r in rs.residuals)
 
 
@@ -489,14 +487,14 @@ def test_assorted_rational_polynomials():
         (Fraction(1, 3), Fraction(-5, 2), 1, 7),
     ]
     for coeffs in cases:
-        rs = find_roots(poly(*coeffs))
+        rs = find_roots(poly(*coeffs), 128)
         assert len(rs.roots) == len(coeffs) - 1, coeffs
-        target = Fraction(1, 2 ** (rs.precision_bits // 2))
+        target = Fraction(1, 2 ** (128 // 2))
         assert all(r <= target for r in rs.residuals), coeffs
 
 
 def test_rootset_is_frozen():
-    rs = find_roots(poly(1, 1, -1))
+    rs = find_roots(poly(1, 1, -1), 128)
     assert isinstance(rs, RootSet)
     with pytest.raises(AttributeError):
         rs.roots = ()
@@ -535,8 +533,8 @@ def test_residuals_are_exact_upper_bounds(bits):
     rounded residual within 2^(2 - bits)."""
     p = with_pairs(product(Fraction(1, 3), Fraction(-7, 5)), [(Fraction(1, 3), Fraction(5, 7))])
     rs = find_roots(p, bits)
-    assert rs.method == "enclosed" and sum(rs.real_certified) == 2
-    for z, r, real in zip(rs.roots, rs.residuals, rs.real_certified):
+    assert rs.method == "enclosed" and sum(real_flags(rs)) == 2
+    for z, r, real in zip(rs.roots, rs.residuals, real_flags(rs)):
         x, y, e = z
         if real:
             exact_value = exact_residual(p, Fraction(x, 2**e))
@@ -667,7 +665,7 @@ def test_limit_zeros_are_certified(d):
     z -> 1/z (it is palindromic), so -1 is a root exactly when d is even."""
     rs = find_roots(poly(*limit_h_coefficients(d)[1:]), 192)
     assert rs.method == "isolated"
-    assert len(rs.roots) == d and all(rs.real_certified)
+    assert len(rs.roots) == d and all(real_flags(rs))
     assert rs.roots[0] == Dyadic(0, 0, 0)
     nonzero = [Fraction(z.x, 1 << z.e) for z in rs.roots[1:]]
     assert all(r < 0 for r in nonzero)

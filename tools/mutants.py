@@ -119,8 +119,8 @@ MUTANTS = [
     Mutant(
         "_sieve_limit rejects the cap itself",
         "src/baryzeros/cli.py",
-        "if not (1 <= value <= limit):",
-        "if not (1 <= value < limit):",
+        "if not (least <= value <= limit):",
+        "if not (least <= value < limit):",
         "tests/test_cli.py::test_every_sieve_sized_option_has_one_cap",
     ),
     Mutant(
@@ -191,7 +191,7 @@ MUTANTS = [
         "src/baryzeros/cli.py",
         "CliError, ValueError, OSError,",
         "CliError, OSError,",
-        "tests/test_cli.py::test_cli_contract",
+        "tests/test_cli.py::test_range_errors_exit_2",
     ),
     Mutant(
         "zeros rejects the depth cap itself",
@@ -206,6 +206,27 @@ MUTANTS = [
         "        if entry.rho_inf.y:\n            yield f\"k={k}: largest root not certified real\"",
         "        if entry.rho_0.y:\n            yield f\"k={k}: largest root not certified real\"",
         "tests/test_cli.py::test_guard_checks_can_fail[trajectory-dim1-convergence-rho_inf_real]",
+    ),
+    Mutant(
+        "_sieve_limit ignores the option's least value",
+        "src/baryzeros/cli.py",
+        "if not (least <= value <= limit):",
+        "if not (1 <= value <= limit):",
+        "tests/test_cli.py::test_range_errors_exit_2",
+    ),
+    Mutant(
+        "find_roots rejects the precision floor itself",
+        "src/baryzeros/rootfinding.py",
+        "if precision_bits < MIN_PRECISION_BITS:",
+        "if precision_bits <= MIN_PRECISION_BITS:",
+        "tests/test_rootfinding.py::test_precision_floor_respected",
+    ),
+    Mutant(
+        "zeros rejects the precision floor itself",
+        "src/baryzeros/cli.py",
+        "if not (MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS):",
+        "if not (MIN_PRECISION_BITS < bits <= MAX_PRECISION_BITS):",
+        "tests/test_cli.py::test_zeros_rows_use_the_requested_precision",
     ),
 ]
 

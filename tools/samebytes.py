@@ -103,7 +103,7 @@ def probes() -> list[tuple[str | None, tuple[str, ...]]]:
         (None, ("chi", "--from", "0", "--to", "10")),
         (None, ("chi", "--from", "9", "--to", "3")),
         (None, ("tables", "--kind", "f", "--max-d", "20")),
-        (None, ("zeros", "--n", "5", "--k", "2")),
+        *((None, ("zeros", "--n", n, "--k", "2")) for n in ("5", "1", "0")),
         *(
             (None, ("zeros", "--n", "30", "--k", "2", "--precision-bits", bits))
             for bits in ("15", "8193", "14300", "1000000000")
