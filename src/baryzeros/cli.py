@@ -34,10 +34,10 @@ from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
 from .complexes import (
+    DIM1_START,
     ConsistencyError,
     ResourceLimitError,
     chi_profile,
-    dim_of,
     dimension_runs,
 )
 from .dynamics import (
@@ -301,7 +301,7 @@ def _cmd_alpha(args) -> int:
     low = list(takewhile(lambda run: run[0] < 1, dimension_runs(first, stop + 1)))
     # builds the sieve, or fails its budget, before the first byte
     chi = chi_profile(stop)
-    if dim_of(stop) < 1:
+    if stop < DIM1_START:
         high = ()
     elif option == "to":
         high = alpha_scan(stop).runs
@@ -315,7 +315,7 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    _sieve_limit("n", args.n, 6)  # the first n of dimension 1
+    _sieve_limit("n", args.n, DIM1_START)
     bits = args.precision_bits
     if not (MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS):
         raise CliError(
@@ -336,7 +336,7 @@ def _cmd_zeros(args) -> int:
             "ratio_inf": format_decimal(entry.ratio_inf, SUMMARY_DIGITS, bits),
             "scaled_rho0": format_decimal(entry.scaled_rho0, SUMMARY_DIGITS, bits),
             "rho_inf_real": entry.rho_inf.y == 0,
-            "ambiguous": bool(entry.ambiguous),
+            "ambiguous": entry.ambiguous,
             "sum_rel_err": format_decimal(entry.sum_rel_err, SUMMARY_DIGITS, bits),
             "prod_rel_err": format_decimal(entry.prod_rel_err, SUMMARY_DIGITS, bits),
             "max_residual": format_decimal(max(entry.residuals), SUMMARY_DIGITS, bits),
@@ -345,12 +345,12 @@ def _cmd_zeros(args) -> int:
         })
     metadata = {
         "n": args.n,
-        "dim": run.dim,
+        "dim": run.limit.dim,
         "k_max": args.k,
         "requested_precision_bits": bits,
-        "h1": str(run.h1),
-        "f_top": run.f_top,
-        "chi": run.chi,
+        "h1": str(run.limit.h1),
+        "f_top": run.limit.f_top,
+        "chi": run.limit.chi,
     }
     tails = [tuple(row.values()) for row in rows]
     blocks = [([entry.k for entry in run.entries], tails, tuple)]

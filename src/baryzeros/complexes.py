@@ -193,6 +193,9 @@ _PRIMORIALS = tuple(itertools.accumulate(
     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), operator.mul, initial=1
 ))
 
+# P_2 = 6, the least n of dimension 1: n >= DIM1_START exactly when dim_of(n) >= 1.
+DIM1_START = _PRIMORIALS[2]
+
 
 def dim_of(n: int) -> int:
     """Dimension of the squarefree-divisor complex: the d with
@@ -265,12 +268,10 @@ def h_poly(fv: FVector) -> tuple[int, ...]:
     The reversed ``shift_matrix(dim)`` image of the face counts: a tuple
     of ints, highest degree first, as ``rootfinding.find_roots`` reads it.
     Monic of degree dim + 1 with constant term (-1)^dim times the Euler
-    characteristic.  The degenerate dim = -1 vector (empty simplex only)
-    is assigned the constant (-1,), its Euler characteristic, by
-    convention.
+    characteristic.  Defined for dim >= 0, where shift_matrix is: for the
+    empty complex all three give (1,), not its Euler characteristic -1,
+    and shift_matrix raises ValueError.
     """
-    if fv.dim == -1:
-        return (-1,)
     return shift_matrix(fv.dim).apply(fv.counts)[::-1]
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .complexes import (
+    DIM1_START,
     FVector,
     chi_profile,
     dimension_runs,
@@ -121,7 +122,7 @@ class TrajectoryEntry(NamedTuple):
     certified it real, so rho_inf.y == 0 says rho_inf is.  ratio_inf
     compares |rho_inf| against the predicted magnitude H1 * f_d * ((d+1)!)^k
     and tends to 1; scaled_rho0 is |rho_0| * ((d+1)!)^k and tends to
-    |alpha_n|; both are Fractions rounded to precision_bits.
+    |limit.alpha|; both are Fractions rounded to precision_bits.
     ambiguous says an extreme root is less than twice as far out as its
     neighbour, compared exactly.  sum_rel_err and prod_rel_err compare the
     exact sum and product of the roots against the exact coefficient
@@ -142,15 +143,13 @@ class TrajectoryEntry(NamedTuple):
 
 
 class ZeroTrajectory(NamedTuple):
-    """Zero dynamics of one squarefree-divisor complex under subdivision;
-    every entry works at precision_bits, the one the caller asked for."""
+    """Zero dynamics of one squarefree-divisor complex under subdivision:
+    limit is its :class:`AlphaRecord`, whose alpha each entry's scaled_rho0
+    tends to in modulus, and every entry works at precision_bits, the one
+    the caller asked for."""
 
-    n: int
-    dim: int
+    limit: AlphaRecord
     base: FVector
-    chi: int
-    h1: Fraction
-    f_top: int
     precision_bits: int
     entries: tuple
 
@@ -193,7 +192,7 @@ def trajectory(
     ascending sequence such as range(k_max + 1).  Needs dimension at
     least 1 so that the smallest and largest roots are distinct objects.
     Every depth works at precision_bits, whatever k, and the result holds
-    it once.  One
+    it once, with the complex's :class:`AlphaRecord` as its limit.  One
     :func:`subdivided_f` orbit to depths[-1] gives the exact face counts
     before the first root search, so a depth above the cap fails at once,
     and depths out of order fail next.  Every value an entry holds is
@@ -206,8 +205,7 @@ def trajectory(
     d = fv.dim
     if d < 1:
         raise ValueError(f"n={n} has dimension {d}; trajectories need dim >= 1")
-    h1 = eigen_rationals(d)[1]
-    f_top = fv.count(d)
+    limit = AlphaRecord(n, d, fv.euler_char(), fv.count(d))
     fac = math.factorial(d + 1)
 
     orbit = subdivided_f(fv, depths[-1])
@@ -227,7 +225,7 @@ def trajectory(
             (x * x + y * y) << 2 * (top - e)
             for x, y, e in (roots[0], roots[1], roots[-2], roots[-1])
         )
-        predicted = h1.numerator * f_top * growth
+        predicted = limit.h1.numerator * limit.f_top * growth
         sum_err, prod_err = _identity_errors(h, roots)
         entries.append(
             TrajectoryEntry(
@@ -238,7 +236,7 @@ def trajectory(
                 rho_inf=roots[-1],
                 interior=roots[1:-1],
                 ratio_inf=rounded_sqrt(
-                    high * h1.denominator**2, predicted**2 << 2 * top, precision_bits
+                    high * limit.h1.denominator**2, predicted**2 << 2 * top, precision_bits
                 ),
                 scaled_rho0=rounded_sqrt(low * growth**2, 1 << 2 * top, precision_bits),
                 ambiguous=second < 4 * low or high < 4 * penultimate,
@@ -246,7 +244,7 @@ def trajectory(
                 prod_rel_err=prod_err,
             )
         )
-    return ZeroTrajectory(n, d, fv, fv.euler_char(), h1, f_top, precision_bits, tuple(entries))
+    return ZeroTrajectory(limit, fv, precision_bits, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +305,8 @@ def alpha(n: int) -> AlphaRecord:
     The limit needs a root of largest modulus that separates from the
     rest, which requires dimension at least 1, hence n >= 6.
     """
-    if n < 6:
-        raise ValueError(f"alpha needs dimension >= 1, so n >= 6; got n={n}")
+    if n < DIM1_START:
+        raise ValueError(f"alpha needs dimension >= 1, so n >= {DIM1_START}; got n={n}")
     fv = summary(n)
     return AlphaRecord(n, fv.dim, fv.euler_char(), fv.count(fv.dim))
 
@@ -342,7 +340,7 @@ class AlphaScan:
         self.runs = runs
 
     def __len__(self) -> int:
-        return self.n_max - 5
+        return self.n_max - DIM1_START + 1
 
     def __iter__(self) -> Iterator[AlphaRecord]:
         for d, f_top, lo, chi in self.runs:
@@ -360,12 +358,12 @@ def alpha_scan(n_max: int) -> AlphaScan:
     :class:`AlphaRun`.  ``index`` on the sieve's weight array finds them,
     so no Python loop walks every n.
     """
-    if n_max < 6:
-        raise ValueError("n_max must be at least 6")
+    if n_max < DIM1_START:
+        raise ValueError(f"n_max must be at least {DIM1_START}")
     chi = chi_profile(n_max)
     weight = shared_sieve(n_max).weight
     runs = []
-    for d, lo, hi in dimension_runs(6, n_max + 1):
+    for d, lo, hi in dimension_runs(DIM1_START, n_max + 1):
         starts = []
         at = lo
         with contextlib.suppress(ValueError):

@@ -564,6 +564,15 @@ def test_zeros_json_metadata(capsys):
     assert len(payload["rows"]) == 2
 
 
+@pytest.mark.parametrize("n", [6, 30, 39, 2310])
+def test_zeros_metadata_is_the_alpha_row(capsys, n):
+    "zeros' dim, chi, f_top and h1 at n are the cells of alpha's row at n."
+    zeros = json.loads(run_cli(capsys, "zeros", "--n", str(n), "--k", "0", "--format", "json"))
+    (row,) = json.loads(run_cli(capsys, "alpha", "--n", str(n), "--format", "json"))["rows"]
+    keys = ("dim", "chi", "f_top", "h1")
+    assert [zeros["metadata"][key] for key in keys] == [row[key] for key in keys]
+
+
 def test_verify_passes_and_reports(capsys):
     out = run_cli(capsys, "verify", "--suite", "core")
     lines = out.splitlines()
@@ -1131,8 +1140,8 @@ def _commands(draw) -> tuple:
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=_commands())
-# a dimension-0 n reaches the library's own ValueError
-@example(case=(500, ["zeros", "--n", "5", "--k", "2"], None))
+# an --n past P_16 under a cap that admits it reaches dim_of's ValueError
+@example(case=(10**20, ["alpha", "--n", str(10**20)], None))
 def test_cli_contract(case):
     """Every drawn command ends in one of three ways.  Exit 0, with no
     stderr and output that parses (CSV rows of one width, or JSON), in

@@ -27,6 +27,7 @@ from baryzeros import (
 )
 from baryzeros.checks import first_negative_euler
 from baryzeros.complexes import (
+    DIM1_START,
     SimplicialComplex,
     barycentric_subdivide,
     dimension_runs,
@@ -260,6 +261,9 @@ def test_summary_counts_match_weight_rescans():
 
 
 def test_dim_of_primorial_steps():
+    assert DIM1_START == 6
+    assert dim_of(DIM1_START) == 1
+    assert dim_of(DIM1_START - 1) == 0
     assert dim_of(1) == -1
     assert dim_of(2) == 0
     assert dim_of(5) == 0
@@ -343,9 +347,13 @@ def test_h_poly_known_cases():
 
 
 def test_h_poly_degenerate_cases():
-    "A single point has h(z) = z; the empty-simplex complex gets -1."
+    """A single point has h(z) = z.  The empty complex has none: the
+    f-polynomial at z - 1, a monic polynomial of degree dim + 1 and the
+    constant term (-1)^dim * chi all give (1,) there, not chi = -1, so
+    h_poly is defined only where shift_matrix is and raises below."""
     assert h_poly(FVector((1, 1))) == (1, 0)
-    assert h_poly(FVector((1,))) == (-1,)
+    with pytest.raises(ValueError):
+        h_poly(FVector((1,)))
 
 
 def test_h_poly_constant_term_tracks_euler_char():

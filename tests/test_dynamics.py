@@ -168,8 +168,8 @@ def test_trajectory_works_at_the_requested_precision():
 
 def test_trajectory_structure():
     t = trajectory(6, range(4))
-    assert (t.n, t.dim, t.chi, t.f_top) == (6, 1, 1, 1)
-    assert t.h1 == 1
+    assert t.limit == alpha(6) == (6, 1, 1, 1)
+    assert t.limit.h1 == 1
     assert t.base.counts == (1, 3, 1)
     assert [e.k for e in t.entries] == [0, 1, 2, 3]
     first = t.entries[0]
@@ -225,9 +225,10 @@ def test_trajectory_diagnostics_are_exact(n, k, bits):
     vieta_prod = Fraction((-1) ** (len(h) - 1) * h[-1], h[0])
     assert e.sum_rel_err == abs(total[0] - vieta_sum) / max(1, abs(vieta_sum))
     assert e.prod_rel_err == abs(product[0] - vieta_prod) / max(1, abs(vieta_prod))
-    growth = factorial(t.dim + 1) ** k
+    growth = factorial(t.limit.dim + 1) ** k
+    h1 = t.limit.h1
     with mp.workprec(4 * t.precision_bits):
-        predicted = mp.mpf(t.h1.numerator) / t.h1.denominator * t.f_top * growth
+        predicted = mp.mpf(h1.numerator) / h1.denominator * t.limit.f_top * growth
         ratio = abs(as_mp(e.rho_inf)) / predicted
         scaled = abs(as_mp(e.rho_0)) * growth
     with mp.workprec(t.precision_bits):
@@ -273,7 +274,7 @@ def test_trajectory_certified_at_deep_depths(n, k):
     (e,) = t.entries
     assert e.rho_inf.y == 0
     assert max(e.residuals) <= Fraction(1, 2 ** (t.precision_bits // 2))
-    assert len(e.roots) == t.dim + 1
+    assert len(e.roots) == t.limit.dim + 1
     h = h_poly(subdivided_f(t.base, k)[k])
     assert sum(real_flags(find_roots(h, t.precision_bits))) == sturm_count(h)
 
@@ -458,7 +459,8 @@ def test_alpha_guards():
 
 def test_alpha_scan_agrees_with_single_lookups():
     """Every n <= 2310, across the dimension changes at 6, 30, 210 and 2310:
-    list(alpha_scan(N)) == [alpha(n) for n in 6..N] for each N of them."""
+    list(alpha_scan(N)) == [alpha(n) for n in 6..N] for each N of them,
+    and a trajectory's limit is alpha(n) at five n."""
     records = list(alpha_scan(2310))
     assert [rec.n for rec in records] == list(range(6, 2311))
     for rec in records:
@@ -467,6 +469,9 @@ def test_alpha_scan_agrees_with_single_lookups():
         assert rec.exponent == single.exponent, rec.n
     for n_max in (6, 30, 210, 2310):
         assert list(alpha_scan(n_max)) == records[: n_max - 5], n_max
+    # chi = 0 at n = 39
+    for n in (6, 30, 39, 210, 2310):
+        assert trajectory(n, [0]).limit == alpha(n), n
 
 
 @pytest.mark.parametrize("n_max", [6, 7, 29, 30, 31, 2310, 98000])

@@ -191,7 +191,7 @@ MUTANTS = [
         "src/baryzeros/cli.py",
         "CliError, ValueError, OSError,",
         "CliError, OSError,",
-        "tests/test_cli.py::test_range_errors_exit_2",
+        "tests/test_cli.py::test_cli_contract",
     ),
     Mutant(
         "zeros rejects the depth cap itself",
@@ -227,6 +227,27 @@ MUTANTS = [
         "if not (MIN_PRECISION_BITS <= bits <= MAX_PRECISION_BITS):",
         "if not (MIN_PRECISION_BITS < bits <= MAX_PRECISION_BITS):",
         "tests/test_cli.py::test_zeros_rows_use_the_requested_precision",
+    ),
+    Mutant(
+        "trajectory's limit takes f_{d-1} as its top face count",
+        "src/baryzeros/dynamics.py",
+        "limit = AlphaRecord(n, d, fv.euler_char(), fv.count(d))",
+        "limit = AlphaRecord(n, d, fv.euler_char(), fv.count(d - 1))",
+        "tests/test_dynamics.py::test_trajectory_structure",
+    ),
+    Mutant(
+        "DIM1_START one past the first n of dimension 1",
+        "src/baryzeros/complexes.py",
+        "DIM1_START = _PRIMORIALS[2]",
+        "DIM1_START = _PRIMORIALS[2] + 1",
+        "tests/test_dynamics.py::test_alpha_scan_runs_tile_the_range[6]",
+    ),
+    Mutant(
+        "zeros' metadata reads chi from the top face count",
+        "src/baryzeros/cli.py",
+        '"chi": run.limit.chi,',
+        '"chi": run.limit.f_top,',
+        "tests/test_cli.py::test_zeros_metadata_is_the_alpha_row",
     ),
 ]
 

@@ -124,6 +124,8 @@ def probes() -> list[tuple[str | None, tuple[str, ...]]]:
         ("200000000", ("chi", "--to", "200000000")),
         ("abc", ("chi", "--to", "10")),
         ("0", ("alpha", "--n", "6")),
+        # an --n past P_16 under a cap that admits it: dim_of's ValueError
+        ("100000000000000000000", ("alpha", "--n", "100000000000000000000")),
         # argparse's own usage errors
         (None, ("alpha", "--n", "abc")),
         (None, ("alpha", "--n", "1e3")),
