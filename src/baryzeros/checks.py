@@ -457,16 +457,21 @@ def complex_suite() -> list[CheckResult]:
 def _check_growth_expansion():
     for n in (6, 30, 210):
         fv = summary(n)
-        d = fv.dim
+        d, chi, f_top = fv.dim, fv.euler_char(), fv.count(fv.dim)
         expansion = growth_expansion(fv)
-        vec = eigen_rationals(d)
-        f_top = fv.count(d)
+        q = expansion.h_rows
+        if q[0] != tuple(f_top * c for c in limit_h_coefficients(d)):
+            yield f"n={n}: Q_0 is not f_top times the limit h-polynomial"
         for i in range(-1, d + 1):
-            if expansion.leading(i) != f_top * vec[i + 1]:
-                yield f"n={n}, i={i}: leading coefficient mismatch"
             for j in range(d - i + 1, d + 1):
                 if expansion.coefficients[j][i + 1] != 0:
                     yield f"n={n}, i={i}, j={j}: expected zero coefficient"
+        # Q_j(0) = 0 for j < d, Q_d(0) = (-1)^d chi, and alpha = (-1)^d Q_d(0) / Q_0'(0)
+        for j, row in enumerate(q):
+            if row[-1] != (j == d) * (-1) ** d * chi:
+                yield f"n={n}, j={j}: constant term {row[-1]}"
+        if Fraction(*alpha_fields(d, chi, f_top)[:2]) * q[0][-2] != (-1) ** d * q[d][-1]:
+            yield f"n={n}: alpha is not (-1)^d Q_d(0) / Q_0'(0)"
         for k, exact in enumerate(subdivided_f(fv, GROWTH_DEPTH)):
             for i in range(-1, d + 1):
                 if expansion.evaluate(i, k) != exact.count(i):
@@ -495,9 +500,9 @@ def _check_trajectory_dim1():
             yield f"k={k}: largest-root ratio off by {float(abs(entry.ratio_inf - 1)):.6g}"
         if abs(entry.scaled_rho0 - 1) > tol:
             yield f"k={k}: scaled smallest root off by {float(abs(entry.scaled_rho0 - 1)):.6g}"
-        if entry.rho_inf.y:
+        if entry.rootset.roots[-1].y:
             yield f"k={k}: largest root not certified real"
-        if not entry.rho_inf.x < 0:
+        if not entry.rootset.roots[-1].x < 0:
             yield f"k={k}: largest root not negative"
         if entry.ambiguous:
             yield f"k={k}: extreme roots flagged ambiguous"
@@ -520,9 +525,9 @@ def _check_trajectory_dim2():
         gap2 = _gap_squared(entry.interior[0])
         if gap2 > Fraction(1e-4) ** 2:
             yield f"interior root and product {float(gap2) ** 0.5:.6g} away from -1"
-    if entry.rho_inf.y:
+    if entry.rootset.roots[-1].y:
         yield "largest root not certified real"
-    if not entry.rho_inf.x < 0:
+    if not entry.rootset.roots[-1].x < 0:
         yield "largest root not negative"
     if entry.sum_rel_err >= 1e-9 or entry.prod_rel_err >= 1e-9:
         yield "coefficient identity error above 1e-9"

@@ -327,19 +327,19 @@ def _cmd_zeros(args) -> int:
     digits = _digits(bits)
     rows = []
     for entry in run.entries:
-        # entry.roots is rho_0, the interior roots, then rho_inf
-        texts = [format_decimal(z, digits, bits) for z in entry.roots]
+        # rootset.roots is rho_0, the interior roots, then rho_inf
+        texts = [format_decimal(z, digits, bits) for z in entry.rootset.roots]
         rows.append({
             "precision_bits": bits,
             "rho_0": texts[0],
             "rho_inf": texts[-1],
             "ratio_inf": format_decimal(entry.ratio_inf, SUMMARY_DIGITS, bits),
             "scaled_rho0": format_decimal(entry.scaled_rho0, SUMMARY_DIGITS, bits),
-            "rho_inf_real": entry.rho_inf.y == 0,
+            "rho_inf_real": entry.rootset.roots[-1].y == 0,
             "ambiguous": entry.ambiguous,
             "sum_rel_err": format_decimal(entry.sum_rel_err, SUMMARY_DIGITS, bits),
             "prod_rel_err": format_decimal(entry.prod_rel_err, SUMMARY_DIGITS, bits),
-            "max_residual": format_decimal(max(entry.residuals), SUMMARY_DIGITS, bits),
+            "max_residual": format_decimal(max(entry.rootset.residuals), SUMMARY_DIGITS, bits),
             "interior": ";".join(texts[1:-1]),
             "roots": ";".join(texts),
         })

@@ -26,8 +26,8 @@ from .complexes import (
     shared_sieve,
     summary,
 )
-from .rootfinding import Dyadic, find_roots, rounded_sqrt
-from .subdivision import eigen_rationals, transfer_matrix
+from .rootfinding import RootSet, find_roots, rounded_sqrt
+from .subdivision import eigen_rationals, shift_matrix, transfer_matrix
 
 DEFAULT_TRAJECTORY_PRECISION = 192
 MAX_SUBDIVISION_DEPTH = 64
@@ -64,7 +64,7 @@ class GrowthExpansion(NamedTuple):
     has the distinct eigenvalues 1!, 2!, ..., (d+1)! and the expansion is
     the corresponding eigendecomposition of the initial count vector.
     coefficients[j][i + 1] holds C[j][i] for i in -1..d; row j's base
-    (d+1-j)! follows from dim.
+    (d+1-j)! follows from dim.  h_rows carries the rows to the h-side.
     """
 
     dim: int
@@ -81,9 +81,11 @@ class GrowthExpansion(NamedTuple):
             (row[i + 1] * math.factorial(d + 1 - j) ** k for j, row in enumerate(rows)), Fraction(0)
         )
 
-    def leading(self, i: int) -> Fraction:
-        """Coefficient of the dominant power ((d+1)!)^k for face size i."""
-        return self.coefficients[0][i + 1]
+    @property
+    def h_rows(self) -> tuple:
+        """Q_0, ..., Q_d: row j through shift_matrix(dim), highest degree
+        first, so the h-polynomial after k rounds is sum_j ((d+1-j)!)^k Q_j."""
+        return tuple(shift_matrix(self.dim).apply(row)[::-1] for row in self.coefficients)
 
 
 def growth_expansion(fv: FVector) -> GrowthExpansion:
@@ -114,12 +116,9 @@ def growth_expansion(fv: FVector) -> GrowthExpansion:
 class TrajectoryEntry(NamedTuple):
     """Root data of the h-polynomial after k subdivision rounds.
 
-    roots are the exact :class:`~baryzeros.rootfinding.Dyadic` values of
-    :func:`~baryzeros.rootfinding.find_roots` at the trajectory's
-    precision_bits, and residuals their backward residuals.  rho_0 and
-    rho_inf are the roots of smallest and largest modulus, interior the
-    rest; a root's imaginary part is exactly 0 only when find_roots
-    certified it real, so rho_inf.y == 0 says rho_inf is.  ratio_inf
+    rootset is the :class:`~baryzeros.rootfinding.RootSet` of find_roots at
+    the trajectory's precision_bits, roots in ascending modulus: roots[0]
+    is rho_0, roots[-1] is rho_inf, and interior the roots between.  ratio_inf
     compares |rho_inf| against the predicted magnitude H1 * f_d * ((d+1)!)^k
     and tends to 1; scaled_rho0 is |rho_0| * ((d+1)!)^k and tends to
     |limit.alpha|; both are Fractions rounded to precision_bits.
@@ -130,16 +129,16 @@ class TrajectoryEntry(NamedTuple):
     """
 
     k: int
-    roots: tuple
-    residuals: tuple
-    rho_0: Dyadic
-    rho_inf: Dyadic
-    interior: tuple
+    rootset: RootSet
     ratio_inf: Fraction
     scaled_rho0: Fraction
     ambiguous: bool
     sum_rel_err: Fraction
     prod_rel_err: Fraction
+
+    @property
+    def interior(self) -> tuple:
+        return self.rootset.roots[1:-1]
 
 
 class ZeroTrajectory(NamedTuple):
@@ -195,8 +194,8 @@ def trajectory(
     it once, with the complex's :class:`AlphaRecord` as its limit.  One
     :func:`subdivided_f` orbit to depths[-1] gives the exact face counts
     before the first root search, so a depth above the cap fails at once,
-    and depths out of order fail next.  Every value an entry holds is
-    exact, or rounded once from an exact value at precision_bits.
+    and depths out of order fail next.  An entry holds find_roots' RootSet;
+    every other value is exact, or rounded once from one at precision_bits.
     """
     rule = "depths must be nonempty, strictly ascending and nonnegative"
     if not depths or depths[0] < 0:
@@ -230,11 +229,7 @@ def trajectory(
         entries.append(
             TrajectoryEntry(
                 k=k,
-                roots=roots,
-                residuals=rootset.residuals,
-                rho_0=roots[0],
-                rho_inf=roots[-1],
-                interior=roots[1:-1],
+                rootset=rootset,
                 ratio_inf=rounded_sqrt(
                     high * limit.h1.denominator**2, predicted**2 << 2 * top, precision_bits
                 ),

@@ -688,25 +688,45 @@ def _top_face_bumped(oracle):
 _NOT_REAL = rootfinding.Dyadic(-1, 1, 0)
 
 
-def _entries_replaced(**fields):
-    "A trajectory oracle whose every entry has the given fields replaced."
+def _entries_edited(edit):
+    "A trajectory oracle whose every entry passes through edit(entry)."
 
     def wrap(oracle):
-        def replaced(*args, **kwargs):
+        def edited(*args, **kwargs):
             run = oracle(*args, **kwargs)
-            return run._replace(entries=tuple(e._replace(**fields) for e in run.entries))
+            return run._replace(entries=tuple(map(edit, run.entries)))
 
-        return replaced
+        return edited
 
     return wrap
 
 
-def _growth_bumped(j, i):
-    "A growth_expansion oracle whose coefficients[j][i] is one too large."
+def _entries_replaced(**fields):
+    "A trajectory oracle whose every entry has the given fields replaced."
+    return _entries_edited(lambda e: e._replace(**fields))
+
+
+def _roots_edited(edit):
+    "A trajectory oracle whose every entry's rootset.roots passes through edit(roots)."
+    return _entries_edited(
+        lambda e: e._replace(rootset=e.rootset._replace(roots=edit(e.rootset.roots)))
+    )
+
+
+def _rho_inf_set(z):
+    "A trajectory oracle whose every entry's largest root is z."
+    return _roots_edited(lambda roots: (*roots[:-1], z))
+
+
+def _growth_bumped(j, i, dim=None):
+    """A growth_expansion oracle whose coefficients[j][i] is one too large,
+    only in dimension dim if one is given."""
 
     def wrap(oracle):
         def bumped(fv):
             expansion = oracle(fv)
+            if dim not in (None, fv.dim):
+                return expansion
             rows = [list(row) for row in expansion.coefficients]
             rows[j][i] += 1
             return expansion._replace(coefficients=tuple(map(tuple, rows)))
@@ -754,19 +774,13 @@ def _denominator_bumped(oracle):
     return bumped
 
 
-def _interior_shifted(oracle):
-    "Each entry's first interior root (x + iy) / 2^e moved 2^-8 to the right."
+def _first_interior_moved(roots):
+    "The first interior root (x + iy) / 2^e moved 2^-8 to the right."
+    z = roots[1]
+    return (roots[0], z._replace(x=z.x + (1 << z.e - 8)), *roots[2:])
 
-    def shifted(*args, **kwargs):
-        run = oracle(*args, **kwargs)
-        entries = []
-        for e in run.entries:
-            x, y, exp = e.interior[0]
-            moved = (x + (1 << exp - 8), y, exp)
-            entries.append(e._replace(interior=(moved, *e.interior[1:])))
-        return run._replace(entries=tuple(entries))
 
-    return shifted
+_interior_shifted = _roots_edited(_first_interior_moved)
 
 
 def _runs_edited(edit):
@@ -902,34 +916,45 @@ _BROKEN_ORACLES = [
                  "explicit-subdivision-vs-transfer", "n=6, k=1: f-vector mismatch (+11 more)",
                  id="explicit-subdivision-vs-transfer-dimension"),
     pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(0, 1),
-                 "growth-expansion-exact", "n=6, i=0: leading coefficient mismatch",
+                 "growth-expansion-exact", "n=6: Q_0 is not f_top times the limit h-polynomial",
                  id="growth-expansion-exact-leading"),
+    # Q_1 of n = 30 (d = 2): a constant term that must be 0, with Q_0 and Q_d right
+    pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(1, 0, dim=2),
+                 "growth-expansion-exact", "n=30, j=1: constant term -1",
+                 id="growth-expansion-exact-constant"),
+    pytest.param("_check_growth_expansion", "alpha_fields", _denominator_bumped,
+                 "growth-expansion-exact", "n=6: alpha is not (-1)^d Q_d(0) / Q_0'(0)",
+                 id="growth-expansion-exact-alpha"),
     pytest.param("_check_growth_expansion", "growth_expansion", _growth_bumped(1, 2),
                  "growth-expansion-exact", "n=6, i=1, j=1: expected zero coefficient",
                  id="growth-expansion-exact-zero"),
-    # (field, value, first failure[, id label]): the label defaults to the field
+    # (id label, broken trajectory, first failure)
     *(
-        pytest.param(check, "trajectory", _entries_replaced(**{field: value}), name, first,
-                     id=f"{name}-{label[0] if label else field}")
+        pytest.param(check, "trajectory", broken, name, first, id=f"{name}-{label}")
         for check, name, cases in [
             ("_check_trajectory_dim1", "trajectory-dim1-convergence", [
-                ("sum_rel_err", 1, "k=0: coefficient identity error above 1e-9"),
-                ("ratio_inf", 2, "k=4: largest-root ratio off by 1"),
-                ("scaled_rho0", 2, "k=4: scaled smallest root off by 1"),
-                ("rho_inf", _NOT_REAL, "k=4: largest root not certified real", "rho_inf_real"),
-                ("rho_inf", rootfinding.Dyadic(1, 0, 0), "k=4: largest root not negative"),
+                ("sum_rel_err", _entries_replaced(sum_rel_err=1),
+                 "k=0: coefficient identity error above 1e-9"),
+                ("ratio_inf", _entries_replaced(ratio_inf=2), "k=4: largest-root ratio off by 1"),
+                ("scaled_rho0", _entries_replaced(scaled_rho0=2),
+                 "k=4: scaled smallest root off by 1"),
+                ("rho_inf_real", _rho_inf_set(_NOT_REAL), "k=4: largest root not certified real"),
+                ("rho_inf", _rho_inf_set(rootfinding.Dyadic(1, 0, 0)),
+                 "k=4: largest root not negative"),
             ]),
             ("_check_trajectory_dim2", "trajectory-dim2-snapshot", [
-                ("ratio_inf", 2, "largest-root ratio off by 1"),
-                ("scaled_rho0", 7, "scaled smallest root off by 1"),
-                ("interior", (), "expected one interior root, got 0"),
-                ("rho_inf", _NOT_REAL, "largest root not certified real", "rho_inf_real"),
-                ("rho_inf", rootfinding.Dyadic(1, 0, 0), "largest root not negative"),
-                ("sum_rel_err", 1, "coefficient identity error above 1e-9"),
-                ("ambiguous", True, "extreme roots flagged ambiguous"),
+                ("ratio_inf", _entries_replaced(ratio_inf=2), "largest-root ratio off by 1"),
+                ("scaled_rho0", _entries_replaced(scaled_rho0=7), "scaled smallest root off by 1"),
+                ("interior", _roots_edited(lambda roots: (roots[0], roots[-1])),
+                 "expected one interior root, got 0"),
+                ("rho_inf_real", _rho_inf_set(_NOT_REAL), "largest root not certified real"),
+                ("rho_inf", _rho_inf_set(rootfinding.Dyadic(1, 0, 0)), "largest root not negative"),
+                ("sum_rel_err", _entries_replaced(sum_rel_err=1),
+                 "coefficient identity error above 1e-9"),
+                ("ambiguous", _entries_replaced(ambiguous=True), "extreme roots flagged ambiguous"),
             ]),
         ]
-        for field, value, first, *label in cases
+        for label, broken, first in cases
     ),
 ]
 

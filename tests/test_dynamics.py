@@ -26,7 +26,6 @@ from baryzeros import (
     h_poly,
     limit_h_coefficients,
     shared_sieve,
-    shift_matrix,
     subdivided_f,
     summary,
     trajectory,
@@ -80,7 +79,7 @@ def test_growth_expansion_line_complex():
 
 
 def test_growth_expansion_leading_coefficients():
-    "The top-eigenvalue coefficient is f_top times the eigen weight."
+    "The top-eigenvalue row is f_top times the eigen weights."
     for n in (6, 30, 210):
         fv = summary(n)
         d = fv.dim
@@ -88,7 +87,7 @@ def test_growth_expansion_leading_coefficients():
         weights = eigen_rationals(d)
         f_top = fv.count(d)
         for i in range(-1, d + 1):
-            assert g.leading(i) == f_top * weights[i + 1], (n, i)
+            assert g.coefficients[0][i + 1] == f_top * weights[i + 1], (n, i)
 
 
 def test_growth_expansion_reproduces_exact_counts():
@@ -102,23 +101,28 @@ def test_growth_expansion_reproduces_exact_counts():
     ):
         fv = FVector(counts)
         g = growth_expansion(fv)
+        d = fv.dim
         for k, fk in enumerate(subdivided_f(fv, 12)):
-            for i in range(-1, fv.dim + 1):
+            for i in range(-1, d + 1):
                 assert g.evaluate(i, k) == fk.count(i), (counts, i, k)
+            h = tuple(
+                sum(factorial(d + 1 - j) ** k * q[i] for j, q in enumerate(g.h_rows))
+                for i in range(d + 2)
+            )
+            assert h == h_poly(fk), (counts, k)
 
 
 def test_c6_constant_is_exactly_22():
     """The c6 erratum's constant is exactly 22 (n = 30, d = 2).
 
-    h_k / 6^k = sum_j r_j^k Q_j with r_j = (3 - j)! / 3!, where Q_j is the
-    shift_matrix image of growth row j, highest degree first, and Q_0 is
-    f_top times the limit h-polynomial, whose interior zero is -1.  To
-    first order the interior root sits kappa * 3^-k from -1, with
-    kappa = -Q_1(-1) / Q_0'(-1); the next term is about 16 * 6^-k.  At
-    k = 12 the gap is the 22.003 * 3^-12 that
-    test_c6_interior_root_tolerance_as_stated prints."""
+    h_k / 6^k = sum_j r_j^k Q_j with r_j = (3 - j)! / 3!, where Q_j is
+    growth_expansion's h_rows[j], and Q_0 is f_top times the limit
+    h-polynomial, whose interior zero is -1.  To first order the interior
+    root sits kappa * 3^-k from -1, with kappa = -Q_1(-1) / Q_0'(-1); the
+    next term is about 16 * 6^-k.  At k = 12 the gap is the 22.003 * 3^-12
+    that test_c6_interior_root_tolerance_as_stated prints."""
     fv = summary(30)
-    q = [shift_matrix(2).apply(row)[::-1] for row in growth_expansion(fv).coefficients]
+    q = growth_expansion(fv).h_rows
     assert q[0] == tuple(fv.count(2) * c for c in limit_h_coefficients(2)) == (
         0, Fraction(1, 2), Fraction(1, 2), 0,
     )
@@ -143,13 +147,13 @@ def test_c6_constant_is_exactly_22():
 
 @pytest.mark.parametrize("n", [6, 10, 14, 30, 94, 210, 2310, 30030, 510510])
 def test_alpha_from_the_h_side_expansion(n):
-    """alpha_n = (-1)^d Q_d(0) / Q_0'(0), with Q_j built as in
-    test_c6_constant_is_exactly_22: Q_0 is f_top times the limit
+    """alpha_n = (-1)^d Q_d(0) / Q_0'(0), with Q_j growth_expansion's h_rows
+    as in test_c6_constant_is_exactly_22: Q_0 is f_top times the limit
     h-polynomial, and Q_d, the row of the fixed base 1! = 1, holds the
     h-polynomial's constant term, (-1)^d chi."""
     fv = summary(n)
     d = fv.dim
-    q = [shift_matrix(d).apply(row)[::-1] for row in growth_expansion(fv).coefficients]
+    q = growth_expansion(fv).h_rows
     assert q[0] == tuple(fv.count(d) * c for c in limit_h_coefficients(d))
     assert q[-1][-1] == (-1) ** d * fv.euler_char()
     assert alpha(n).alpha == (-1) ** d * q[-1][-1] / q[0][-2]
@@ -162,8 +166,8 @@ def test_trajectory_works_at_the_requested_precision():
     t = trajectory(510510, range(65), 192)
     assert t.precision_bits == 192
     for e in t.entries:
-        assert e.rho_inf.y == 0, e.k
-        assert max(e.residuals) <= Fraction(1, 2**96), e.k
+        assert e.rootset.roots[-1].y == 0, e.k
+        assert max(e.rootset.residuals) <= Fraction(1, 2**96), e.k
 
 
 def test_trajectory_structure():
@@ -173,13 +177,18 @@ def test_trajectory_structure():
     assert t.base.counts == (1, 3, 1)
     assert [e.k for e in t.entries] == [0, 1, 2, 3]
     first = t.entries[0]
-    assert len(first.roots) == 2
+    assert first._fields == (
+        "k", "rootset", "ratio_inf", "scaled_rho0", "ambiguous", "sum_rel_err", "prod_rel_err",
+    )
+    # the RootSet find_roots returned, method included
+    assert first.rootset == find_roots(h_poly(t.base), t.precision_bits)
+    rho_0, rho_inf = first.rootset.roots
     assert first.interior == ()
     with mp.workprec(t.precision_bits):
-        assert abs(as_mp(first.rho_0) - (mp.sqrt(5) - 1) / 2) < mp.mpf(2) ** -60
-        assert abs(as_mp(first.rho_inf) + (mp.sqrt(5) + 1) / 2) < mp.mpf(2) ** -60
-        assert abs(as_mp(first.scaled_rho0) - abs(as_mp(first.rho_0))) == 0
-    assert first.rho_inf.y == 0
+        assert abs(as_mp(rho_0) - (mp.sqrt(5) - 1) / 2) < mp.mpf(2) ** -60
+        assert abs(as_mp(rho_inf) + (mp.sqrt(5) + 1) / 2) < mp.mpf(2) ** -60
+        assert abs(as_mp(first.scaled_rho0) - abs(as_mp(rho_0))) == 0
+    assert rho_inf.y == 0
     assert not first.ambiguous
 
 
@@ -215,7 +224,7 @@ def test_trajectory_diagnostics_are_exact(n, k, bits):
     t = trajectory(n, [k], bits)
     (e,) = t.entries
     h = h_poly(subdivided_f(t.base, k)[k])
-    roots = [gaussian_fraction(z) for z in e.roots]
+    roots = [gaussian_fraction(z) for z in e.rootset.roots]
     total = (sum(re for re, _ in roots), sum(im for _, im in roots))
     product = (Fraction(1), Fraction(0))
     for re, im in roots:
@@ -229,8 +238,8 @@ def test_trajectory_diagnostics_are_exact(n, k, bits):
     h1 = t.limit.h1
     with mp.workprec(4 * t.precision_bits):
         predicted = mp.mpf(h1.numerator) / h1.denominator * t.limit.f_top * growth
-        ratio = abs(as_mp(e.rho_inf)) / predicted
-        scaled = abs(as_mp(e.rho_0)) * growth
+        ratio = abs(as_mp(e.rootset.roots[-1])) / predicted
+        scaled = abs(as_mp(e.rootset.roots[0])) * growth
     with mp.workprec(t.precision_bits):
         assert as_mp(e.ratio_inf) == +ratio
         assert as_mp(e.scaled_rho0) == +scaled
@@ -272,9 +281,10 @@ def test_trajectory_certified_at_deep_depths(n, k):
     "Depths where polyroots gave up at 192 bits are certified at 192 bits now."
     t = trajectory(n, [k])
     (e,) = t.entries
-    assert e.rho_inf.y == 0
-    assert max(e.residuals) <= Fraction(1, 2 ** (t.precision_bits // 2))
-    assert len(e.roots) == t.limit.dim + 1
+    roots, residuals, _ = e.rootset
+    assert roots[-1].y == 0
+    assert max(residuals) <= Fraction(1, 2 ** (t.precision_bits // 2))
+    assert len(roots) == t.limit.dim + 1
     h = h_poly(subdivided_f(t.base, k)[k])
     assert sum(real_flags(find_roots(h, t.precision_bits))) == sturm_count(h)
 

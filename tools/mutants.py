@@ -203,8 +203,8 @@ MUTANTS = [
     Mutant(
         "trajectory-dim1-convergence tests rho_0 for realness",
         "src/baryzeros/checks.py",
-        "        if entry.rho_inf.y:\n            yield f\"k={k}: largest root not certified real\"",
-        "        if entry.rho_0.y:\n            yield f\"k={k}: largest root not certified real\"",
+        "        if entry.rootset.roots[-1].y:\n            yield f\"k={k}: largest root not certified real\"",
+        "        if entry.rootset.roots[0].y:\n            yield f\"k={k}: largest root not certified real\"",
         "tests/test_cli.py::test_guard_checks_can_fail[trajectory-dim1-convergence-rho_inf_real]",
     ),
     Mutant(
@@ -248,6 +248,27 @@ MUTANTS = [
         '"chi": run.limit.chi,',
         '"chi": run.limit.f_top,',
         "tests/test_cli.py::test_zeros_metadata_is_the_alpha_row",
+    ),
+    Mutant(
+        "growth-expansion-exact compares Q_0 with the f-side eigen weights",
+        "src/baryzeros/checks.py",
+        "if q[0] != tuple(f_top * c for c in limit_h_coefficients(d)):",
+        "if q[0] != tuple(f_top * c for c in eigen_rationals(d)):",
+        "tests/test_acceptance.py::test_verify_check[growth-expansion-exact]",
+    ),
+    Mutant(
+        "growth-expansion-exact checks the constant term of Q_d only",
+        "src/baryzeros/checks.py",
+        "for j, row in enumerate(q):",
+        "for j, row in enumerate(q[d:], d):",
+        "tests/test_cli.py::test_guard_checks_can_fail[growth-expansion-exact-constant]",
+    ),
+    Mutant(
+        "growth-expansion-exact takes alpha from the rows it checks",
+        "src/baryzeros/checks.py",
+        "Fraction(*alpha_fields(d, chi, f_top)[:2]) * q[0][-2]",
+        "(-1) ** d * q[d][-1] / q[0][-2] * q[0][-2]",
+        "tests/test_cli.py::test_guard_checks_can_fail[growth-expansion-exact-alpha]",
     ),
 ]
 
