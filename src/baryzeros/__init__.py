@@ -39,13 +39,11 @@ from .dynamics import (
     AlphaRecord,
     AlphaRun,
     AlphaScan,
-    ConjectureReport,
     GrowthExpansion,
     TrajectoryEntry,
     ZeroTrajectory,
     alpha,
     alpha_scan,
-    conjecture_report,
     growth_expansion,
     subdivided_f,
     trajectory,
@@ -69,7 +67,6 @@ __all__ = [
     "AlphaRecord",
     "AlphaRun",
     "AlphaScan",
-    "ConjectureReport",
     "ConsistencyError",
     "FVector",
     "GrowthExpansion",
@@ -85,7 +82,6 @@ __all__ = [
     "alpha_scan",
     "build_sieve",
     "chi_profile",
-    "conjecture_report",
     "descent_matrix",
     "dim_of",
     "eigen_rationals",

@@ -453,9 +453,11 @@ def complex_suite() -> list[CheckResult]:
 # zeros: growth expansion and root trajectories
 
 
-@_check("zeros", "growth-expansion-exact", f"n in (6, 30, 210), every k <= {GROWTH_DEPTH}, exact")
+@_check(
+    "zeros", "growth-expansion-exact", f"n in (6, 14, 30, 210), every k <= {GROWTH_DEPTH}, exact"
+)
 def _check_growth_expansion():
-    for n in (6, 30, 210):
+    for n in (6, 14, 30, 210):
         fv = summary(n)
         d, chi, f_top = fv.dim, fv.euler_char(), fv.count(fv.dim)
         expansion = growth_expansion(fv)

@@ -323,9 +323,9 @@ class AlphaScan:
     An alpha depends on n only through (dim, chi, f_top), and dim and
     f_top change only at the runs' starts, so consumers can work once per
     distinct value.  Iterating yields an :class:`AlphaRecord` per n, in
-    order, built on demand from its run; len() counts them.  A slotted
-    class, not a named tuple like the package's other records: its len()
-    and its iteration are over the records, not over its two fields.
+    order, built on demand from its run; len() counts them, and only the
+    benchmark tracer reads it.  A slotted class, not a named tuple: its
+    len() and its iteration are over the records, not over its two fields.
     """
 
     __slots__ = ("n_max", "runs")
@@ -369,63 +369,3 @@ def alpha_scan(n_max: int) -> AlphaScan:
         for f_top, (start, stop) in enumerate(zip(starts, starts[1:] + [hi]), 1):
             runs.append(AlphaRun(d, f_top, start, chi[start:stop]))
     return AlphaScan(n_max, tuple(runs))
-
-
-class ConjectureReport(NamedTuple):
-    """Exact audit of the scaling-limit growth bounds up to n_max.
-
-    strong_violations lists n where alpha^2 > ((d+1)!)^3 (exponent above
-    3/2), weak_violations where |alpha| > ((d+1)!)^2 (exponent above 2);
-    both comparisons are exact, in the integers of alpha = a/b:
-    a^2 > F^3 b^2 and |a| > F^2 b with F = (d+1)!.
-    """
-
-    n_max: int
-    checked: int
-    zero_count: int
-    strong_violations: tuple
-    weak_violations: tuple
-    max_exponent: float
-    argmax_n: int
-
-
-def conjecture_report(n_max: int) -> ConjectureReport:
-    """Audit the growth bounds on alpha for every n from 6 to n_max.
-
-    Reads :func:`alpha_scan`'s runs: each distinct (d, chi, f_top) is
-    tested once, exactly, and only a value that breaks a bound is expanded
-    to its n, in ascending order.  argmax_n is the first n at which the
-    largest exponent occurs; alpha = 0 has no exponent and is counted in
-    zero_count instead.
-    """
-    scan = alpha_scan(n_max)
-    strong: list = []
-    weak: list = []
-    zero_count = 0
-    best, argmax_n = float("-inf"), 0
-    for d, f_top, lo, chi in scan.runs:
-        chi = list(chi)  # a view has no count or index
-        fac = math.factorial(d + 1)
-        zero_count += chi.count(0)
-        fields = {c: alpha_fields(d, c, f_top) for c in set(chi) if c}
-        over_strong = {c for c, (a, b, _) in fields.items() if a * a > fac**3 * b * b}
-        over_weak = {c for c, (a, b, _) in fields.items() if abs(a) > fac**2 * b}
-        for over, found in ((over_strong, strong), (over_weak, weak)):
-            if over:
-                found.extend(n for n, c in enumerate(chi, lo) if c in over)
-        if fields:
-            peak = max(exponent for _, _, exponent in fields.values())
-            if peak > best:
-                best = peak
-                argmax_n = lo + min(
-                    chi.index(c) for c, (_, _, e) in fields.items() if e == peak
-                )
-    return ConjectureReport(
-        n_max=n_max,
-        checked=len(scan),
-        zero_count=zero_count,
-        strong_violations=tuple(strong),
-        weak_violations=tuple(weak),
-        max_exponent=best,
-        argmax_n=argmax_n,
-    )

@@ -469,10 +469,10 @@ def test_limit_table_bytes_at_full_size(capsys, argv, digest):
 @pytest.mark.parametrize(
     "suite, digest",
     [
-        ("all", "3500e765f08cac1c0d8b743e8ffcf9bcb753d14e7ee4bbb26b4ed3cc20509d20"),
+        ("all", "2aef4470e60417087b0f45ad8638bf0b1de508b719e3130e6c0f2c1569af3d94"),
         ("core", "7d41a49e14c6fe30ad2af8b017eea4743c1ba85f20fd700546b79000561c7691"),
         ("complex", "edc4e5e2ad4dd9fbf092732cbc0f27e7962a2e709c9153df27ad45fd13b5a3b1"),
-        ("zeros", "1de491fdb007de39618ce40bef565adecaba0923c9a4497e7b7b92b45edb2b84"),
+        ("zeros", "c0444442fc548d91ec547e52fcd715afe60b0ec601bc3e476fe998199fb917ea"),
     ],
     ids=["all", "core", "complex", "zeros"],
 )

@@ -5,20 +5,18 @@ import os
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import factorial, log
+from math import factorial
 from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from baryzeros import (
-    AlphaRun,
     AlphaScan,
     FVector,
     alpha,
     alpha_scan,
     chi_profile,
-    conjecture_report,
     dim_of,
     eigen_rationals,
     find_roots,
@@ -606,60 +604,10 @@ def test_alpha_reference_misprints_catalogued():
         assert printed != computed
 
 
-def test_conjecture_report_smoke():
-    "The report tabulates exponents; it asserts nothing about bounds."
-    report = conjecture_report(500)
-    assert report.n_max == 500
-    assert report.checked == 495
-    assert report.zero_count > 0
-    assert report.strong_violations == ()
-    assert report.weak_violations == ()
-    assert report.max_exponent >= 1.0
-    assert 6 <= report.argmax_n <= 500
-
-
-def test_conjecture_report_matches_fraction_reference():
-    "The integer comparisons give the report of exact Fraction arithmetic."
-    n_max = 2000
-    strong, weak, zeros, exponents = [], [], 0, {}
-    for n in range(6, n_max + 1):
-        fv = summary(n)
-        d = fv.dim
-        value = Fraction(fv.euler_char()) / (eigen_rationals(d)[1] * fv.count(d))
-        if value == 0:
-            zeros += 1
-            continue
-        fac = Fraction(factorial(d + 1))
-        if value * value > fac**3:
-            strong.append(n)
-        if abs(value) > fac**2:
-            weak.append(n)
-        exponents[n] = (
-            log(abs(value.numerator)) - log(value.denominator)
-        ) / log(factorial(d + 1))
-    argmax_n = max(exponents, key=exponents.get)
-    report = conjecture_report(n_max)
-    assert report.n_max == n_max
-    assert report.checked == n_max - 5
-    assert report.zero_count == zeros
-    assert report.strong_violations == tuple(strong)
-    assert report.weak_violations == tuple(weak)
-    assert report.max_exponent == exponents[argmax_n]
-    assert report.argmax_n == argmax_n
-
-
-@pytest.mark.parametrize(
-    "module, run",
-    [
-        ("dynamics", lambda: conjecture_report(10000)),
-        ("checks", checks._check_alpha_identity),
-    ],
-    ids=["conjecture-report", "alpha-defining-identity"],
-)
-def test_alpha_scan_consumers_read_records_once(monkeypatch, module, run):
-    """The report and the verify check read the runs once and build no
-    record: the same result from one-shot runs and a scan that cannot be
-    iterated."""
+def test_alpha_scan_consumers_read_records_once(monkeypatch):
+    """The verify check reads the runs once and builds no record: the
+    same result from one-shot runs and a scan that cannot be iterated."""
+    run = checks._check_alpha_identity
     expected = run()
     scan = dynamics.alpha_scan
 
@@ -669,27 +617,6 @@ def test_alpha_scan_consumers_read_records_once(monkeypatch, module, run):
     def no_records(self):
         raise AssertionError("a consumer iterated the records")
 
-    monkeypatch.setattr(f"baryzeros.{module}.alpha_scan", one_shot)
+    monkeypatch.setattr("baryzeros.checks.alpha_scan", one_shot)
     monkeypatch.setattr(AlphaScan, "__iter__", no_records)
     assert run() == expected
-
-
-def test_conjecture_report_thresholds_exact(monkeypatch):
-    """At d = 1, F = 2 and H1 = 1, so alpha = chi/f_top: strong is
-    alpha^2 > 8, weak |alpha| > 4, at the edges.  Violations come in n
-    order, and the largest exponent, tied at n = 9, 11 and 12, goes to
-    the first."""
-    runs = (
-        AlphaRun(1, 6, 6, [17]),  # 17/6 = 2.833..., just above sqrt(8): strong only
-        AlphaRun(1, 5, 7, [-14]),  # -14/5, just below sqrt(8): neither
-        AlphaRun(1, 1, 8, [-4]),  # strong; weak is strict, so not weak
-        AlphaRun(1, 2, 9, [9, 0, -9, 9]),  # 9/2, 0, -9/2, 9/2: both, bar the 0
-    )
-    monkeypatch.setattr("baryzeros.dynamics.alpha_scan", lambda n_max: AlphaScan(12, runs))
-    report = conjecture_report(12)
-    assert report.checked == 7
-    assert report.strong_violations == (6, 8, 9, 11, 12)
-    assert report.weak_violations == (9, 11, 12)
-    assert report.zero_count == 1
-    assert report.argmax_n == 9
-    assert report.max_exponent == (log(9) - log(2)) / log(2)

@@ -270,6 +270,20 @@ MUTANTS = [
         "(-1) ** d * q[d][-1] / q[0][-2] * q[0][-2]",
         "tests/test_cli.py::test_guard_checks_can_fail[growth-expansion-exact-alpha]",
     ),
+    Mutant(
+        "growth-expansion-exact drops f_top from Q_0",
+        "src/baryzeros/checks.py",
+        "if q[0] != tuple(f_top * c for c in limit_h_coefficients(d)):",
+        "if q[0] != tuple(limit_h_coefficients(d)):",
+        "tests/test_acceptance.py::test_verify_check[growth-expansion-exact]",
+    ),
+    Mutant(
+        "growth-expansion-exact reads alpha with f_top = 1",
+        "src/baryzeros/checks.py",
+        "alpha_fields(d, chi, f_top)",
+        "alpha_fields(d, chi, 1)",
+        "tests/test_acceptance.py::test_verify_check[growth-expansion-exact]",
+    ),
 ]
 
 
