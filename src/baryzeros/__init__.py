@@ -9,7 +9,7 @@ divisors).  It provides:
 - sieves, f-vectors and explicit complexes with the Euler
   characteristic / Mertens cross-check (``complexes``),
 - certified root finding in exact dyadic arithmetic, and the decimal
-  text of its values (``rootfinding``),
+  text of its values (``rootfinding``, loaded on first use),
 - root trajectories under repeated subdivision, the exact growth
   expansion of face counts and exact scaling limits (``dynamics``),
 - runnable invariant suites (``checks``) and a deterministic CLI
@@ -18,8 +18,11 @@ divisors).  It provides:
 The root exports what the commands compute.  The oracles that only
 ``verify`` checks them against, and the suites, are imported from their
 defining modules (``subdivision``, ``complexes``, ``checks``).  Importing
-the package does not load ``checks``.  The package needs nothing beyond
-the standard library.
+the package loads neither ``checks`` nor ``rootfinding``: the root
+exports ``RootFindingError``, ``RootSet`` and ``find_roots`` through a
+module ``__getattr__`` that imports ``rootfinding`` when one of them is
+first read, so only a command that solves a polynomial compiles it.  The
+package needs nothing beyond the standard library.
 """
 
 from .complexes import (
@@ -48,7 +51,6 @@ from .dynamics import (
     subdivided_f,
     trajectory,
 )
-from .rootfinding import RootFindingError, RootSet, find_roots
 from .subdivision import (
     SimplexMatrix,
     descent_matrix,
@@ -100,3 +102,16 @@ __all__ = [
     "trajectory",
     "transfer_matrix",
 ]
+
+
+def __getattr__(name: str):
+    "The root finder's exports, read from ``rootfinding`` (PEP 562)."
+    if name in ("RootFindingError", "RootSet", "find_roots"):
+        from . import rootfinding
+
+        return getattr(rootfinding, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

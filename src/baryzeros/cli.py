@@ -12,13 +12,16 @@ to the working precision, which is itself recorded in the row, in the
 decimal form of ``rootfinding.format_decimal``.
 
 A command loads only what it runs: ``verify`` imports the suites
-(``checks``) when it starts, and no other command does; the CSV writer
-imports ``csv`` and the JSON writer ``json``.
+(``checks``) when it starts, and no other command does; only ``zeros``
+and the zeros suite of ``verify`` solve a polynomial, so only they load
+the root finder (``rootfinding``); the CSV writer imports ``csv`` and the
+JSON writer ``json``.
 
 ``main`` runs one command and returns its exit code; the tests and the
 tools call it in-process.  ``run`` is the process entry of both
 ``python -m baryzeros`` and the ``baryzeros`` script: it calls ``main``
-and ends the process with its code.
+and ends the process with its code, and it alone touches the process's
+stdout descriptor.
 """
 
 from __future__ import annotations
@@ -33,22 +36,16 @@ from itertools import chain, islice, starmap, takewhile, zip_longest
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
-from .complexes import (
-    DIM1_START,
-    ConsistencyError,
-    ResourceLimitError,
-    chi_profile,
-    dimension_runs,
-)
+from .complexes import DIM1_START, chi_profile, dimension_runs
 from .dynamics import (
     DEFAULT_TRAJECTORY_PRECISION,
     MAX_SUBDIVISION_DEPTH,
+    MIN_PRECISION_BITS,
     alpha,
     alpha_fields,
     alpha_scan,
     trajectory,
 )
-from .rootfinding import MIN_PRECISION_BITS, RootFindingError, format_decimal
 from .subdivision import (
     descent_matrix,
     eigen_rationals,
@@ -324,6 +321,9 @@ def _cmd_zeros(args) -> int:
     if not (0 <= args.k <= MAX_SUBDIVISION_DEPTH):
         raise CliError(f"--k must be between 0 and {MAX_SUBDIVISION_DEPTH}")
     run = trajectory(args.n, range(args.k + 1), bits)
+    # trajectory has loaded rootfinding: a rejected command never compiles it
+    from .rootfinding import format_decimal
+
     digits = _digits(bits)
     rows = []
     for entry in run.entries:
@@ -464,13 +464,11 @@ def main(argv: list[str] | None = None) -> int:
         code = _DISPATCH[args.command](args)
         sys.stdout.flush()
         return code
-    except (
-        CliError, ValueError, OSError, ConsistencyError, ResourceLimitError, RootFindingError
-    ) as exc:
+    # RuntimeError is the base of ConsistencyError, ResourceLimitError and
+    # RootFindingError
+    except (CliError, ValueError, OSError, RuntimeError) as exc:
         if isinstance(exc, BrokenPipeError) and args.out is None:
-            # The reader of stdout has gone (``| head``): stop quietly, and
-            # point stdout at devnull so the flush at exit cannot fail again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            # The reader of stdout has gone (``| head``): stop quietly.
             return 0
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -479,6 +477,13 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     "The process entry: run the command line in sys.argv and exit with its code."
     code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # A write to stdout failed (its reader has gone, or its device is
+        # full) and main has ended the command; point stdout at devnull so
+        # the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # The process ends here: stdout is flushed and any --out file closed,
     # and nothing the package holds needs a finalizer.  Frozen objects are
     # left out of the collections that interpreter shutdown runs, which

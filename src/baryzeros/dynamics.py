@@ -7,6 +7,14 @@ for, and every diagnostic is computed exactly from them.
 The module also computes the exact closed form of the face counts as a
 sum of factorial powers, and the scaling limits of the smallest root
 across all squarefree-divisor complexes.
+
+The module imports ``rootfinding`` only when a polynomial is solved, so
+the commands that only scan never compile it.  ``trajectory`` imports it
+as it starts and solves through the module-level ``find_roots``, a
+forwarder to ``rootfinding.find_roots``: the name the benchmark tracer
+and the tests replace.  The precision floor ``MIN_PRECISION_BITS`` lives
+here, beside the default, because every command loads this module and
+the command line prints the floor in its help.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import contextlib
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .complexes import (
     DIM1_START,
@@ -26,9 +34,12 @@ from .complexes import (
     shared_sieve,
     summary,
 )
-from .rootfinding import RootSet, find_roots, rounded_sqrt
 from .subdivision import eigen_rationals, shift_matrix, transfer_matrix
 
+if TYPE_CHECKING:
+    from .rootfinding import RootSet
+
+MIN_PRECISION_BITS = 16
 DEFAULT_TRAJECTORY_PRECISION = 192
 MAX_SUBDIVISION_DEPTH = 64
 
@@ -180,6 +191,13 @@ def _identity_errors(h: tuple, roots: tuple) -> tuple:
     return rel(total, top, -h[1]), rel(product, scale, vieta_prod)
 
 
+def find_roots(coeffs: Sequence[int], precision_bits: int) -> RootSet:
+    "``rootfinding.find_roots``, imported on the first call."
+    from . import rootfinding
+
+    return rootfinding.find_roots(coeffs, precision_bits)
+
+
 def trajectory(
     n: int,
     depths: Sequence[int],
@@ -197,6 +215,8 @@ def trajectory(
     and depths out of order fail next.  An entry holds find_roots' RootSet;
     every other value is exact, or rounded once from one at precision_bits.
     """
+    from .rootfinding import rounded_sqrt
+
     rule = "depths must be nonempty, strictly ascending and nonnegative"
     if not depths or depths[0] < 0:
         raise ValueError(rule)

@@ -45,7 +45,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-MIN_PRECISION_BITS = 16
+from .dynamics import MIN_PRECISION_BITS
+
 # Sign bisection narrows an isolated root to this relative width before
 # Newton steps take over; Newton then works this many bits past the
 # certified width.

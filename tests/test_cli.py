@@ -1358,6 +1358,26 @@ def test_closed_stdout_pipe_ends_quietly():
         assert (proc.wait(), err) == (0, b""), argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--to", "10"),
+        ("zeros", "--n", "30", "--k", "3", "--format", "json"),
+        ("tables", "--kind", "f", "--max-d", "3"),
+    ],
+    ids=["chi", "zeros-json", "tables"],
+)
+def test_full_stdout_is_one_error_line(argv):
+    """A write to a full device through buffered stdout is one error line
+    and exit 2: the flush at exit does not fail a second time."""
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "baryzeros", *argv], stdout=full, stderr=subprocess.PIPE, env=env
+        )
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 28] No space left on device\n")
+
+
 def test_tracer_sites_resolve():
     "Every name the benchmark tracer wraps exists where its callers look it up."
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
@@ -1410,7 +1430,9 @@ bare = set(sys.modules)
 from baryzeros.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 sys.stdout.flush()
-heavy = ("mpmath", "baryzeros.checks", "dataclasses", "inspect", "csv", "json")
+heavy = (
+    "mpmath", "baryzeros.checks", "baryzeros.rootfinding", "dataclasses", "inspect", "csv", "json"
+)
 heavy = [m for m in heavy if m in sys.modules and m not in bare]
 import json
 sys.stderr.write(json.dumps([code, heavy]))
@@ -1425,15 +1447,15 @@ sys.stderr.write(json.dumps([code, heavy]))
         (("alpha", "--to", "50"), ["csv"]),
         (("alpha", "--n", "50"), ["csv"]),
         (("tables", "--kind", "f", "--max-d", "3"), ["csv"]),
-        (("zeros", "--n", "30", "--k", "2"), ["csv"]),
+        (("zeros", "--n", "30", "--k", "2"), ["baryzeros.rootfinding", "csv"]),
         (("verify", "--suite", "core"), ["baryzeros.checks"]),
         (("verify", "--suite", "complex"), ["baryzeros.checks"]),
-        (("verify", "--suite", "zeros"), ["baryzeros.checks"]),
-        (("verify", "--suite", "all"), ["baryzeros.checks"]),
+        (("verify", "--suite", "zeros"), ["baryzeros.checks", "baryzeros.rootfinding"]),
+        (("verify", "--suite", "all"), ["baryzeros.checks", "baryzeros.rootfinding"]),
         (("chi", "--to", "50", "--format", "json"), ["json"]),
         (("alpha", "--to", "50", "--format", "json"), ["json"]),
         (("tables", "--kind", "H", "--max-d", "3", "--format", "json"), ["json"]),
-        (("zeros", "--n", "30", "--k", "2", "--format", "json"), ["json"]),
+        (("zeros", "--n", "30", "--k", "2", "--format", "json"), ["baryzeros.rootfinding", "json"]),
     ],
     ids=[
         "import",
@@ -1454,8 +1476,9 @@ sys.stderr.write(json.dumps([code, heavy]))
 )
 def test_commands_load_only_what_they_run(argv, loaded):
     """mpmath loads for no command, the verify suites for no command but
-    verify, csv only for CSV output and json only for JSON output, and
-    dataclasses and inspect for none."""
+    verify, the root finder only for zeros and the zeros suite, csv only
+    for CSV output and json only for JSON output, and dataclasses and
+    inspect for none."""
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, *argv],
         capture_output=True,

@@ -59,9 +59,7 @@ MUTANTS = [
         "cli.main's broken-pipe branch deleted",
         "src/baryzeros/cli.py",
         "        if isinstance(exc, BrokenPipeError) and args.out is None:\n"
-        "            # The reader of stdout has gone (``| head``): stop quietly, and\n"
-        "            # point stdout at devnull so the flush at exit cannot fail again.\n"
-        "            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
+        "            # The reader of stdout has gone (``| head``): stop quietly.\n"
         "            return 0\n",
         "",
         "tests/test_cli.py::test_closed_stdout_pipe_ends_quietly",
@@ -283,6 +281,20 @@ MUTANTS = [
         "alpha_fields(d, chi, f_top)",
         "alpha_fields(d, chi, 1)",
         "tests/test_acceptance.py::test_verify_check[growth-expansion-exact]",
+    ),
+    Mutant(
+        "the package root imports the root finder eagerly again",
+        "src/baryzeros/__init__.py",
+        '__version__ = "0.1.0"\n',
+        'from .rootfinding import RootFindingError, RootSet, find_roots\n\n__version__ = "0.1.0"\n',
+        "tests/test_cli.py::test_commands_load_only_what_they_run[chi]",
+    ),
+    Mutant(
+        "run leaves a failed stdout flush to the interpreter's exit",
+        "src/baryzeros/cli.py",
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "        pass\n",
+        "tests/test_cli.py::test_full_stdout_is_one_error_line[chi]",
     ),
 ]
 

@@ -25,8 +25,9 @@ The probes are every distinct command of the benchmark's ``scan``,
 the scans at 10^6, point lookups, every table, every suite, ``zeros``
 across dimensions and precisions and at the depth cap, and the error
 paths that exit 2.  The child probes are a scan, a ``zeros``, a suite, a
-JSON ``--out``, an error that exits 2 and ``--help``.  Only the standard
-library is used.
+JSON ``--out``, an error that exits 2, ``--help`` and ``zeros --help``
+(whose ``--precision-bits`` line prints the precision floor).  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -146,6 +147,7 @@ ENTRY_PROBES = (
     ("alpha", "--to", "100000", "--format", "json", "--out", "out.json"),
     ("chi", "--from", "9", "--to", "3"),
     ("--help",),
+    ("zeros", "--help"),
 )
 
 
