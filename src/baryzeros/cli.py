@@ -476,13 +476,23 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     "The process entry: run the command line in sys.argv and exit with its code."
-    code = main()
+    try:
+        code, ended = main(), True
+    except SystemExit as exc:
+        # argparse leaves main here after --help or a usage error, its text
+        # still in stdout's buffer: a failed write of it is this command's
+        # error.
+        code, ended = exc.code, False
     try:
         sys.stdout.flush()
-    except OSError:
-        # A write to stdout failed (its reader has gone, or its device is
-        # full) and main has ended the command; point stdout at devnull so
-        # the flush at exit cannot fail again.
+    except OSError as exc:
+        # A write to stdout failed: its reader has gone, which ends a
+        # command quietly, or its device is full.  Unless main has ended
+        # the command, that is one error line.  Stdout then points at
+        # devnull, so the flush at exit cannot fail again.
+        if not (ended or isinstance(exc, BrokenPipeError)):
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     # The process ends here: stdout is flushed and any --out file closed,
     # and nothing the package holds needs a finalizer.  Frozen objects are

@@ -2,23 +2,22 @@
 
 A polynomial is a sequence of ints, highest degree first, as
 ``complexes.h_poly`` returns it.  Exact zero roots are deflated
-symbolically first, and the rest is divided by its content.  When the
-integer Sturm sequence shows a repeated root, dividing out gcd(p, p')
-splits the polynomial into squarefree factors, each with its exact
-multiplicity.  The real roots of a squarefree factor are isolated in
-dyadic intervals by Sturm counts, refined by sign bisection and Newton
-steps in integer arithmetic, and rounded to nearest at precision_bits.
-One exact sign bracket certifies each: the interval of reals that round
-to it, of relative half-width at most 2^-precision_bits.  The roots then
-take one of two routes, recorded in ``RootSet.method``:
+symbolically first, and the rest is divided by its content.  That part
+must be squarefree: when its integer Sturm sequence does not end in a
+constant, it has a repeated root and ValueError is raised.  Its real
+roots are isolated in dyadic intervals by Sturm counts, refined by sign
+bisection and Newton steps in integer arithmetic, and rounded to nearest
+at precision_bits.  One exact sign bracket certifies each: the interval
+of reals that round to it, of relative half-width at most
+2^-precision_bits.  The roots then take one of two routes, which
+``RootSet.method`` reads back from them:
 
-- ``"isolated"``: the deflated polynomial is squarefree and its Sturm
-  count equals its degree, so the real roots are all of them.
-- ``"enclosed"``: otherwise (a repeated or a non-real root).  The
-  non-real roots of each factor come in conjugate pairs from the
-  Weierstrass (Durand-Kerner) iteration on Gaussian integers, at
-  precision_bits + 64 bits, and are certified by the disks
-  D(z_i, n |W_i|), W_i = p(z_i) / (lc prod_{j != i} (z_i - z_j)):
+- ``"isolated"``: the Sturm count equals the degree, so the real roots
+  are all of them.
+- ``"enclosed"``: otherwise (a non-real root).  The non-real roots come
+  in conjugate pairs from the Weierstrass (Durand-Kerner) iteration on
+  Gaussian integers, at precision_bits + 64 bits, and are certified by
+  the disks D(z_i, n |W_i|), W_i = p(z_i) / (lc prod_{j != i} (z_i - z_j)):
   pairwise disjoint, each holds exactly one root (Braess and Hadeler,
   "Simultaneous inclusion of the zeros of a polynomial", Numer. Math. 21,
   1973; Carstensen, "Inclusion of the roots of a polynomial based on
@@ -114,8 +113,8 @@ class RootSet(NamedTuple):
     part, then imaginary part.
 
     Each root is a :class:`Dyadic`, exact, with both parts rounded to
-    nearest at find_roots' precision_bits; a root of multiplicity m
-    appears m times, and the non-real roots come in exact conjugate pairs.
+    nearest at find_roots' precision_bits; the roots are distinct, and
+    the non-real ones come in exact conjugate pairs.
     A root's imaginary part is exactly 0 only when its sign bracket (or
     its exact deflation) certified it real, and nonzero only when its
     disk, disjoint from its mirror image, proved it non-real.
@@ -123,14 +122,16 @@ class RootSet(NamedTuple):
     rounded up to precision_bits from the exact value (real z_i) or from
     an upper bound within about 2^-(precision_bits + 30) of it,
     relatively (non-real z_i); exact deflated zeros carry residual 0.
-    method is ``"isolated"`` when the polynomial is squarefree with every
-    root real (or all roots are deflated zeros), ``"enclosed"`` when it
-    has a repeated or a non-real root.
     """
 
     roots: tuple
     residuals: tuple
-    method: str
+
+    @property
+    def method(self) -> str:
+        """``"isolated"`` when every root is certified real, ``"enclosed"``
+        when one is non-real and so came from a Weierstrass disk."""
+        return "enclosed" if any(z.y for z in self.roots) else "isolated"
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +203,8 @@ def _negated_remainder(a: list, b: list) -> list:
 
 def _sturm_sequence(coeffs: list) -> list:
     """Sturm sequence of p in primitive integer form: p, p', then negated
-    remainders down to a constant, or to gcd(p, p') when p has a repeated
-    root."""
+    remainders down to gcd(p, p') up to a constant factor, so its last
+    member is a constant exactly when p is squarefree."""
     n = len(coeffs) - 1
     seq = [coeffs, [(n - i) * c for i, c in enumerate(coeffs[:-1])]]
     while len(seq[-1]) > 1:
@@ -400,47 +401,6 @@ def _refine(p: list, dp: list, lo: int, hi: int, e: int, bits: int) -> Dyadic:
     return rounded
 
 
-def _quotient(a: list, b: list) -> list:
-    """a / b for primitive integer polynomials with b dividing a.
-
-    By Gauss's lemma the quotient has integer coefficients, so every step
-    of the long division divides exactly.
-    """
-    rem = list(a)
-    out = []
-    for i in range(len(a) - len(b) + 1):
-        q = rem[i] // b[0]
-        out.append(q)
-        for j, bj in enumerate(b):
-            rem[i + j] -= q * bj
-    return out
-
-
-def _squarefree_factors(p: list, seq: list) -> list:
-    """(a, m) pairs with p = +-prod a^m: each a primitive, squarefree and
-    prime to the others, m its exact multiplicity.
-
-    seq is p's Sturm sequence, whose last member is gcd(p, p') up to a
-    constant: p' itself when p is a power of a linear factor.  With
-    g_0 = p and g_(k+1) = gcd(g_k, g_k'), made primitive, the quotient
-    g_(k-1) / g_k is the product of the distinct roots of multiplicity at
-    least k.
-    """
-    chain = [p]
-    g = seq[-1]
-    while len(g) > 1:
-        content = math.gcd(*g)
-        chain.append([c // content for c in g])
-        g = _sturm_sequence(chain[-1])[-1]
-    chain.append([1])
-    at_least = [_quotient(a, b) for a, b in zip(chain, chain[1:])] + [[1]]
-    return [
-        (_quotient(a, b), m)
-        for m, (a, b) in enumerate(zip(at_least, at_least[1:]), 1)
-        if len(a) > len(b)
-    ]
-
-
 def _weierstrass(p: list, points: list, f: int, count: int) -> list:
     """(P, D) at each of the first count Gaussian integer points X_i:
     P = 2^(f n) p(X_i / 2^f) and D = prod_{j != i} (X_i - X_j), exactly,
@@ -520,9 +480,10 @@ def _polygon_moduli(p: list) -> list:
 
 
 def _enclose(p: list, reals: list, bits: int):
-    """Disks that each hold one root of the squarefree p, whose real roots
-    are near the real :class:`Dyadic` values reals and whose other roots
-    come in conjugate pairs.
+    """Disks that each hold one root of p, the squarefree polynomial that
+    find_roots admitted, whose real roots are near the real
+    :class:`Dyadic` values reals and whose other roots come in conjugate
+    pairs.
 
     Returns (f, disks), each disk (x, y, r) the centre (x + iy) / 2^f and a
     radius at most r / 2^f, at most 2^-bits of the centre's modulus: the
@@ -622,7 +583,7 @@ def _enclose(p: list, reals: list, bits: int):
         f += grow
         points = [(x << grow, y << grow) for x, y in points]
     raise RootFindingError(
-        f"the root enclosures of a degree-{n} factor did not separate "
+        f"the root enclosures of a degree-{n} polynomial did not separate "
         f"within {_ENCLOSE_STEPS} steps and {target} bits; retry with "
         f"higher precision"
     )
@@ -655,19 +616,19 @@ def find_roots(coeffs, precision_bits: int) -> RootSet:
     caller's precision_bits is at least MIN_PRECISION_BITS; a non-int
     coefficient raises TypeError, and a zero leading coefficient, a
     degree below 1 or a lower precision raises ValueError.  Exact zero
-    roots are deflated symbolically first, and the rest is divided by its
-    content and split into squarefree factors with exact multiplicities.
-    Every real root is isolated and refined in exact integer arithmetic,
-    rounded to nearest at precision_bits and certified by an exact sign
-    bracket of relative half-width at most 2^-precision_bits.  When that
-    is every root of a squarefree polynomial, ``method == "isolated"``;
-    otherwise (``method == "enclosed"``) each non-real root is the centre
-    of a Weierstrass disk of relative radius at most 2^-precision_bits
-    that holds exactly that root, its real and imaginary parts each
-    rounded to nearest at precision_bits.  precision_bits sets only these
-    widths and the precision of the returned values.  Every backward
-    residual must also meet 2^(-precision_bits // 2), compared exactly in
-    integers.
+    roots, however many, are deflated symbolically first, and the rest is
+    divided by its content; ValueError is raised, before any root is
+    sought, when that part has a repeated root.  Every real root is
+    isolated and refined in exact integer arithmetic, rounded to nearest
+    at precision_bits and certified by an exact sign bracket of relative
+    half-width at most 2^-precision_bits.  When that is every root,
+    ``method == "isolated"``; otherwise (``method == "enclosed"``) each
+    non-real root is the centre of a Weierstrass disk of relative radius
+    at most 2^-precision_bits that holds exactly that root, its real and
+    imaginary parts each rounded to nearest at precision_bits.
+    precision_bits sets only these widths and the precision of the
+    returned values.  Every backward residual must also meet
+    2^(-precision_bits // 2), compared exactly in integers.
     RootFindingError is raised when it does not, when a real root's
     rounding cannot be certified, or when the disks fail to separate,
     which usually means the precision is too low for the polynomial.
@@ -692,28 +653,16 @@ def find_roots(coeffs, precision_bits: int) -> RootSet:
     ints = [c // content for c in work]
 
     found = [Dyadic(0, 0, 0)] * zero_roots
-    method = "isolated"
     if len(ints) > 1:
         seq = _sturm_sequence(ints)
-        factors = [(ints, 1)]
         if len(seq[-1]) > 1:
-            factors = _squarefree_factors(ints, seq)
-            method = "enclosed"
-        for factor, multiplicity in factors:
-            if factor is not ints:
-                seq = _sturm_sequence(factor)
-            roots = [
-                _refine(factor, seq[1], lo, hi, e, precision_bits)
-                for lo, hi, e in _isolate(seq)
-            ]
-            real_count = len(roots)
-            if real_count < len(factor) - 1:
-                method = "enclosed"
-                f, disks = _enclose(factor, roots, precision_bits)
-                roots += [
-                    _rounded_point(x, y, f, precision_bits) for x, y, _ in disks[real_count:]
-                ]
-            found += roots * multiplicity
+            raise ValueError("root finding needs a squarefree polynomial: a nonzero root is repeated")
+        roots = [_refine(ints, seq[1], lo, hi, e, precision_bits) for lo, hi, e in _isolate(seq)]
+        real_count = len(roots)
+        if real_count < len(ints) - 1:
+            f, disks = _enclose(ints, roots, precision_bits)
+            roots += [_rounded_point(x, y, f, precision_bits) for x, y, _ in disks[real_count:]]
+        found += roots
     top = max(z.e for z in found)
 
     def order(z: Dyadic) -> tuple:
@@ -724,21 +673,19 @@ def find_roots(coeffs, precision_bits: int) -> RootSet:
     roots = tuple(sorted(found, key=order))
 
     abs_work = [abs(c) for c in work]
-    # one bound per distinct root; a root of multiplicity m appears m times
-    bounds = {
-        z: _residual(work, abs_work, z, precision_bits + _GUARD_BITS) if z.x or z.y else (0, 1)
-        for z in dict.fromkeys(roots)
-    }
-    residual = {z: rounded(num, den, precision_bits, up=True) for z, (num, den) in bounds.items()}
-    residuals = tuple(map(residual.__getitem__, roots))
+    bounds = [
+        _residual(work, abs_work, z, precision_bits + _GUARD_BITS) if z.x or z.y else (0, 1)
+        for z in roots
+    ]
+    residuals = tuple(rounded(num, den, precision_bits, up=True) for num, den in bounds)
     half = precision_bits // 2
-    if any(num << half > den for num, den in bounds.values()):
+    if any(num << half > den for num, den in bounds):
         raise RootFindingError(
             f"residual {format_decimal(max(residuals), 8, precision_bits)} missed "
             f"target {format_decimal(Fraction(1, 1 << half), 8, precision_bits)} at "
             f"{precision_bits} bits; retry with higher precision"
         )
-    return RootSet(roots, residuals, method)
+    return RootSet(roots, residuals)
 
 
 # ---------------------------------------------------------------------------

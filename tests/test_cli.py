@@ -1300,6 +1300,54 @@ def test_run_exits_with_mains_code_after_main_returns(monkeypatch, code):
     assert (excinfo.value.code, events) == (code, ["main", "freeze"])
 
 
+class _FailingStdout(io.StringIO):
+    "A stdout whose flush raises error, as a full device or a gone reader does."
+
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def flush(self):
+        raise self.error
+
+    def fileno(self):
+        return 1
+
+
+FULL = OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "leaves, error, code, err",
+    [
+        (SystemExit(0), FULL, 2, "error: [Errno 28] No space left on device\n"),
+        (SystemExit(0), BrokenPipeError(32, "Broken pipe"), 0, ""),
+        (2, FULL, 2, ""),
+    ],
+    ids=["help-full", "help-closed-pipe", "main-returned"],
+)
+def test_run_ends_a_failed_flush_once(capsys, monkeypatch, leaves, error, code, err):
+    """A flush that fails after argparse's SystemExit (--help) is the
+    command's one error line, or a quiet end for a closed pipe; after main
+    has returned, main has already reported it.  Either way stdout then
+    points at devnull."""
+
+    def fake_main():
+        if isinstance(leaves, SystemExit):
+            raise leaves
+        return leaves
+
+    moved = []
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    # undone at once: the test runner's own capture calls os.dup2
+    with monkeypatch.context() as patch, pytest.raises(SystemExit) as excinfo:
+        patch.setattr(sys, "stdout", _FailingStdout(error))
+        patch.setattr(os, "dup2", lambda fd, to: moved.append(to) or os.close(fd))
+        cli.run()
+    assert (excinfo.value.code, capsys.readouterr().err, moved) == (code, err, [1])
+
+
 @pytest.mark.parametrize(
     "argv, out, code",
     [
@@ -1364,12 +1412,15 @@ def test_closed_stdout_pipe_ends_quietly():
         ("chi", "--to", "10"),
         ("zeros", "--n", "30", "--k", "3", "--format", "json"),
         ("tables", "--kind", "f", "--max-d", "3"),
+        ("zeros", "--help"),
     ],
-    ids=["chi", "zeros-json", "tables"],
+    ids=["chi", "zeros-json", "tables", "help"],
 )
 def test_full_stdout_is_one_error_line(argv):
     """A write to a full device through buffered stdout is one error line
-    and exit 2: the flush at exit does not fail a second time."""
+    and exit 2: the flush at exit does not fail a second time.  argparse's
+    --help leaves main through SystemExit with its text still buffered,
+    and ends the same way."""
     env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(

@@ -5,7 +5,7 @@ import os
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from baryzeros import (
 from baryzeros import checks, dynamics, rootfinding
 from baryzeros.checks import first_negative_euler
 from baryzeros.cli import main
+from baryzeros.complexes import DIM1_START
 from mp_values import as_mp, real_flags
 from reference_tables import ALPHA_DISCREPANCIES, ALPHA_REFERENCE
 
@@ -279,7 +280,7 @@ def test_trajectory_certified_at_deep_depths(n, k):
     "Depths where polyroots gave up at 192 bits are certified at 192 bits now."
     t = trajectory(n, [k])
     (e,) = t.entries
-    roots, residuals, _ = e.rootset
+    roots, residuals = e.rootset
     assert roots[-1].y == 0
     assert max(residuals) <= Fraction(1, 2 ** (t.precision_bits // 2))
     assert len(roots) == t.limit.dim + 1
@@ -412,9 +413,9 @@ def test_benchmark_zeros_round_to_nearest(monkeypatch):
 def test_benchmark_zeros_certify_every_root_without_polyroots(monkeypatch):
     """One benchmark zeros command per (dimension, bits) cell, and the k <= 3
     probe set at 16, 64 and 192 bits: every h-polynomial's roots are
-    certified, and the ones certified real number its distinct real roots
-    by an independent Sturm count (none of these h-polynomials has a
-    repeated root).  No command loads mpmath at all
+    certified, and the ones certified real number its real roots by an
+    independent Sturm count, which counts each root once: find_roots
+    admits only squarefree polynomials.  No command loads mpmath at all
     (test_commands_load_only_what_they_run), so no polyroots either."""
     probes = [
         (n, 3, bits)
@@ -434,6 +435,33 @@ def test_benchmark_zeros_certify_every_root_without_polyroots(monkeypatch):
     for n, k, bits in benchmark_zeros_cells(monkeypatch) + probes:
         trajectory(n, range(k + 1), bits)
     assert "enclosed" in seen and "isolated" in seen
+
+
+def test_h_polynomials_to_2000_are_squarefree():
+    """Every distinct f-vector of dimension >= 1 with n <= 2000, walked
+    cumulatively from the sieve's weight bytes, at every depth k <= 8:
+    with its zero roots deflated and its content divided out, the
+    h-polynomial passes find_roots' squarefree test, a Sturm sequence
+    ending in a constant."""
+    weight = shared_sieve(2000).weight
+    counts = [0] * 6
+    seen = set()
+    for n in range(1, 2001):
+        if weight[n] >= 0:
+            counts[weight[n]] += 1
+        if n >= DIM1_START:
+            seen.add(tuple(counts[: dim_of(n) + 2]))
+    polys = 0
+    for fv in seen:
+        for fk in subdivided_f(FVector(fv), 8):
+            h = list(h_poly(fk))
+            while h[-1] == 0:
+                h.pop()
+            content = gcd(*h)
+            seq = rootfinding._sturm_sequence([c // content for c in h])
+            assert len(seq[-1]) == 1, fk
+            polys += 1
+    assert (len(seen), polys) == (1211, 10899)
 
 
 def test_alpha_known_values():

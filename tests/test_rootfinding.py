@@ -1,6 +1,5 @@
 """Certified numeric root extraction for integer polynomials."""
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -96,6 +95,8 @@ def test_complex_pair_not_certified_real():
     assert real_flags(rs) == (False, False)
     with mp.workprec(128):
         assert all(abs(abs(as_mp(z)) - 1) < mp.mpf(2) ** -100 for z in rs.roots)
+    # the enclosure divides by a negative leading coefficient alike
+    assert find_roots(poly(-1, 0, -1), 128) == rs
 
 
 def test_distinct_integer_roots_certified():
@@ -165,53 +166,41 @@ def test_clustered_roots_round_correctly(bits, base, gap):
             assert z == mp.mpf(r.numerator) / mp.mpf(r.denominator), (z, r)
 
 
-def test_repeated_root_gets_exact_multiplicity():
-    "(z + 1)^2 (z - 2) is not squarefree: -1 twice and 2, each exact."
-    rs = find_roots(product(-1, -1, 2), 128)
-    assert rs.method == "enclosed"
-    assert tuple(map(as_mp, rs.roots)) == (-1, -1, 2)
-    assert real_flags(rs) == (True,) * 3
-    assert rs.residuals == (0, 0, 0)
-
-
 @pytest.mark.parametrize(
-    "p, distinct",
+    "p",
     [
-        ((1, 0, -3, -2), 2),  # (z + 1)^2 (z - 2)
-        ((1, -1, -4, 4, 4, -4), 3),  # (z^2 - 2)^2 (z - 1)
-        ((1, 2, 3, 2, 1), 2),  # (z^2 + z + 1)^2
+        product(-1, -1),  # (z + 1)^2
+        (1, 0, -3, -2),  # (z + 1)^2 (z - 2)
+        (1, -1, -4, 4, 4, -4),  # (z^2 - 2)^2 (z - 1)
+        (1, 2, 3, 2, 1),  # (z^2 + z + 1)^2
+        product(*(Fraction(1, 2),) * 3),  # (2z - 1)^3
+        product(-1, -1, -1, 2),  # (z + 1)^3 (z - 2)
+        product(3, 3, 3, 3, -2, -2),  # (z - 3)^4 (z + 2)^2
+        product(0, -1, -1),  # z (z + 1)^2: deflated, still (z + 1)^2
+    ],
+    ids=[
+        "square",
+        "square-times-real",
+        "real-pair-squared",
+        "complex-pair-squared",
+        "cube-of-half",
+        "cube-times-real",
+        "fourth-times-square",
+        "zero-times-square",
     ],
 )
-def test_residual_evaluated_once_per_distinct_root(monkeypatch, p, distinct):
-    """A root of multiplicity m is one residual evaluation, and each of its
-    m entries in residuals is that root's own bound rounded up."""
-    calls = []
-    residual = rootfinding._residual
+def test_repeated_root_is_one_error(monkeypatch, p):
+    """A repeated nonzero root is one ValueError with a fixed text, raised
+    from the Sturm sequence before any root is isolated or enclosed."""
 
-    def counted(*args):
-        calls.append(args[2])
-        return residual(*args)
+    def unreachable(*args):
+        raise AssertionError("root search ran on a polynomial with a repeated root")
 
-    monkeypatch.setattr(rootfinding, "_residual", counted)
-    rs = find_roots(p, 64)
-    assert len(calls) == len(set(calls)) == distinct
-    assert len(rs.roots) == len(p) - 1 > distinct
-    abs_p = [abs(c) for c in p]
-    for z, r in zip(rs.roots, rs.residuals):
-        num, den = residual(p, abs_p, z, 64 + rootfinding._GUARD_BITS)
-        assert r == rootfinding.rounded(num, den, 64, up=True), z
-
-
-@pytest.mark.parametrize(
-    "roots",
-    [(-1, -1), (Fraction(1, 2),) * 3, (-1, -1, -1, 2), (3, 3, 3, 3, -2, -2), (0, -1, -1)],
-)
-def test_powers_of_a_linear_factor_split_exactly(roots):
-    """Where a gcd in the chain is a power of one linear factor, the Sturm
-    sequence ends at that power's derivative, whose content is not 1."""
-    rs = find_roots(product(*roots), precision_bits=64)
-    assert tuple(map(as_mp, rs.roots)) == tuple(sorted(roots, key=lambda r: (abs(r), r)))
-    assert all(real_flags(rs))
+    monkeypatch.setattr(rootfinding, "_isolate", unreachable)
+    monkeypatch.setattr(rootfinding, "_enclose", unreachable)
+    with pytest.raises(ValueError) as excinfo:
+        find_roots(p, 64)
+    assert str(excinfo.value) == "root finding needs a squarefree polynomial: a nonzero root is repeated"
 
 
 def with_pairs(p: tuple, pairs) -> tuple:
@@ -263,36 +252,24 @@ pair_roots = st.builds(
     pairs=[(Fraction(0), Fraction(1))],
     layout="cluster",
     bits=16,
-    repeats=(1, 1),
 )
 @given(
     st.lists(real_roots, max_size=3, unique=True),
     st.lists(pair_roots, min_size=1, max_size=3, unique=True),
-    st.sampled_from(["apart", "cluster", "near-real", "repeated"]),
+    st.sampled_from(["apart", "cluster", "near-real"]),
     st.sampled_from([16, 64, 192, 512]),
-    st.tuples(st.integers(1, 4), st.integers(1, 4)),
 )
-def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
+def test_enclosures_hold_each_root_once(reals, pairs, layout, bits):
     """Real roots and conjugate pairs u +- iv of moduli 2^-300 to 2^300,
-    with a pair 2^-100 from another, or 2^-100 off the real axis, or the
-    first real root and pair repeated: each root lies in exactly one disk,
-    the disks are disjoint, each radius is at most 2^-bits of its centre's
-    modulus, and every multiplicity is exact."""
+    with a pair 2^-100 from another, or 2^-100 off the real axis: each
+    root lies in exactly one disk, the disks are disjoint, and each radius
+    is at most 2^-bits of its centre's modulus."""
     u, v = pairs[0]
     if layout == "cluster":
         pairs.append((u + u / 2**100, v + v / 2**100))
     elif layout == "near-real":
         pairs.append((u or v, abs(u or v) / 2**100))
-    real_mult = dict.fromkeys(reals, 1)
-    pair_mult = dict.fromkeys(pairs, 1)
-    if layout == "repeated":
-        pair_mult[pairs[0]] = repeats[1]
-        if reals:
-            real_mult[reals[0]] = repeats[0]
-    p = with_pairs(
-        product(*(r for r, m in real_mult.items() for _ in range(m))),
-        [pair for pair, m in pair_mult.items() for _ in range(m)],
-    )
+    p = with_pairs(product(*reals), pairs)
     calls = []
     enclose = rootfinding._enclose
 
@@ -307,11 +284,9 @@ def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
     assert rs.method == "enclosed"
     assert len(rs.roots) == len(p) - 1
     assert list(real_flags(rs)) == [as_mp(z).imag == 0 for z in rs.roots]
-    assert sum(real_flags(rs)) == sum(real_mult.values())
+    assert sum(real_flags(rs)) == len(reals)
 
-    truth = {(r, 0): m for r, m in real_mult.items()}
-    for (a, b), m in pair_mult.items():
-        truth[a, b] = truth[a, -b] = m
+    truth = [(r, 0) for r in reals] + [(a, s * b) for a, b in pairs for s in (1, -1)]
     enclosed = []
     for q, (f, disks) in calls:
         held = [z for z in truth if gaussian_value(q, *z) == (0, 0)]
@@ -326,13 +301,11 @@ def test_enclosures_hold_each_root_once(reals, pairs, layout, bits, repeats):
         enclosed += held
     assert {z for z in truth if z[1]} <= set(enclosed)
 
-    # every root, with its multiplicity, near a returned value
+    # every root near a returned value
     found = [(exact(z.real), exact(z.imag)) for z in map(as_mp, rs.roots)]
-    for (a, b), m in truth.items():
+    for a, b in truth:
         near = [(a - x) ** 2 + (b - y) ** 2 <= (a * a + b * b) / 4 ** (bits - 2) for x, y in found]
-        assert near.count(True) >= m, (a, b)
-    if layout == "repeated":
-        assert sorted(Counter(rs.roots).values()) == sorted(truth.values())
+        assert any(near), (a, b)
 
 
 @settings(max_examples=60, deadline=None)

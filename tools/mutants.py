@@ -296,6 +296,41 @@ MUTANTS = [
         "        pass\n",
         "tests/test_cli.py::test_full_stdout_is_one_error_line[chi]",
     ),
+    Mutant(
+        "find_roots admits a polynomial with a repeated root",
+        "src/baryzeros/rootfinding.py",
+        "        if len(seq[-1]) > 1:\n"
+        '            raise ValueError("root finding needs a squarefree polynomial: a nonzero root is repeated")\n',
+        "",
+        "tests/test_rootfinding.py::test_repeated_root_is_one_error",
+    ),
+    Mutant(
+        "RootSet.method's condition inverted",
+        "src/baryzeros/rootfinding.py",
+        'return "enclosed" if any(z.y for z in self.roots) else "isolated"',
+        'return "enclosed" if not any(z.y for z in self.roots) else "isolated"',
+        "tests/test_rootfinding.py::test_complex_pair_not_certified_real",
+    ),
+    Mutant(
+        "run leaves argparse's --help output to the interpreter's exit",
+        "src/baryzeros/cli.py",
+        "    try:\n"
+        "        code, ended = main(), True\n"
+        "    except SystemExit as exc:\n"
+        "        # argparse leaves main here after --help or a usage error, its text\n"
+        "        # still in stdout's buffer: a failed write of it is this command's\n"
+        "        # error.\n"
+        "        code, ended = exc.code, False\n",
+        "    code, ended = main(), True\n",
+        "tests/test_cli.py::test_full_stdout_is_one_error_line[help]",
+    ),
+    Mutant(
+        "run reports --help's closed pipe as an error",
+        "src/baryzeros/cli.py",
+        "if not (ended or isinstance(exc, BrokenPipeError)):",
+        "if not ended:",
+        "tests/test_cli.py::test_run_ends_a_failed_flush_once[help-closed-pipe]",
+    ),
 ]
 
 
