@@ -203,6 +203,34 @@ def test_repeated_root_is_one_error(monkeypatch, p):
     assert str(excinfo.value) == "root finding needs a squarefree polynomial: a nonzero root is repeated"
 
 
+@pytest.mark.parametrize(
+    "p, distinct",
+    [
+        ((1, -1, -2), 2),  # (z + 1)(z - 2)
+        ((1, -1, -2, 2), 3),  # (z^2 - 2)(z - 1)
+        ((1, 1, 1), 2),  # z^2 + z + 1
+    ],
+)
+def test_residual_evaluated_once_per_distinct_root(monkeypatch, p, distinct):
+    """Each root is one residual evaluation, and its entry in residuals is
+    that root's own bound rounded up."""
+    calls = []
+    residual = rootfinding._residual
+
+    def counted(*args):
+        calls.append(args[2])
+        return residual(*args)
+
+    monkeypatch.setattr(rootfinding, "_residual", counted)
+    rs = find_roots(p, 64)
+    assert len(calls) == len(set(calls)) == distinct
+    assert len(rs.roots) == len(p) - 1 == distinct
+    abs_p = [abs(c) for c in p]
+    for z, r in zip(rs.roots, rs.residuals):
+        num, den = residual(p, abs_p, z, 64 + rootfinding._GUARD_BITS)
+        assert r == rootfinding.rounded(num, den, 64, up=True), z
+
+
 def with_pairs(p: tuple, pairs) -> tuple:
     "p times (z - u)^2 + v^2 for each (u, v): the conjugate roots u +- iv."
     coeffs = [Fraction(c) for c in p]
