@@ -13,7 +13,9 @@ deterministic.
 from __future__ import annotations
 
 import functools
+import marshal
 import math
+import os
 import random
 from array import array
 from fractions import Fraction
@@ -613,3 +615,51 @@ def run_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick all, core, complex or zeros")
     return SUITES[name]()
+
+
+def _run_all_split() -> list[CheckResult]:
+    """run_suite("all")'s results, with the complex suite in a forked worker
+    when this process may use more than one CPU.
+
+    The worker runs SUITES["complex"] while this process runs the other
+    suites in order.  It sends its results through a pipe as marshalled
+    (name, passed, detail) tuples and exits 0, or sends the message of
+    what it raised and exits 1; it always leaves through os._exit, so no
+    exit handler, finally clause or stdout buffer of this process runs in
+    it.  A worker that raised or died is one RuntimeError here, and the
+    worker is reaped on every path.  With one CPU, or without
+    os.sched_getaffinity or os.fork, this is run_suite("all")."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or not hasattr(os, "fork") or len(affinity(0)) < 2:
+        return run_suite("all")
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # an interrupt or exit leaves through the finally clause, with 2
+        code = 2
+        try:
+            os.close(read)
+            try:
+                payload = [tuple(result) for result in SUITES["complex"]()]
+            except Exception as exc:
+                payload = str(exc) or type(exc).__name__
+            with open(write, "wb") as pipe:
+                marshal.dump(payload, pipe)
+            code = 1 if isinstance(payload, str) else 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    pipe = open(read, "rb")
+    try:
+        ran = {name: suite() for name, suite in SUITES.items() if name != "complex"}
+        data = pipe.read()
+    finally:
+        # closed first, so that a worker still writing fails and leaves
+        pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 1:
+        raise RuntimeError(marshal.loads(data))
+    if code:
+        raise RuntimeError(f"the complex suite's worker ended with status {code}")
+    ran["complex"] = [CheckResult(*result) for result in marshal.loads(data)]
+    return [result for name in SUITES for result in ran[name]]

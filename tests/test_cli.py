@@ -594,6 +594,93 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     assert lines[-1] == "4 passed, 1 failed"
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """verify --suite all with two CPUs whatever the machine has: the pids
+    of the workers it forked, as this process saw them."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def test_worker_suite_failure_prints_at_its_place(capsys, monkeypatch, forks):
+    """A check that fails in the worker's suite (complex) prints its FAIL
+    line where the one-process run prints it, and counts in the total."""
+    monkeypatch.setattr(checks, "FIRST_NEGATIVE", 95)
+    assert main(["verify", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["verify", "--suite", "all"]) == 1
+    assert lines == capsys.readouterr().out.splitlines()
+    assert "FAIL first-negative-euler: first negative at 94, expected 95" in lines
+    assert lines[-1] == "23 passed, 1 failed"
+
+
+def _raises():
+    raise ZeroDivisionError("boom")
+
+
+_TEST_PID = os.getpid()
+
+
+def _dies():
+    "Ends the worker it runs in; in the test's own process it raises."
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("the complex suite ran in the parent")
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    "suite, run, err",
+    [
+        ("complex", _raises, "error: boom\n"),
+        ("complex", _dies, "error: the complex suite's worker ended with status 3\n"),
+        ("core", _raises, None),
+    ],
+    ids=["worker-raises", "worker-dies", "parent-raises"],
+)
+def test_verify_all_failure_is_one_error_and_reaps_the_worker(
+    capsys, monkeypatch, forks, suite, run, err
+):
+    """A suite that raises or dies in the worker is one error line and exit
+    2; one that raises in this process propagates as it does with one
+    process.  Either way the worker has been reaped."""
+    monkeypatch.setitem(SUITES, suite, run)
+    if err is None:
+        with pytest.raises(ZeroDivisionError, match="boom"):
+            main(["verify", "--suite", "all"])
+    else:
+        assert main(["verify", "--suite", "all"]) == 2
+        assert capsys.readouterr() == ("", err)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_in_one_process(capsys, monkeypatch):
+    """With one CPU the parent runs every suite itself and forks nothing:
+    the report is test_verify_bytes' digest for all."""
+
+    def no_fork():
+        raise AssertionError("forked with one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = run_cli(capsys, "verify", "--suite", "all")
+    digest = "2aef4470e60417087b0f45ad8638bf0b1de508b719e3130e6c0f2c1569af3d94"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_euler_check_names_each_disagreeing_n(monkeypatch):
     "The route from the faces against a skewed Mertens sum names the first n."
     table = shared_sieve(checks.MERTENS_LIMIT)
@@ -1323,17 +1410,26 @@ FULL = OSError(28, "No space left on device")
         (SystemExit(0), FULL, 2, "error: [Errno 28] No space left on device\n"),
         (SystemExit(0), BrokenPipeError(32, "Broken pipe"), 0, ""),
         (2, FULL, 2, ""),
+        (FULL, FULL, 2, "error: [Errno 28] No space left on device\n"),
+        (BrokenPipeError(32, "Broken pipe"), FULL, 0, ""),
     ],
-    ids=["help-full", "help-closed-pipe", "main-returned"],
+    ids=[
+        "help-full",
+        "help-closed-pipe",
+        "main-returned",
+        "help-write-full",
+        "help-write-closed-pipe",
+    ],
 )
 def test_run_ends_a_failed_flush_once(capsys, monkeypatch, leaves, error, code, err):
-    """A flush that fails after argparse's SystemExit (--help) is the
-    command's one error line, or a quiet end for a closed pipe; after main
-    has returned, main has already reported it.  Either way stdout then
-    points at devnull."""
+    """A flush that fails after argparse's SystemExit (--help), or a write
+    of argparse's that fails in main (stdout unbuffered), is the command's
+    one error line, or a quiet end for a closed pipe; after main has
+    returned, main has already reported it.  Either way stdout then points
+    at devnull."""
 
     def fake_main():
-        if isinstance(leaves, SystemExit):
+        if isinstance(leaves, BaseException):
             raise leaves
         return leaves
 
@@ -1406,22 +1502,31 @@ def test_closed_stdout_pipe_ends_quietly():
         assert (proc.wait(), err) == (0, b""), argv
 
 
+_FULL_ARGV = {
+    "chi": ("chi", "--to", "10"),
+    "zeros-json": ("zeros", "--n", "30", "--k", "3", "--format", "json"),
+    "tables": ("tables", "--kind", "f", "--max-d", "3"),
+    "help": ("zeros", "--help"),
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unbuffered",
     [
-        ("chi", "--to", "10"),
-        ("zeros", "--n", "30", "--k", "3", "--format", "json"),
-        ("tables", "--kind", "f", "--max-d", "3"),
-        ("zeros", "--help"),
+        pytest.param(argv, unbuffered, id=name + "-unbuffered" * unbuffered)
+        for unbuffered in (False, True)
+        for name, argv in _FULL_ARGV.items()
     ],
-    ids=["chi", "zeros-json", "tables", "help"],
 )
-def test_full_stdout_is_one_error_line(argv):
-    """A write to a full device through buffered stdout is one error line
-    and exit 2: the flush at exit does not fail a second time.  argparse's
-    --help leaves main through SystemExit with its text still buffered,
-    and ends the same way."""
+def test_full_stdout_is_one_error_line(argv, unbuffered):
+    """A write to a full device is one error line and exit 2, with stdout
+    buffered or not (PYTHONUNBUFFERED): the flush at exit does not fail a
+    second time.  argparse's --help leaves main through SystemExit with its
+    text still buffered, or has its failed write raised out of main, and
+    ends the same way."""
     env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "baryzeros", *argv], stdout=full, stderr=subprocess.PIPE, env=env
@@ -1450,11 +1555,14 @@ def test_tracer_sites_resolve():
         ("alpha", "--to", "300"),
         ("zeros", "--n", "30", "--k", "3"),
         ("verify", "--suite", "core"),
+        ("verify", "--suite", "all"),
     ],
-    ids=["chi", "alpha", "zeros", "verify"],
+    ids=["chi", "alpha", "zeros", "verify", "verify-all"],
 )
 def test_traced_run_prints_the_same_bytes(tmp_path, argv):
-    "The benchmark's traced mode runs each command kind to the CLI's own stdout."
+    """The benchmark's traced mode runs each command kind to the CLI's own
+    stdout.  The spans are this process's: a forked verify worker leaves
+    without the tracer's exit, so it writes neither spans nor stdout."""
     spans = tmp_path / "spans.json"
     traced = subprocess.run(
         [sys.executable, str(TRACER), "--spans", str(spans), "--", *argv],
@@ -1466,7 +1574,14 @@ def test_traced_run_prints_the_same_bytes(tmp_path, argv):
     )
     assert (traced.returncode, plain.returncode) == (0, 0), traced.stderr
     assert traced.stdout == plain.stdout
-    assert json.loads(spans.read_text())["spans"][0][0] == "tracer"
+    names = [span[0] for span in json.loads(spans.read_text())["spans"]]
+    assert names[0] == "tracer"
+    if argv[-1] == "all":
+        # with one CPU the complex suite runs here, at its place
+        suites = ["checks.core_suite", "checks.complex_suite", "checks.zeros_suite"]
+        if len(os.sched_getaffinity(0)) > 1:
+            suites.remove("checks.complex_suite")
+        assert [name for name in names if name.startswith("checks.")] == suites
 
 
 # Runs one command in a fresh interpreter (with no command, only imports

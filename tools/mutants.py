@@ -314,14 +314,14 @@ MUTANTS = [
     Mutant(
         "run leaves argparse's --help output to the interpreter's exit",
         "src/baryzeros/cli.py",
-        "    try:\n"
-        "        code, ended = main(), True\n"
-        "    except SystemExit as exc:\n"
-        "        # argparse leaves main here after --help or a usage error, its text\n"
-        "        # still in stdout's buffer: a failed write of it is this command's\n"
-        "        # error.\n"
-        "        code, ended = exc.code, False\n",
-        "    code, ended = main(), True\n",
+        "        try:\n"
+        "            code, ended = main(), True\n"
+        "        except SystemExit as exc:\n"
+        "            # argparse leaves main here after --help or a usage error, its text\n"
+        "            # still in stdout's buffer: a failed write of it is this command's\n"
+        "            # error.\n"
+        "            code = exc.code\n",
+        "        code, ended = main(), True\n",
         "tests/test_cli.py::test_full_stdout_is_one_error_line[help]",
     ),
     Mutant(
@@ -330,6 +330,32 @@ MUTANTS = [
         "if not (ended or isinstance(exc, BrokenPipeError)):",
         "if not ended:",
         "tests/test_cli.py::test_run_ends_a_failed_flush_once[help-closed-pipe]",
+    ),
+    Mutant(
+        "_Parser leaves argparse's failed write of --help unraised",
+        "src/baryzeros/cli.py",
+        "    def _print_message(self, message: str, file: TextIO | None = None) -> None:\n"
+        "        if message:\n"
+        "            (file or sys.stderr).write(message)\n",
+        "",
+        "tests/test_cli.py::test_full_stdout_is_one_error_line[help-unbuffered]",
+    ),
+    Mutant(
+        "the worker's results appended after the zeros suite, not at complex's place",
+        "src/baryzeros/checks.py",
+        "return [result for name in SUITES for result in ran[name]]",
+        "return [result for results in ran.values() for result in results]",
+        "tests/test_cli.py::test_worker_suite_failure_prints_at_its_place",
+    ),
+    Mutant(
+        "a worker's nonzero exit ignored",
+        "src/baryzeros/checks.py",
+        "    if code == 1:\n"
+        "        raise RuntimeError(marshal.loads(data))\n"
+        "    if code:\n"
+        '        raise RuntimeError(f"the complex suite\'s worker ended with status {code}")\n',
+        "",
+        "tests/test_cli.py::test_verify_all_failure_is_one_error_and_reaps_the_worker",
     ),
 ]
 

@@ -24,9 +24,11 @@ The probes are every distinct command of the benchmark's ``scan``,
 ``perfbench/workloads.py``, which is only imported) plus a fixed list:
 the scans at 10^6, point lookups, every table, every suite, ``zeros``
 across dimensions and precisions and at the depth cap, and the error
-paths that exit 2.  The child probes are a scan, a ``zeros``, a suite, a
-JSON ``--out``, an error that exits 2, ``--help`` and ``zeros --help``
-(whose ``--precision-bits`` line prints the precision floor).  Only the
+paths that exit 2.  The child probes are a scan, a ``zeros``, a suite,
+``verify --suite all`` (whose complex suite runs in a forked worker when
+the process may use more than one CPU), a JSON ``--out``, an error that
+exits 2, ``--help`` and ``zeros --help`` (whose ``--precision-bits`` line
+prints the precision floor).  Only the
 standard library is used.
 """
 
@@ -144,6 +146,8 @@ ENTRY_PROBES = (
     ("chi", "--to", "100000"),
     ("zeros", "--n", "30", "--k", "12"),
     ("verify", "--suite", "core"),
+    # with more than one CPU, the suites' forked worker
+    ("verify", "--suite", "all"),
     ("alpha", "--to", "100000", "--format", "json", "--out", "out.json"),
     ("chi", "--from", "9", "--to", "3"),
     ("--help",),
